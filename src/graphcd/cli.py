@@ -211,6 +211,8 @@ def cmd_verify(args) -> int:
             K = float(args.K)
         except ValueError:
             raise ValueError(f"cannot parse --K {args.K!r}") from None
+        if not math.isfinite(K):
+            raise ValueError(f"--K must be finite or 'auto', got {args.K!r}")
 
     n = None
     if args.n is not None:
@@ -283,8 +285,8 @@ def cmd_heat(args) -> int:
     with open(args.f) as fh:
         f = load_vertex_function(fh.read(), g)
     t = float(args.t)
-    if t < 0:
-        raise ValueError(f"--t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"--t must be finite and >= 0, got {t}")
     sd = decompose(g)
     result = heat_apply(sd, g, t, f)
     _write(save_vertex_function(g, result), args.output)

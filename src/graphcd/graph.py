@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 
 class GraphFormatError(ValueError):
@@ -97,6 +98,7 @@ class WeightedGraph:
         self._check_connected()
         self.m.flags.writeable = False
         self._csr_weights.flags.writeable = False
+        self._edge_mu.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
 
@@ -124,6 +126,21 @@ class WeightedGraph:
         self._csr_weights = np.asarray(wts, dtype=np.float64)
         self._degree = deg
         self._inv_m = 1.0 / self.m
+
+        # signed incidence over the non-loop edges, (B f)_e = f(v) - f(u)
+        # for e = (u, v), u < v.  Edges in (u, v) order make every row of
+        # B^T list its neighbors in ascending order, the adjacency order.
+        pairs = sorted((u, v) for (u, v) in self.edges if u != v)
+        ne = len(pairs)
+        ends = np.asarray(pairs, dtype=np.int64).reshape(ne, 2)
+        B = scipy.sparse.csr_array(
+            (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+            shape=(ne, nv),
+        )
+        self._incidence = B
+        self._incidence_t = B.T.tocsr()
+        self._abs_incidence_t = abs(self._incidence_t)
+        self._edge_mu = np.asarray([self.edges[p] for p in pairs], dtype=np.float64)
 
     def _check_connected(self):
         nv = len(self.labels)
@@ -285,8 +302,11 @@ def load_vertex_function(text: str, g: WeightedGraph) -> np.ndarray:
 
 
 def save_vertex_function(g: WeightedGraph, f) -> str:
+    """The ``vertex,value`` CSV that load_vertex_function reads back;
+    labels are quoted where CSV needs it."""
     f = np.asarray(f, dtype=np.float64)
-    lines = ["vertex,value"]
-    for label, val in zip(g.labels, f):
-        lines.append(f"{label},{float(val)!r}")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["vertex", "value"])
+    writer.writerows((label, repr(float(val))) for label, val in zip(g.labels, f))
+    return out.getvalue()

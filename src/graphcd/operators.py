@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graph import Ball, WeightedGraph, ball2
 
 
@@ -49,33 +48,34 @@ def _as_columns(g, F):
 
 def laplacian(g: WeightedGraph, f) -> np.ndarray:
     f = _as_function(g, f)
-    return _kernels.laplacian_rows(
-        g._csr_indptr, g._csr_indices, g._csr_weights, g._inv_m, f[:, None]
-    )[:, 0]
+    return laplacian_many(g, f[:, None])[:, 0]
 
 
 def laplacian_many(g: WeightedGraph, F) -> np.ndarray:
+    """Delta F = -M^{-1} B^T (mu * B F) column by column.
+
+    The minus sign rides on the edge weights, so each vertex sums the
+    terms mu_xy (f(y) - f(x)) in neighbor order and constants map to an
+    exact +0.
+    """
     F = _as_columns(g, F)
-    return _kernels.laplacian_rows(
-        g._csr_indptr, g._csr_indices, g._csr_weights, g._inv_m, F
-    )
+    flux = -g._edge_mu[:, None] * (g._incidence @ F)
+    return g._inv_m[:, None] * (g._incidence_t @ flux)
 
 
 def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
     """Gamma(f,h) via the local edge sum; h defaults to f."""
     f = _as_function(g, f)
-    h = f if h is None else _as_function(g, h)
-    return _kernels.gamma_rows(
-        g._csr_indptr, g._csr_indices, g._csr_weights, g._inv_m, f[:, None], h[:, None]
-    )[:, 0]
+    H = None if h is None else _as_function(g, h)[:, None]
+    return gamma_many(g, f[:, None], H)[:, 0]
 
 
 def gamma_many(g: WeightedGraph, F, H=None) -> np.ndarray:
+    """Gamma(F,H) = 1/2 M^{-1} |B|^T (mu * BF * BH) column by column."""
     F = _as_columns(g, F)
-    H = F if H is None else _as_columns(g, H)
-    return _kernels.gamma_rows(
-        g._csr_indptr, g._csr_indices, g._csr_weights, g._inv_m, F, H
-    )
+    BF = g._incidence @ F
+    BH = BF if H is None else g._incidence @ _as_columns(g, H)
+    return (0.5 * g._inv_m)[:, None] * (g._abs_incidence_t @ (g._edge_mu[:, None] * BF * BH))
 
 
 def gamma_composition(g: WeightedGraph, f, h=None) -> np.ndarray:

@@ -60,12 +60,12 @@ def _check_sizes(sd, g, f):
 
 
 def heat_apply(sd: SpectralDecomposition, g: WeightedGraph, t: float, f) -> np.ndarray:
-    """P_t f for a single time t >= 0."""
+    """P_t f for a single finite time t >= 0."""
     f = _check_sizes(sd, g, f)
     if f.ndim != 1:
         raise ValueError("heat_apply expects a single function")
-    if t < 0:
-        raise ValueError(f"heat semigroup is defined for t >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"heat semigroup is defined for finite t >= 0, got {t}")
     if t == 0:
         return f.copy()
     w = sd.basis.T @ (sd.sqrt_m * f)

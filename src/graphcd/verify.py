@@ -381,7 +381,8 @@ def record_tolerance(inequality_name, quadrature_error_estimate):
 
 
 def find_violations(report: VerificationReport):
+    """Records that fail the tolerance; a non-finite slack always fails."""
     tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate)
     if report.inequality_name in _IDENTITY_OPS:
-        return [r for r in report.records if abs(r.slack) > tol]
-    return [r for r in report.records if r.slack < -tol]
+        return [r for r in report.records if not abs(r.slack) <= tol]
+    return [r for r in report.records if not -tol <= r.slack < math.inf]

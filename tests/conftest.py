@@ -2,7 +2,7 @@
 
 The reference operators below are deliberately written as plain Python
 loops over the edge dictionary.  They share no code with the package
-kernels (CSR layout, segment sums, numba) so that agreement between the
+operators (sparse edge incidence products) so that agreement between the
 two is evidence, not tautology.
 """
 
@@ -11,14 +11,7 @@ import math
 import numpy as np
 import pytest
 
-import graphcd
 from graphcd.fixtures import fixture_graphs, random_connected_graph
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # compile the numba kernels once so timed tests measure math, not JIT
-    graphcd.warmup()
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +20,7 @@ def fixtures():
 
 
 # ---------------------------------------------------------------------------
-# reference operators (independent of the package kernels)
+# reference operators (independent of the package operators)
 # ---------------------------------------------------------------------------
 
 def adjacency(g):

@@ -173,6 +173,15 @@ def test_verify_bad_flags(capsys, k2_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("K", ["nan", "inf", "-inf"])
+def test_verify_nonfinite_K_exit_2(capsys, k2_path, K):
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path,
+                              "--inequality", "gradient", "--K", K, "--times", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "--K" in err
+
+
 def test_verify_panels_flag(capsys, k2_path):
     code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "variance-identity", "--K", "0",
@@ -227,6 +236,14 @@ def test_heat_negative_time_exit_2(capsys, k2_path, f_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_heat_nonfinite_time_exit_2(capsys, k2_path, f_path, t):
+    code, out, err = run_main(capsys, "heat", "--graph", k2_path, "--f", f_path, "--t", t)
+    assert code == 2
+    assert out == ""
+    assert "--t" in err
+
+
 def test_heat_missing_rows_exit_2(capsys, k2_path, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("vertex,value\na,1.0\n")
@@ -240,6 +257,22 @@ def test_heat_output_file(capsys, k2_path, f_path, tmp_path):
                           "--t", "0.5", "--output", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("vertex,value")
+
+
+def test_heat_output_round_trips_quoted_labels(capsys, tmp_path):
+    graph = tmp_path / "g.graph"
+    graph.write_text("vertex a,1 1\nvertex b 2\nedge a,1 b 1\n")
+    f = tmp_path / "f.csv"
+    f.write_text('vertex,value\n"a,1",1.0\nb,0.0\n')
+    h = tmp_path / "h.csv"
+    code, _, _ = run_main(capsys, "heat", "--graph", str(graph), "--f", str(f),
+                          "--t", "0.5", "--output", str(h))
+    assert code == 0
+    code, out, err = run_main(capsys, "heat", "--graph", str(graph), "--f", str(h),
+                              "--t", "0")
+    assert code == 0, err
+    g = load_graph(graph.read_text())
+    assert np.array_equal(load_vertex_function(out, g), load_vertex_function(h.read_text(), g))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphcd.curvature import (
     CurvatureInternalError,
@@ -106,6 +107,53 @@ def test_solver_vs_oracle_spot():
         for n in (2.0, INF):
             for x in range(g.vertex_count):
                 assert abs(curvature_at(g, x, n).kappa - curvature_oracle(g, x, n)) <= 1e-6
+
+
+def _route_pencil(monkeypatch, change):
+    """Pass the oracle's generalized eigensolve through change(lam, U)."""
+    eigh = scipy.linalg.eigh
+
+    def patched(*args, **kwargs):
+        lam, U = eigh(*args, **kwargs)
+        return change(lam.copy(), U.copy())
+
+    monkeypatch.setattr(scipy.linalg, "eigh", patched)
+
+
+def test_oracle_certificate_rejects_wrong_minimum(monkeypatch):
+    graphs = [random_connected_graph(seed) for seed in range(5)]
+
+    # lambda_0 shifted by a relative 1e-6, eigenvector kept: shifted down
+    # it is not attained, shifted up some direction undercuts it
+    for rel in (1e-6, -1e-6):
+        def shift(lam, U, rel=rel):
+            lam[0] *= 1.0 + rel
+            return lam, U
+
+        with monkeypatch.context() as m:
+            _route_pencil(m, shift)
+            for g in graphs:
+                for n in (2.0, INF):
+                    for x in range(g.vertex_count):
+                        with pytest.raises(CurvatureInternalError):
+                            curvature_oracle(g, x, n)
+
+    # the top eigenpair is attained but is not the minimum
+    def top_first(lam, U):
+        return lam[::-1], U[:, ::-1]
+
+    checked = 0
+    with monkeypatch.context() as m:
+        _route_pencil(m, top_first)
+        for g in graphs:
+            for n in (2.0, INF):
+                for x in range(g.vertex_count):
+                    if len(ball2(g, x).sphere1) < 2:
+                        continue
+                    with pytest.raises(CurvatureInternalError):
+                        curvature_oracle(g, x, n)
+                    checked += 1
+    assert checked > 0
 
 
 def test_check_cd_tightness():

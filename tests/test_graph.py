@@ -151,7 +151,7 @@ def test_vertex_function_round_trip():
     g = load_graph(K2_TEXT)
     f = np.array([1.25, -3.5])
     text = save_vertex_function(g, f)
-    assert text.splitlines()[0] == "vertex,value"
+    assert text == "vertex,value\na,1.25\nb,-3.5\n"
     assert np.array_equal(load_vertex_function(text, g), f)
 
 

@@ -89,6 +89,13 @@ def test_negative_time_rejected():
         heat_apply(sd, K2, -0.1, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_nonfinite_time_rejected(t):
+    sd = decompose(K2)
+    with pytest.raises(ValueError):
+        heat_apply(sd, K2, t, np.array([1.0, 0.0]))
+
+
 def test_size_mismatch_rejected():
     sd = decompose(K2)
     with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ from graphcd.operators import gamma, gamma2
 from graphcd.semigroup import decompose, heat_apply
 from graphcd.verify import (
     QuadratureSpec,
+    VerificationRecord,
+    VerificationReport,
     cdn_bound,
     derivative_recovery,
     find_violations,
@@ -364,3 +366,12 @@ def test_record_tolerance_policy():
     assert record_tolerance("variance_bound", 123.0) == 1e-9
     assert record_tolerance("gamma2_identity", 0.0) == 1e-8
     assert record_tolerance("cdn_bound", 3e-7) == 6e-7
+
+
+def test_nonfinite_slack_is_a_violation():
+    slacks = {"a": 1.0, "b": math.nan, "c": math.inf, "d": -math.inf, "e": 0.0}
+    records = [VerificationRecord("f", 0.5, x, 0.0, s, s) for x, s in slacks.items()]
+    for name, want in (("gradient_estimate", {"b", "c", "d"}),
+                       ("gamma2_identity", {"a", "b", "c", "d"})):
+        report = VerificationReport(name, 0.0, None, records, math.nan, 0.0)
+        assert {r.vertex for r in find_violations(report)} == want, name
