@@ -14,6 +14,7 @@ stable key order, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from . import __version__
 from .curvature import CurvatureInternalError, curvature_all
 from .graph import (
     GraphFormatError,
+    csv_text,
     load_graph,
     load_vertex_function,
     save_vertex_function,
@@ -47,24 +49,35 @@ _INEQUALITY_BY_FLAG = {
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic report text
 # ---------------------------------------------------------------------------
 
+def _float_texts(values):
+    """(CSV texts, JSON texts) of a sequence of floats.
+
+    A finite float is written %.12e in both.  inf, -inf and nan are those
+    words (Python's own %e text for them): bare in CSV, strings in JSON.
+    """
+    texts = [f"{x:.12e}" for x in values]
+    if all(map(math.isfinite, values)):
+        return texts, texts
+    return texts, [t if math.isfinite(x) else json.dumps(t) for x, t in zip(values, texts)]
+
+
+class _JsonText(str):
+    """Text that is already JSON; _emit_json copies it as it is."""
+
+
 def _emit_json(obj, out):
-    """JSON with floats at %.12e and insertion-order keys."""
+    """JSON with floats as _float_texts writes them and insertion-order keys."""
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+    elif isinstance(obj, _JsonText):
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
     elif isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            out.append(json.dumps("inf" if obj > 0 else ("-inf" if obj < 0 else "nan")))
-        else:
-            out.append(f"{obj:.12e}")
+        out.append(_float_texts([obj])[1][0])
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -106,9 +119,7 @@ def _graph_name(path):
 
 
 def _parse_dimension(token):
-    if token.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
+    try:  # float() reads inf and infinity too
         n = float(token)
     except ValueError:
         raise ValueError(f"cannot parse dimension {token!r}") from None
@@ -129,35 +140,23 @@ def cmd_curvature(args) -> int:
         raise ValueError("--witness is only available with --format json")
 
     results = curvature_all(g, n)
-    rows = sorted(
-        (g.labels[r.vertex], r) for r in results
-    )
+    rows = sorted((g.labels[r.vertex], r) for r in results)
     if args.format == "csv":
-        lines = ["vertex,kappa"]
-        for label, r in rows:
-            lines.append(f"{label},{r.kappa:.12e}")
-        _write("\n".join(lines) + "\n", args.output)
+        kappas, _ = _float_texts([r.kappa for _, r in rows])
+        labels = [label for label, _ in rows]
+        _write(csv_text(("vertex", "kappa"), zip(labels, kappas)), args.output)
         return 0
 
+    report_rows = []
+    for label, r in rows:
+        row = {"vertex_label": label, "kappa": r.kappa}
+        if args.witness:
+            row["witness"] = dict(zip(g.labels, r.witness.tolist()))
+        report_rows.append(row)
     report = {
         "graph_name": _graph_name(args.graph),
         "dimension": n,
-        "rows": [
-            {
-                "vertex_label": label,
-                "kappa": r.kappa,
-                **(
-                    {
-                        "witness": {
-                            lbl: float(r.witness[i]) for i, lbl in enumerate(g.labels)
-                        }
-                    }
-                    if args.witness
-                    else {}
-                ),
-            }
-            for label, r in rows
-        ],
+        "rows": report_rows,
         "min_kappa": min(r.kappa for r in results),
         "tool_version": __version__,
     }
@@ -233,22 +232,25 @@ def cmd_verify(args) -> int:
 
     sd = decompose(g)
     report = run_verification(g, sd, name, K, times, functions, n=n, quad=quad)
+    t_csv, t_json = _float_texts(report.times)
+    (lhs, lhs_json), (rhs, rhs_json), (slack, slack_json) = (
+        _float_texts(a.ravel().tolist()) for a in (report.lhs, report.rhs, report.slack)
+    )
+    keys = itertools.product(
+        [json.dumps(fid) for fid in report.function_ids],
+        t_json,
+        [json.dumps(label) for label in report.vertices],
+    )
+    records = ", ".join(
+        f'{{"function": {f}, "t": {t}, "vertex": {v}, "lhs": {a}, "rhs": {b}, "slack": {c}}}'
+        for (f, t, v), a, b, c in zip(keys, lhs_json, rhs_json, slack_json)
+    )
     payload = {
         "inequality": report.inequality_name,
         "K": report.K,
         "n": report.n,
         "graph": _graph_name(args.graph),
-        "records": [
-            {
-                "function": r.function_id,
-                "t": r.t,
-                "vertex": r.vertex,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "slack": r.slack,
-            }
-            for r in report.records
-        ],
+        "records": _JsonText(f"[{records}]"),
         "min_slack": report.min_slack,
         "quadrature_error": report.quadrature_error_estimate,
         "tool_version": __version__,
@@ -256,14 +258,9 @@ def cmd_verify(args) -> int:
     _write(dumps_report(payload), args.output)
 
     if args.csv is not None:
-        lines = ["function,t,vertex,lhs,rhs,slack"]
-        for r in report.records:
-            lines.append(
-                f"{r.function_id},{r.t:.12e},{r.vertex},"
-                f"{r.lhs:.12e},{r.rhs:.12e},{r.slack:.12e}"
-            )
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        keys = itertools.product(report.function_ids, t_csv, report.vertices)
+        rows = ((*key, a, b, c) for key, a, b, c in zip(keys, lhs, rhs, slack))
+        _write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), rows), args.csv)
 
     violations = find_violations(report)
     if violations:

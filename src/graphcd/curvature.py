@@ -13,20 +13,18 @@ independent route (forms assembled by polarization of global operator
 evaluations, kernel deflation, a generalized eigensolver, and a
 two-sided certificate that its eigenvalue is the minimum) so the two can
 cross-check each other.
-
-Also here: the exponential curvature condition CDE, as an evaluator and a
-randomized falsifier.  Certifying CDE is nonconvex and out of scope.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import WeightedGraph, ball2
-from .operators import gamma, gamma2, gamma_many, gamma2_many, laplacian, laplacian_many, local_forms
+from .operators import gamma2_many, gamma_many, laplacian_many, local_forms
 
 _RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to sigma_max
 _PSD_TOL = 1e-10           # allowed negative eigenvalue in the S2 block
@@ -48,7 +46,7 @@ class CurvatureResult:
     vertex: int
     dimension: float
     kappa: float
-    witness: np.ndarray  # function on V, Gamma(witness)(vertex) = 1
+    witness: np.ndarray  # read-only function on V, Gamma(witness)(vertex) = 1
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,22 @@ def curvature_at(g: WeightedGraph, x: int, n: float = math.inf) -> CurvatureResu
     witness[list(ball.sphere1)] = v
     if k2 > 0:
         witness[list(ball.sphere2)] = -(A22_pinv @ (A12.T @ v))
+    witness.flags.writeable = False
     return CurvatureResult(vertex=x, dimension=n, kappa=kappa, witness=witness)
 
 
+_SOLVED = weakref.WeakKeyDictionary()  # graph -> {dimension: results}
+
+
 def curvature_all(g: WeightedGraph, n: float = math.inf):
-    return [curvature_at(g, x, n) for x in range(g.vertex_count)]
+    """curvature_at at every vertex, in vertex order.  A graph is immutable,
+    so each (graph, dimension) pair is solved once and the (read-only)
+    results are shared between calls."""
+    n = _check_dimension(n)
+    solved = _SOLVED.setdefault(g, {})
+    if n not in solved:
+        solved[n] = tuple(curvature_at(g, x, n) for x in range(g.vertex_count))
+    return list(solved[n])
 
 
 def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:
@@ -253,59 +262,3 @@ def curvature_oracle(g: WeightedGraph, x: int, n: float = math.inf) -> float:
             f"at vertex {g.labels[x]!r}: kappa is not the minimum"
         )
     return kappa
-
-
-# ---------------------------------------------------------------------------
-# exponential curvature condition CDE
-# ---------------------------------------------------------------------------
-
-def cde_residual(g: WeightedGraph, f, x: int, K: float, n: float) -> float:
-    """Residual of the CDE inequality at x for an admissible f.
-
-    Returns Gamma2(f)(x) - Gamma(f, Gamma(f)/f)(x) - (1/n)(Delta f(x))^2
-    - K*Gamma(f)(x).  Requires f > 0 on the closed 2-ball of x and
-    Delta f(x) < 0; nonnegative residual means the inequality holds for
-    this particular f.
-    """
-    n = _check_dimension(n)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.vertex_count,):
-        raise ValueError("function size mismatch")
-    ball = ball2(g, x)
-    members = [x] + list(ball.sphere1) + list(ball.sphere2)
-    if np.any(f[members] <= 0.0):
-        raise ValueError("CDE requires f > 0 on the 2-ball of x")
-    lap_x = laplacian(g, f)[x]
-    if not lap_x < 0.0:
-        raise ValueError(f"CDE requires Delta f(x) < 0, got {lap_x}")
-
-    gf = gamma(g, f)
-    quotient = np.zeros_like(f)
-    nz = f != 0.0
-    quotient[nz] = gf[nz] / f[nz]   # only the 1-ball values enter below
-    value = gamma2(g, f)[x] - gamma(g, f, quotient)[x] - K * gf[x]
-    if not math.isinf(n):
-        value -= (lap_x * lap_x) / n
-    return float(value)
-
-
-def cde_falsify(g: WeightedGraph, x: int, K: float, n: float, trials: int, seed: int):
-    """Random search for a function violating CDE(x, K, n).
-
-    Samples log-normal positive functions on the 2-ball (rest held at 1),
-    keeps those with Delta f(x) < 0, and returns the first with residual
-    below -1e-10, else None.  Absence of a counterexample proves nothing.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ball = ball2(g, x)
-    members = [x] + list(ball.sphere1) + list(ball.sphere2)
-    rng = np.random.default_rng([int(seed), x])
-    for _ in range(int(trials)):
-        f = np.ones(g.vertex_count)
-        f[members] = rng.lognormal(mean=0.0, sigma=1.0, size=len(members))
-        if laplacian(g, f)[x] >= 0.0:
-            continue
-        if cde_residual(g, f, x, K, n) < -1e-10:
-            return f
-    return None

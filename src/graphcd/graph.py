@@ -305,8 +305,14 @@ def save_vertex_function(g: WeightedGraph, f) -> str:
     """The ``vertex,value`` CSV that load_vertex_function reads back;
     labels are quoted where CSV needs it."""
     f = np.asarray(f, dtype=np.float64)
+    rows = ((label, repr(float(val))) for label, val in zip(g.labels, f))
+    return csv_text(["vertex", "value"], rows)
+
+
+def csv_text(header, rows):
+    """CSV text, each row ending in a newline; fields are quoted where CSV needs it."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["vertex", "value"])
-    writer.writerows((label, repr(float(val))) for label, val in zip(g.labels, f))
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()

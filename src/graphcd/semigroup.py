@@ -77,8 +77,8 @@ def heat_curve(sd: SpectralDecomposition, g: WeightedGraph, ts, f) -> np.ndarray
     """Column j is P_{ts[j]} f.  Vectorized over the whole time grid."""
     f = _check_sizes(sd, g, f)
     ts = np.asarray(ts, dtype=np.float64)
-    if np.any(ts < 0):
-        raise ValueError("heat semigroup is defined for t >= 0")
+    if not np.all((0 <= ts) & (ts < np.inf)):
+        raise ValueError("heat semigroup is defined for finite t >= 0")
     w = sd.basis.T @ (sd.sqrt_m * f)
     W = np.exp(np.outer(sd.eigenvalues, ts)) * w[:, None]
     return sd.inv_sqrt_m[:, None] * (sd.basis @ W)
@@ -92,8 +92,8 @@ def heat_apply_columns(sd: SpectralDecomposition, g: WeightedGraph, ts, F) -> np
     ts = np.asarray(ts, dtype=np.float64)
     if ts.shape != (F.shape[1],):
         raise ValueError("need one time per column")
-    if np.any(ts < 0):
-        raise ValueError("heat semigroup is defined for t >= 0")
+    if not np.all((0 <= ts) & (ts < np.inf)):
+        raise ValueError("heat semigroup is defined for finite t >= 0")
     W = sd.basis.T @ (sd.sqrt_m[:, None] * F)
     W *= np.exp(sd.eigenvalues[:, None] * ts[None, :])
     return sd.inv_sqrt_m[:, None] * (sd.basis @ W)

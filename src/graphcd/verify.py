@@ -25,11 +25,12 @@ and a time grid into a VerificationReport.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_all, curvature_at, min_curvature
+from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
 from .graph import WeightedGraph
 from .operators import gamma, gamma2, gamma2_many, gamma_many, laplacian_many
 from .semigroup import SpectralDecomposition, heat_apply, heat_apply_columns, heat_curve
@@ -42,7 +43,6 @@ INEQUALITY_NAMES = (
     "gamma2_identity",
 )
 _IDENTITY_OPS = frozenset({"variance_identity", "gamma2_identity"})
-_QUADRATURE_OPS = frozenset({"variance_identity", "gamma2_identity", "cdn_bound"})
 
 PLAIN_TOLERANCE = 1e-9      # gradient/variance inequalities
 QUAD_TOLERANCE_FLOOR = 1e-8  # quadrature-backed checks use max(floor, estimate)
@@ -69,14 +69,48 @@ class VerificationRecord:
     slack: float  # rhs - lhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """lhs, rhs and slack are (function, time, vertex) arrays along the
+    sorted axes function_ids, times and vertices: report order."""
+
     inequality_name: str
     K: float
     n: float | None
-    records: list
-    min_slack: float
+    function_ids: tuple
+    times: tuple
+    vertices: tuple
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray  # rhs - lhs
     quadrature_error_estimate: float
+
+    @property
+    def min_slack(self) -> float:
+        """The smallest slack: NaN if any slack is NaN, 0.0 with no records."""
+        # argmin keeps the first of equal minima, and so the sign of a zero
+        return float(self.slack.flat[self.slack.argmin()]) if self.slack.size else 0.0
+
+    @property
+    def records(self) -> Sequence:
+        """The records in report order, each built when it is read."""
+        return _Records(self)
+
+
+class _Records(Sequence):
+    def __init__(self, report):
+        self._report = report
+
+    def __len__(self):
+        return self._report.slack.size
+
+    def __getitem__(self, i):
+        r = self._report
+        i = range(r.slack.size)[i]
+        f, t, v = np.unravel_index(i, r.slack.shape)
+        return VerificationRecord(r.function_ids[f], r.times[t], r.vertices[v],
+                                  float(r.lhs.flat[i]), float(r.rhs.flat[i]),
+                                  float(r.slack.flat[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +151,57 @@ def _check_time(t):
 # inequality / identity evaluators (per-vertex)
 # ---------------------------------------------------------------------------
 
+def _sides(g, sd, inequality_name, f, K, n, t, quad):
+    """(lhs, rhs, quadrature error estimate or None) per vertex at one (f, t):
+    rhs is the bound of an inequality, whose slack is rhs - lhs, or the
+    integral side of an identity, whose residual is |rhs - lhs|."""
+    t = _check_time(t)
+    f = np.asarray(f, dtype=np.float64)
+    if inequality_name in ("variance_bound", "variance_identity"):
+        lhs = heat_apply(sd, g, t, f * f) - heat_apply(sd, g, t, f) ** 2
+        if inequality_name == "variance_identity":
+            return (lhs, *_integrate_variance(g, sd, f, t, quad))
+        return lhs, variance_coefficient(K, t) * heat_apply(sd, g, t, gamma(g, f)), None
+
+    gradient = gamma(g, heat_apply(sd, g, t, f))
+    decayed = math.exp(-2.0 * K * t) * heat_apply(sd, g, t, gamma(g, f))
+    if inequality_name == "gradient_estimate":
+        return gradient, decayed, None
+    if inequality_name == "gamma2_identity":
+        return (decayed - gradient, *_integrate_gamma2(g, sd, f, K, t, quad))
+
+    n = _check_dimension(n)
+    integral, err = _heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2)
+    coeff = 0.0 if math.isinf(n) else 2.0 / n
+    return gradient, decayed - coeff * integral, coeff * err
+
+
+def _heat_integral(g, sd, f, K, t, quad, inner):
+    """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate, per vertex."""
+    def integrand(s):
+        V = inner(heat_curve(sd, g, t - s, f))
+        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
+
+    return _integrate(integrand, t, quad)
+
+
+def _integrate_variance(g, sd, f, t, quad):
+    """2 Int_0^t P_s Gamma(P_{t-s} f) ds and its error estimate."""
+    integral, err = _heat_integral(g, sd, f, 0.0, t, quad, lambda F: gamma_many(g, F))
+    return 2.0 * integral, 2.0 * err
+
+
+def _integrate_gamma2(g, sd, f, K, t, quad):
+    """2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds and its error estimate."""
+    integral, err = _heat_integral(
+        g, sd, f, K, t, quad, lambda F: gamma2_many(g, F) - K * gamma_many(g, F)
+    )
+    return 2.0 * integral, 2.0 * err
+
+
 def gradient_estimate(g, sd, f, K, t):
     """slack(x) = e^{-2Kt} P_t Gamma(f)(x) - Gamma(P_t f)(x)."""
-    t = _check_time(t)
-    rhs = math.exp(-2.0 * K * t) * heat_apply(sd, g, t, gamma(g, f))
-    lhs = gamma(g, heat_apply(sd, g, t, f))
+    lhs, rhs, _ = _sides(g, sd, "gradient_estimate", f, K, None, t, None)
     return rhs - lhs
 
 
@@ -138,10 +218,7 @@ def variance_coefficient(K, t):
 
 def variance_bound(g, sd, f, K, t):
     """slack(x) = ((1-e^{-2Kt})/K) P_t Gamma(f)(x) - [P_t(f^2) - (P_tf)^2](x)."""
-    t = _check_time(t)
-    f = np.asarray(f, dtype=np.float64)
-    rhs = variance_coefficient(K, t) * heat_apply(sd, g, t, gamma(g, f))
-    lhs = heat_apply(sd, g, t, f * f) - heat_apply(sd, g, t, f) ** 2
+    lhs, rhs, _ = _sides(g, sd, "variance_bound", f, K, None, t, None)
     return rhs - lhs
 
 
@@ -150,16 +227,8 @@ def variance_identity_residual(g, sd, f, t, quad=QuadratureSpec()):
 
     Returns (residual, quadrature error estimate), both per vertex.
     """
-    t = _check_time(t)
-    f = np.asarray(f, dtype=np.float64)
-    lhs = heat_apply(sd, g, t, f * f) - heat_apply(sd, g, t, f) ** 2
-
-    def integrand(s):
-        F = heat_curve(sd, g, t - s, f)
-        return heat_apply_columns(sd, g, s, gamma_many(g, F))
-
-    integral, err = _integrate(integrand, t, quad)
-    return np.abs(lhs - 2.0 * integral), 2.0 * err
+    lhs, rhs, err = _sides(g, sd, "variance_identity", f, 0.0, None, t, quad)
+    return np.abs(rhs - lhs), err
 
 
 def cdn_bound(g, sd, f, K, n, t, quad=QuadratureSpec()):
@@ -171,22 +240,8 @@ def cdn_bound(g, sd, f, K, n, t, quad=QuadratureSpec()):
 
     Returns (slack, quadrature error estimate) per vertex.
     """
-    t = _check_time(t)
-    n = float(n)
-    if not n > 0.0:
-        raise ValueError(f"dimension must be positive, got {n}")
-    f = np.asarray(f, dtype=np.float64)
-
-    def integrand(s):
-        F = heat_curve(sd, g, t - s, f)
-        LF = laplacian_many(g, F)
-        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, LF * LF)
-
-    integral, err = _integrate(integrand, t, quad)
-    coeff = 0.0 if math.isinf(n) else 2.0 / n
-    rhs = math.exp(-2.0 * K * t) * heat_apply(sd, g, t, gamma(g, f)) - coeff * integral
-    lhs = gamma(g, heat_apply(sd, g, t, f))
-    return rhs - lhs, coeff * err
+    lhs, rhs, err = _sides(g, sd, "cdn_bound", f, K, n, t, quad)
+    return rhs - lhs, err
 
 
 def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
@@ -198,19 +253,8 @@ def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
     Holds for every real K; the K-dependence cancels between the two
     sides.  Returns (residual, quadrature error estimate) per vertex.
     """
-    t = _check_time(t)
-    f = np.asarray(f, dtype=np.float64)
-    lhs = math.exp(-2.0 * K * t) * heat_apply(sd, g, t, gamma(g, f)) - gamma(
-        g, heat_apply(sd, g, t, f)
-    )
-
-    def integrand(s):
-        F = heat_curve(sd, g, t - s, f)
-        V = gamma2_many(g, F) - K * gamma_many(g, F)
-        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
-
-    integral, err = _integrate(integrand, t, quad)
-    return np.abs(lhs - 2.0 * integral), 2.0 * err
+    lhs, rhs, err = _sides(g, sd, "gamma2_identity", f, K, None, t, quad)
+    return np.abs(rhs - lhs), err
 
 
 def derivative_recovery(g, sd, x, n=math.inf):
@@ -221,23 +265,17 @@ def derivative_recovery(g, sd, x, n=math.inf):
     is Gamma2(f)(x), and returns (extrapolated limit) - Gamma2(f)(x).
     """
     f = curvature_at(g, x, n).witness
-    gf = gamma(g, f)
-    target = gamma2(g, f)[x]
-
     levels = 6
-    h0 = 0.05
-    vals = []
+    T = []  # first-order Richardson table in h
     for k in range(levels):
-        h = h0 / 2.0**k
-        diff = heat_apply(sd, g, h, gf)[x] - gamma(g, heat_apply(sd, g, h, f))[x]
-        vals.append(diff / (2.0 * h))
-    # first-order Richardson table in h
-    T = list(vals)
+        h = 0.05 / 2.0**k
+        # the gap is the slack of the gradient estimate at K = 0
+        T.append(gradient_estimate(g, sd, f, 0.0, h)[x] / (2.0 * h))
     for m in range(1, levels):
         fac = 2.0**m
         for k in range(levels - 1, m - 1, -1):
             T[k] = (fac * T[k] - T[k - 1]) / (fac - 1.0)
-    return float(T[levels - 1] - target)
+    return float(T[levels - 1] - gamma2(g, f)[x])
 
 
 # ---------------------------------------------------------------------------
@@ -291,85 +329,46 @@ def run_verification(
     n=None,
     quad=QuadratureSpec(),
 ) -> VerificationReport:
-    """Evaluate one inequality/identity over functions x times x vertices."""
+    """Evaluate one inequality/identity over functions x times x vertices.
+
+    Records are ordered by (function id, t, vertex label); functions with
+    equal ids keep their input order.
+    """
     if inequality_name not in INEQUALITY_NAMES:
         raise ValueError(f"unknown inequality {inequality_name!r}")
     if inequality_name == "cdn_bound" and n is None:
         raise ValueError("cdn_bound requires a dimension n")
-    times = [_check_time(t) for t in times]
+    times = sorted(_check_time(t) for t in times)
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
 
-    records = []
+    functions = sorted(functions, key=lambda item: item[0])
+    v_order = sorted(range(g.vertex_count), key=g.labels.__getitem__)
+    lhs = np.empty((len(functions), len(times), g.vertex_count))
+    rhs = np.empty_like(lhs)
     qmax = 0.0
-    for fid, f in functions:
-        for t in times:
-            qerr = None
-            if inequality_name == "gradient_estimate":
-                slack = gradient_estimate(g, sd, f, K, t)
-                lhs = gamma(g, heat_apply(sd, g, t, f))
-                rhs = lhs + slack
-            elif inequality_name == "variance_bound":
-                slack = variance_bound(g, sd, f, K, t)
-                farr = np.asarray(f, dtype=np.float64)
-                lhs = heat_apply(sd, g, t, farr * farr) - heat_apply(sd, g, t, farr) ** 2
-                rhs = lhs + slack
-            elif inequality_name == "cdn_bound":
-                slack, qerr = cdn_bound(g, sd, f, K, n, t, quad)
-                lhs = gamma(g, heat_apply(sd, g, t, f))
-                rhs = lhs + slack
-            elif inequality_name == "variance_identity":
-                farr = np.asarray(f, dtype=np.float64)
-                lhs = heat_apply(sd, g, t, farr * farr) - heat_apply(sd, g, t, farr) ** 2
-                rhs, qerr = _integrate_variance(g, sd, farr, t, quad)
-                slack = rhs - lhs
-            else:  # gamma2_identity
-                farr = np.asarray(f, dtype=np.float64)
-                lhs = math.exp(-2.0 * K * t) * heat_apply(
-                    sd, g, t, gamma(g, farr)
-                ) - gamma(g, heat_apply(sd, g, t, farr))
-                rhs, qerr = _integrate_gamma2(g, sd, farr, K, t, quad)
-                slack = rhs - lhs
+    for i, (_, f) in enumerate(functions):
+        for j, t in enumerate(times):
+            lhs[i, j], rhs[i, j], qerr = _sides(g, sd, inequality_name, f, K, n, t, quad)
             if qerr is not None:
                 qmax = max(qmax, float(np.max(qerr)))
-            for x, label in enumerate(g.labels):
-                records.append(
-                    VerificationRecord(
-                        function_id=fid,
-                        t=float(t),
-                        vertex=label,
-                        lhs=float(lhs[x]),
-                        rhs=float(rhs[x]),
-                        slack=float(slack[x]),
-                    )
-                )
-    records.sort(key=lambda r: (r.function_id, r.t, r.vertex))
+    lhs, rhs = lhs[:, :, v_order], rhs[:, :, v_order]
+    slack = rhs - lhs
+    if inequality_name not in _IDENTITY_OPS:
+        # an inequality reports rhs as lhs + slack, not the bound itself:
+        # the two can differ in the last bit, and the report format has the former
+        rhs = lhs + slack
     return VerificationReport(
         inequality_name=inequality_name,
         K=K,
         n=None if n is None else float(n),
-        records=records,
-        min_slack=min(r.slack for r in records) if records else 0.0,
+        function_ids=tuple(fid for fid, _ in functions),
+        times=tuple(times),
+        vertices=tuple(g.labels[x] for x in v_order),
+        lhs=lhs,
+        rhs=rhs,
+        slack=slack,
         quadrature_error_estimate=qmax,
     )
-
-
-def _integrate_variance(g, sd, f, t, quad):
-    def integrand(s):
-        F = heat_curve(sd, g, t - s, f)
-        return heat_apply_columns(sd, g, s, gamma_many(g, F))
-
-    integral, err = _integrate(integrand, t, quad)
-    return 2.0 * integral, 2.0 * err
-
-
-def _integrate_gamma2(g, sd, f, K, t, quad):
-    def integrand(s):
-        F = heat_curve(sd, g, t - s, f)
-        V = gamma2_many(g, F) - K * gamma_many(g, F)
-        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
-
-    integral, err = _integrate(integrand, t, quad)
-    return 2.0 * integral, 2.0 * err
 
 
 def record_tolerance(inequality_name, quadrature_error_estimate):
@@ -383,6 +382,10 @@ def record_tolerance(inequality_name, quadrature_error_estimate):
 def find_violations(report: VerificationReport):
     """Records that fail the tolerance; a non-finite slack always fails."""
     tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate)
+    s = report.slack
     if report.inequality_name in _IDENTITY_OPS:
-        return [r for r in report.records if not abs(r.slack) <= tol]
-    return [r for r in report.records if not -tol <= r.slack < math.inf]
+        ok = np.abs(s) <= tol
+    else:
+        ok = (s >= -tol) & (s < math.inf)
+    records = report.records
+    return [records[i] for i in np.flatnonzero(~ok)]

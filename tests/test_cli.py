@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -6,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from graphcd import __version__
 from graphcd.cli import main
 from graphcd.graph import load_graph, load_vertex_function
+from graphcd.semigroup import decompose
+from graphcd.verify import function_corpus, run_verification
 
 
 K2_TEXT = "vertex a 1\nvertex b 1\nedge a b 1\n"
@@ -58,6 +63,18 @@ def test_curvature_csv_dimension_2(capsys, k2_path):
     for line in lines[1:]:
         label, kappa = line.split(",")
         assert abs(float(kappa) - 1.0) <= 1e-9
+
+
+def test_curvature_csv_quotes_labels(capsys, tmp_path):
+    graph = tmp_path / "g.graph"
+    graph.write_text("vertex a,1 1\nvertex b 2\nedge a,1 b 1\n")
+    code, out, _ = run_main(capsys, "curvature", "--graph", str(graph),
+                            "--dimension", "inf", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["vertex", "kappa"]
+    assert [row[0] for row in rows[1:]] == ["a,1", "b"]
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_curvature_witness_json(capsys, k2_path):
@@ -155,6 +172,79 @@ def test_verify_functions_file(capsys, k2_path, f_path):
     assert code == 0
     rep = json.loads(out)
     assert all(r["function"].startswith("file:") for r in rep["records"])
+
+
+def test_verify_csv_quotes_function_ids(capsys, k2_path, tmp_path):
+    f = tmp_path / "f,1.csv"
+    f.write_text("vertex,value\na,1.0\nb,0.0\n")
+    records = tmp_path / "records.csv"
+    code, _, _ = run_main(capsys, "verify", "--graph", k2_path,
+                          "--inequality", "gradient", "--K", "auto", "--times", "0.5",
+                          "--functions", f"file:{f}", "--csv", str(records))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(records.read_text())))
+    assert rows[0] == ["function", "t", "vertex", "lhs", "rhs", "slack"]
+    assert len(rows) == 3
+    for row, vertex in zip(rows[1:], ["a", "b"]):
+        assert row[:3] == ["file:f,1.csv", "5.000000000000e-01", vertex]
+        assert len(row) == 6
+
+
+def _report_number(x):
+    # the report float rule: %.12e when finite, else a JSON string
+    if math.isfinite(x):
+        return f"{x:.12e}"
+    return json.dumps("inf" if x > 0 else "-inf" if x < 0 else "nan")
+
+
+def test_verify_report_format_is_pinned(capsys, tmp_path):
+    text = "vertex b 1\nvertex a 2\nvertex c 1.5\nedge b a 1\nedge a c 0.5\n"
+    graph = tmp_path / "p3.graph"
+    graph.write_text(text)
+    out, records_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code, _, _ = run_main(capsys, "verify", "--graph", str(graph),
+                          "--inequality", "gradient", "--K", "auto",
+                          "--functions", "witnesses", "--times", "0.5,0.1",
+                          "--output", str(out), "--csv", str(records_csv))
+    assert code == 0
+
+    g = load_graph(text)
+    functions = function_corpus(g, random_count=0, include_constant=False,
+                                include_indicators=False)
+    report = run_verification(g, decompose(g), "gradient_estimate", "auto",
+                              [0.5, 0.1], functions)
+    records = list(report.records)
+    keys = [(r.function_id, r.t, r.vertex) for r in records]
+    assert keys == sorted(keys) and len(keys) == 3 * 2 * 3
+    assert [r.vertex for r in records[:3]] == ["a", "b", "c"]
+
+    body = ", ".join(
+        "{"
+        + ", ".join(f"{json.dumps(k)}: {v}" for k, v in (
+            ("function", json.dumps(r.function_id)),
+            ("t", _report_number(r.t)),
+            ("vertex", json.dumps(r.vertex)),
+            ("lhs", _report_number(r.lhs)),
+            ("rhs", _report_number(r.rhs)),
+            ("slack", _report_number(r.slack)),
+        ))
+        + "}"
+        for r in records
+    )
+    want_json = (
+        f'{{"inequality": "gradient_estimate", "K": {_report_number(report.K)}, '
+        f'"n": null, "graph": "p3", "records": [{body}], '
+        f'"min_slack": {_report_number(min(r.slack for r in records))}, '
+        f'"quadrature_error": {_report_number(0.0)}, '
+        f'"tool_version": {json.dumps(__version__)}}}\n'
+    )
+    assert out.read_text() == want_json
+
+    want_csv = "function,t,vertex,lhs,rhs,slack\n" + "".join(
+        f"{r.function_id},{r.t:.12e},{r.vertex},{r.lhs:.12e},{r.rhs:.12e},{r.slack:.12e}\n"
+        for r in records
+    )
+    assert records_csv.read_text() == want_csv
 
 
 def test_verify_bad_flags(capsys, k2_path):

@@ -7,8 +7,6 @@ import scipy.linalg
 from graphcd.curvature import (
     CurvatureInternalError,
     IsolatedVertexError,
-    cde_falsify,
-    cde_residual,
     check_cd,
     curvature_all,
     curvature_at,
@@ -156,6 +154,16 @@ def test_oracle_certificate_rejects_wrong_minimum(monkeypatch):
     assert checked > 0
 
 
+def test_curvature_all_solves_once_per_graph_and_dimension():
+    g = random_connected_graph(1800)
+    a, b = curvature_all(g, INF), curvature_all(g, INF)
+    assert a is not b and all(x is y for x, y in zip(a, b))
+    assert not any(r.witness.flags.writeable for r in a)
+    n2 = curvature_all(g, 2.0)
+    assert [r.dimension for r in n2] == [2.0] * g.vertex_count
+    assert all(r.kappa == curvature_at(g, r.vertex, 2.0).kappa for r in n2)
+
+
 def test_check_cd_tightness():
     for g in (K2, K3, P3, random_connected_graph(1700)):
         for n in (2.0, INF):
@@ -243,63 +251,3 @@ def test_self_loop_does_not_change_curvature():
         assert curvature_at(looped, x, INF).kappa == pytest.approx(
             curvature_at(base, x, INF).kappa, abs=1e-12
         )
-
-
-# ---------------------------------------------------------------------------
-# CDE evaluator and falsifier
-# ---------------------------------------------------------------------------
-
-def test_cde_residual_k2_value():
-    # f=(1,2) at b: Delta f(b) = -1, Gamma(f)=(1/2,1/2), quotient=(1/2,1/4),
-    # Gamma2(f)(b)=1, Gamma(f,q)(b)=-1/8 so the K=0, 1/n->0 residual is 9/8
-    f = np.array([1.0, 2.0])
-    assert cde_residual(K2, f, 1, 0.0, INF) == pytest.approx(9.0 / 8.0, abs=1e-12)
-
-
-def test_cde_preconditions():
-    with pytest.raises(ValueError):
-        cde_residual(K2, np.array([1.0, 1.0]), 0, 0.0, INF)  # constant: Delta f = 0
-    with pytest.raises(ValueError):
-        cde_residual(K2, np.array([1.0, 2.0]), 0, 0.0, INF)  # Delta f(a) = 1 > 0
-    with pytest.raises(ValueError):
-        cde_residual(K2, np.array([-1.0, 2.0]), 1, 0.0, INF)  # not positive
-    with pytest.raises(ValueError):
-        cde_residual(K2, np.array([1.0]), 0, 0.0, INF)
-
-
-def test_cde_huge_negative_k_never_falsified():
-    for seed in range(5):
-        g = random_connected_graph(2000 + seed, max_vertices=6)
-        assert cde_falsify(g, 0, -1e6, 2.0, trials=200, seed=3) is None
-
-
-def test_cde_huge_positive_k_falsified_fast():
-    for seed in range(5):
-        g = random_connected_graph(2100 + seed, max_vertices=6)
-        f = cde_falsify(g, 0, 1e6, 2.0, trials=200, seed=3)
-        assert f is not None
-        assert cde_residual(g, f, 0, 1e6, 2.0) < -1e-10
-
-
-def test_cde_residual_sign_matches_falsifier():
-    g = random_connected_graph(2200, max_vertices=6)
-    rng = rng_for(35)
-    hits = 0
-    for _ in range(200):
-        f = np.ones(g.vertex_count)
-        f[: g.vertex_count] = rng.lognormal(size=g.vertex_count)
-        if laplacian(g, f)[0] >= 0:
-            continue
-        r = cde_residual(g, f, 0, -1e6, 2.0)
-        assert r > 0.0  # K term dominates
-        hits += 1
-    assert hits > 0
-
-
-def test_cde_falsify_deterministic():
-    a = cde_falsify(K2, 0, 0.0, 2.0, trials=10_000, seed=1)
-    b = cde_falsify(K2, 0, 0.0, 2.0, trials=10_000, seed=1)
-    if a is None:
-        assert b is None
-    else:
-        assert np.array_equal(a, b)

@@ -96,6 +96,21 @@ def test_nonfinite_time_rejected(t):
         heat_apply(sd, K2, t, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_heat_curve_rejects_nonfinite_time(t):
+    g = path_graph(3)
+    with pytest.raises(ValueError):
+        heat_curve(decompose(g), g, [0.5, t], np.array([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_heat_apply_columns_rejects_nonfinite_time(t):
+    g = path_graph(3)
+    F = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+    with pytest.raises(ValueError):
+        heat_apply_columns(decompose(g), g, [0.5, t], F)
+
+
 def test_size_mismatch_rejected():
     sd = decompose(K2)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from graphcd.operators import gamma, gamma2
 from graphcd.semigroup import decompose, heat_apply
 from graphcd.verify import (
     QuadratureSpec,
-    VerificationRecord,
     VerificationReport,
     cdn_bound,
     derivative_recovery,
@@ -370,8 +369,36 @@ def test_record_tolerance_policy():
 
 def test_nonfinite_slack_is_a_violation():
     slacks = {"a": 1.0, "b": math.nan, "c": math.inf, "d": -math.inf, "e": 0.0}
-    records = [VerificationRecord("f", 0.5, x, 0.0, s, s) for x, s in slacks.items()]
+    slack = np.array([[list(slacks.values())]])
     for name, want in (("gradient_estimate", {"b", "c", "d"}),
                        ("gamma2_identity", {"a", "b", "c", "d"})):
-        report = VerificationReport(name, 0.0, None, records, math.nan, 0.0)
+        report = VerificationReport(name, 0.0, None, ("f",), (0.5,), tuple(slacks),
+                                    np.zeros_like(slack), slack, slack, 0.0)
         assert {r.vertex for r in find_violations(report)} == want, name
+
+
+@pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")])
+def test_min_slack_does_not_depend_on_record_order(ids):
+    # the second function overflows to a NaN slack; which function sorts
+    # first must not decide whether min_slack shows it
+    g = path_graph(3)
+    funcs = [(ids[0], np.array([1.0, 0.0, 2.0])), (ids[1], np.array([1e300, -1e300, 1e300]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_verification(g, decompose(g), "gradient_estimate", 0.0, [0.1], funcs)
+    assert np.isnan(rep.slack).any()
+    assert math.isnan(rep.min_slack)
+    assert find_violations(rep)
+
+
+def test_records_view_reads_the_arrays():
+    funcs = function_corpus(K3, random_count=2, seed=0)
+    rep = run_verification(K3, decompose(K3), "gradient_estimate", "auto", [0.5, 0.1], funcs)
+    records = rep.records
+    assert len(records) == rep.slack.size == len(funcs) * 2 * 3
+    assert list(records)[-1] == records[-1]
+    with pytest.raises(IndexError):
+        records[len(records)]
+    for r, lhs, rhs, slack in zip(records, rep.lhs.ravel(), rep.rhs.ravel(), rep.slack.ravel()):
+        assert (r.lhs, r.rhs, r.slack) == (lhs, rhs, slack)
+        assert r.slack == rep.slack[rep.function_ids.index(r.function_id),
+                                    rep.times.index(r.t), rep.vertices.index(r.vertex)]
