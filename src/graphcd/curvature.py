@@ -6,13 +6,15 @@ The pointwise curvature is the best constant in Gamma2 >= (1/n)(Delta f)^2
     kappa(x; n) = inf { [Gamma2(f)(x) - (1/n)(Delta f(x))^2] / Gamma(f)(x) }
 
 over functions with f(x) = 0 supported on the 2-ball (locality makes the
-restriction lossless).  curvature_at solves this by Schur-complement
-elimination of the 2-sphere coordinates followed by a symmetric pencil
-eigensolve; curvature_oracle recomputes the same number along an
-independent route (forms assembled by polarization of global operator
-evaluations, kernel deflation, a generalized eigensolver, and a
-two-sided certificate that its eigenvalue is the minimum) so the two can
-cross-check each other.
+restriction lossless).  The solver assembles the local forms at every
+vertex from the adjacency arrays at once, eliminates the 2-sphere
+coordinates by a Schur complement and solves the remaining symmetric
+pencil, one stacked eigensolve per group of vertices with equal sphere
+sizes; curvature_at reads one row of that table.  curvature_oracle
+recomputes the same number at one vertex along an independent route
+(forms assembled by polarization of global operator evaluations, kernel
+deflation, a generalized eigensolver, and a two-sided certificate that
+its eigenvalue is the minimum) so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, ball2
-from .operators import gamma2_many, gamma_many, laplacian_many, local_forms
+from .graph import WeightedGraph, ball2, vertex_id
+from .operators import form_table, gamma2_many, gamma_many, laplacian_many
 
 _RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to sigma_max
 _PSD_TOL = 1e-10           # allowed negative eigenvalue in the S2 block
@@ -46,7 +48,17 @@ class CurvatureResult:
     vertex: int
     dimension: float
     kappa: float
-    witness: np.ndarray  # read-only function on V, Gamma(witness)(vertex) = 1
+    support: np.ndarray  # read-only ids of the punctured 2-ball: sphere1, then sphere2
+    values: np.ndarray   # read-only witness values on support
+    vertex_count: int
+
+    @property
+    def witness(self) -> np.ndarray:
+        """Read-only function on V, zero off the 2-ball; Gamma(witness)(vertex) = 1."""
+        w = np.zeros(self.vertex_count)
+        w[self.support] = self.values
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)
@@ -65,81 +77,99 @@ def _check_dimension(n):
     return n
 
 
-def _fix_sign(u):
-    # lexicographic convention: first nonzero coordinate positive
-    tol = 1e-12 * max(1.0, float(np.abs(u).max()))
-    for val in u:
-        if abs(val) > tol:
-            if val < 0.0:
-                return -u
-            return u
-    return u
+def _fix_sign(U):
+    """Rows of U, each flipped so that its first coordinate above roundoff
+    is positive (a lexicographic sign convention)."""
+    tol = 1e-12 * np.maximum(1.0, np.abs(U).max(axis=1))
+    big = np.abs(U) > tol[:, None]
+    first = U[np.arange(len(U)), big.argmax(axis=1)]
+    return np.where((big.any(axis=1) & (first < 0.0))[:, None], -U, U)
 
 
-def curvature_at(g: WeightedGraph, x: int, n: float = math.inf) -> CurvatureResult:
-    """Pointwise curvature kappa(x; n) with an optimizing witness function."""
-    n = _check_dimension(n)
-    forms = local_forms(g, x)
-    ball = forms.ball
-    k1 = len(ball.sphere1)
-    k2 = len(ball.sphere2)
-    if k1 == 0:
-        raise IsolatedVertexError(
-            f"vertex {g.labels[x]!r} has no neighbors; curvature undefined"
-        )
+def _solve(g: WeightedGraph, n: float):
+    """The curvature results of (g, n) in vertex order.
 
-    A = forms.gamma2_form
-    b = np.diag(forms.gamma_form).copy()
-    d = forms.delta_vector
-
-    A11 = A[:k1, :k1]
-    if k2 > 0:
-        A12 = A[:k1, k1:]
-        A22 = A[k1:, k1:]
-        eig22 = np.linalg.eigvalsh(A22)
-        if eig22[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(A22, 2))):
-            raise CurvatureInternalError(
-                f"sphere2 block of the Gamma2 form is not PSD at {g.labels[x]!r} "
-                f"(min eigenvalue {eig22[0]:.3e})"
+    Per (k1, k2) group of the form table, with A the Gamma2 form over
+    sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: one
+    eigh of the sphere2 block A22 checks that it is PSD and gives its
+    pseudo-inverse P; the Schur complement A11 - A12 P A12^T less dd^T/n
+    meets the pencil with diag(b) through the congruence by sqrt(b), and
+    a stacked eigh gives its smallest eigenpair.  The witness is that
+    eigenvector on sphere1 and -P A12^T v on sphere2; each result holds
+    read-only views of its ball coordinates and values, rows of one flat
+    array each.
+    """
+    nv = g.vertex_count
+    table = form_table(g, np.arange(nv))
+    table.ids.flags.writeable = False
+    values = np.empty(len(table.ids))
+    results = [None] * nv
+    for grp in table.groups():
+        k1 = grp.k1
+        if k1 == 0:
+            raise IsolatedVertexError(
+                f"vertex {g.labels[grp.centers[0]]!r} has no neighbors; curvature undefined"
             )
-        A22_pinv = np.linalg.pinv(A22, rcond=_RANK_TOL)
-        Ahat = A11 - A12 @ A22_pinv @ A12.T
-        Ahat = 0.5 * (Ahat + Ahat.T)
-    else:
-        A12 = None
-        A22_pinv = None
-        Ahat = A11
+        A = grp.forms
+        A11, A12 = A[:, :k1, :k1], A[:, :k1, k1:]
+        if grp.k2 > 0:
+            lam22, Q = np.linalg.eigh(A[:, k1:, k1:])
+            norm22 = np.abs(lam22).max(axis=1)   # = |A22|_2
+            bad = lam22[:, 0] < -_PSD_TOL * np.maximum(1.0, norm22)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise CurvatureInternalError(
+                    f"sphere2 block of the Gamma2 form is not PSD at "
+                    f"{g.labels[grp.centers[i]]!r} (min eigenvalue {lam22[i, 0]:.3e})"
+                )
+            # the cutoff pinv(rcond=_RANK_TOL) applies to singular values
+            keep = np.abs(lam22) > _RANK_TOL * norm22[:, None]
+            inv = np.divide(1.0, lam22, out=np.zeros_like(lam22), where=keep)
+            P = (Q * inv[:, None, :]) @ Q.transpose(0, 2, 1)
+            Ahat = A11 - A12 @ P @ A12.transpose(0, 2, 1)
+            Ahat = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
+        else:
+            Ahat = A11
 
-    M = Ahat if math.isinf(n) else Ahat - np.outer(d, d) / n
+        d = grp.delta
+        M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
 
-    # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
-    c = np.sqrt(b)
-    W = M / np.outer(c, c)
-    lam, vecs = np.linalg.eigh(W)
-    kappa = float(lam[0])
-    u = _fix_sign(vecs[:, 0])
-    v = u / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
-
-    witness = np.zeros(g.vertex_count)
-    witness[list(ball.sphere1)] = v
-    if k2 > 0:
-        witness[list(ball.sphere2)] = -(A22_pinv @ (A12.T @ v))
-    witness.flags.writeable = False
-    return CurvatureResult(vertex=x, dimension=n, kappa=kappa, witness=witness)
+        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
+        c = np.sqrt(grp.gamma)
+        lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
+        v = _fix_sign(vecs[:, :, 0]) / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
+        vals = values[grp.balls].reshape(grp.ids.shape)
+        vals[:, :k1] = v
+        if grp.k2 > 0:
+            vals[:, k1:] = -(P @ (A12.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
+        vals.flags.writeable = False
+        for x, kappa, ids, w in zip(grp.centers.tolist(), lam[:, 0].tolist(), grp.ids, vals):
+            results[x] = CurvatureResult(x, n, kappa, ids, w, nv)
+    return tuple(results)
 
 
 _SOLVED = weakref.WeakKeyDictionary()  # graph -> {dimension: results}
 
 
-def curvature_all(g: WeightedGraph, n: float = math.inf):
-    """curvature_at at every vertex, in vertex order.  A graph is immutable,
-    so each (graph, dimension) pair is solved once and the (read-only)
-    results are shared between calls."""
-    n = _check_dimension(n)
+def _table(g: WeightedGraph, n: float):
+    """_solve(g, n), once per (graph, dimension): a graph is immutable, so
+    the read-only results are shared between calls."""
     solved = _SOLVED.setdefault(g, {})
     if n not in solved:
-        solved[n] = tuple(curvature_at(g, x, n) for x in range(g.vertex_count))
-    return list(solved[n])
+        solved[n] = _solve(g, n)
+    return solved[n]
+
+
+def curvature_at(g: WeightedGraph, x: int, n: float = math.inf) -> CurvatureResult:
+    """Pointwise curvature kappa(x; n) with an optimizing witness function."""
+    n = _check_dimension(n)
+    x = vertex_id(g, x)
+    return _table(g, n)[x]
+
+
+def curvature_all(g: WeightedGraph, n: float = math.inf):
+    """curvature_at at every vertex, in vertex order."""
+    return list(_table(g, _check_dimension(n)))
 
 
 def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:
@@ -208,6 +238,7 @@ def curvature_oracle(g: WeightedGraph, x: int, n: float = math.inf) -> float:
     import scipy.linalg
 
     n = _check_dimension(n)
+    x = vertex_id(g, x)
     ball = ball2(g, x)
     k1 = len(ball.sphere1)
     k2 = len(ball.sphere2)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,35 +106,39 @@ class WeightedGraph:
 
     def _build_adjacency(self):
         nv = len(self.labels)
-        nbrs = [[] for _ in range(nv)]
-        for (u, v), w in self.edges.items():
-            nbrs[u].append((v, w))
-            if v != u:
-                nbrs[v].append((u, w))
+        ne = len(self.edges)
+        ends = np.fromiter(
+            itertools.chain.from_iterable(self.edges), dtype=np.int64, count=2 * ne
+        ).reshape(ne, 2)
+        mu = np.fromiter(self.edges.values(), dtype=np.float64, count=ne)
+        u, v = ends[:, 0], ends[:, 1]
+        link = u != v
+        # each edge in the rows of both ends, a self-loop once; rows list
+        # their neighbors in ascending order
+        rows = np.concatenate([u, v[link]])
+        cols = np.concatenate([v, u[link]])
+        order = np.lexsort((cols, rows))
+        rows, cols, wts = rows[order], cols[order], np.concatenate([mu, mu[link]])[order]
         indptr = np.zeros(nv + 1, dtype=np.int64)
-        idx = []
-        wts = []
-        deg = np.zeros(nv)
-        for x in range(nv):
-            row = sorted(nbrs[x])
-            indptr[x + 1] = indptr[x] + len(row)
-            for y, w in row:
-                idx.append(y)
-                wts.append(w)
-                if y != x:
-                    deg[x] += w
+        np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
         self._csr_indptr = indptr
-        self._csr_indices = np.asarray(idx, dtype=np.int64)
-        self._csr_weights = np.asarray(wts, dtype=np.float64)
-        self._degree = deg
+        self._csr_indices = cols
+        self._csr_weights = wts
+        # bincount sums each row in that ascending order (and returns
+        # integers when there is nothing to sum)
+        link = rows != cols
+        self._degree = np.bincount(rows[link], weights=wts[link], minlength=nv).astype(
+            np.float64, copy=False
+        )
         self._inv_m = 1.0 / self.m
 
         # signed incidence over the non-loop edges, (B f)_e = f(v) - f(u)
-        # for e = (u, v), u < v.  Edges in (u, v) order make every row of
-        # B^T list its neighbors in ascending order, the adjacency order.
-        pairs = sorted((u, v) for (u, v) in self.edges if u != v)
-        ne = len(pairs)
-        ends = np.asarray(pairs, dtype=np.int64).reshape(ne, 2)
+        # for e = (u, v), u < v.  The upper-triangle adjacency entries list
+        # the edges in (u, v) order, which makes every row of B^T list its
+        # neighbors in ascending order, the adjacency order.
+        upper = cols > rows
+        ne = int(np.count_nonzero(upper))
+        ends = np.stack([rows[upper], cols[upper]], axis=1)
         B = scipy.sparse.csr_array(
             (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
             shape=(ne, nv),
@@ -140,7 +146,7 @@ class WeightedGraph:
         self._incidence = B
         self._incidence_t = B.T.tocsr()
         self._abs_incidence_t = abs(self._incidence_t)
-        self._edge_mu = np.asarray([self.edges[p] for p in pairs], dtype=np.float64)
+        self._edge_mu = wts[upper]
 
     def _check_connected(self):
         nv = len(self.labels)
@@ -190,7 +196,16 @@ def degree(g: WeightedGraph, x: int) -> float:
     return float(g._degree[x])
 
 
+def vertex_id(g: WeightedGraph, x) -> int:
+    """x as a vertex id of g; ValueError unless it is in range(vertex_count)."""
+    i = operator.index(x)
+    if not 0 <= i < g.vertex_count:
+        raise ValueError(f"vertex id {i} is not in range({g.vertex_count})")
+    return i
+
+
 def ball2(g: WeightedGraph, x: int) -> Ball:
+    x = vertex_id(g, x)
     ids, _ = g.neighbors(x)
     s1 = sorted(int(y) for y in ids if y != x)
     s1set = set(s1)

@@ -13,19 +13,20 @@ and Gamma has the equivalent local-sum form
 
     Gamma(f,h)(x) = (1/(2 m(x))) sum_y mu_xy (f(y)-f(x)) (h(y)-h(x)).
 
-Self-loop terms vanish identically in all three operators.  local_forms
-expresses Gamma, Delta, Gamma2 at a vertex x as matrices over the ball
-coordinates with f(x) pinned to 0, which is what the curvature solver
-consumes.
+Self-loop terms vanish identically in all three operators.  form_table
+expresses Gamma, Delta, Gamma2 at many vertices x at once as matrices
+over the ball coordinates with f(x) pinned to 0, which is what the
+curvature solver consumes; local_forms is the same at one vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Ball, WeightedGraph, ball2
+from .graph import Ball, WeightedGraph, vertex_id
 
 
 def _as_function(g, f):
@@ -143,7 +144,7 @@ def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# local quadratic forms at a vertex
+# local quadratic forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,69 +164,192 @@ class LocalForms:
     delta_vector: np.ndarray
 
 
-def local_forms(g: WeightedGraph, x: int) -> LocalForms:
-    ball = ball2(g, x)
-    k1 = len(ball.sphere1)
-    k2 = len(ball.sphere2)
+class _Group(NamedTuple):
+    """The centers of a form table with sphere sizes (k1, k2), k = k1 + k2.
+
+    Arrays are views into the table, one row per center: ids holds the
+    ball coordinates (sphere1 then sphere2, each ascending), gamma and
+    delta the sphere1 entries of the Gamma form's diagonal and of the
+    Delta vector, forms the k x k Gamma2 forms.  balls is the slice of
+    the table's flat per-coordinate arrays that ids covers.
+    """
+
+    k1: int
+    k2: int
+    centers: np.ndarray
+    ids: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    forms: np.ndarray
+    balls: slice
+
+
+@dataclass(frozen=True)
+class _FormTable:
+    """Local forms at many centers, grouped by sphere sizes (k1, k2).
+
+    Centers are stored in group order: sorted by (k1, k2), ascending
+    vertex id within a group.  Each center owns k consecutive entries of
+    the flat ids/gamma/delta arrays and a k x k block of the flat forms
+    buffer, so every group is one contiguous run of each.
+    """
+
+    centers: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    ids: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    forms: np.ndarray
+
+    def groups(self):
+        k = self.k1 + self.k2
+        ball_at = np.cumsum(k) - k
+        form_at = np.cumsum(k * k) - k * k
+        cuts = np.flatnonzero((np.diff(self.k1) != 0) | (np.diff(self.k2) != 0)) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(k)]):
+            k1, k2 = int(self.k1[lo]), int(self.k2[lo])
+            size, kk = hi - lo, k1 + k2
+            balls = slice(int(ball_at[lo]), int(ball_at[lo]) + size * kk)
+            f0 = int(form_at[lo])
+            yield _Group(
+                k1, k2, self.centers[lo:hi],
+                self.ids[balls].reshape(size, kk),
+                self.gamma[balls].reshape(size, kk)[:, :k1],
+                self.delta[balls].reshape(size, kk)[:, :k1],
+                self.forms[f0:f0 + size * kk * kk].reshape(size, kk, kk),
+                balls,
+            )
+
+
+def _ranges(starts, lengths):
+    """Concatenation of range(s, s + n) over (s, n) in starts x lengths."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def form_table(g: WeightedGraph, centers) -> _FormTable:
+    """2-balls and local forms at every center, built from the adjacency
+    arrays at once.
+
+    The 2-walks x -> y -> w (y a sphere1 vertex, w any neighbor of y, self-
+    loops included) give sphere2 and, through the four contribution
+    classes of 1/2 Delta Gamma(f)(x) - Gamma(f, Delta f)(x), the Gamma2
+    form.  Each class is accumulated straight into the blocks.
+    """
+    indptr, indices, weights = g._csr_indptr, g._csr_indices, g._csr_weights
+    nv = g.vertex_count
+    centers = np.asarray(centers, dtype=np.int64)
+    row_len = np.diff(indptr)
+
+    # sphere1: the non-loop adjacency entries of each center, ascending
+    entry = _ranges(indptr[centers], row_len[centers])
+    owner = np.repeat(np.arange(len(centers)), row_len[centers])
+    link = indices[entry] != centers[owner]
+    s1_owner, s1_entry = owner[link], entry[link]
+    s1_id, mu_xy = indices[s1_entry], weights[s1_entry]
+    k1 = np.bincount(s1_owner, minlength=len(centers))
+    s1_start = np.cumsum(k1) - k1
+    s1_rank = np.arange(len(s1_owner)) - s1_start[s1_owner]
+
+    # 2-walks, one per (sphere1 entry, adjacency entry of its vertex)
+    step = _ranges(indptr[s1_id], row_len[s1_id])
+    walk_s1 = np.repeat(np.arange(len(s1_owner)), row_len[s1_id])
+    walk_owner = s1_owner[walk_s1]
+    walk_w, mu_yw = indices[step], weights[step]
+    at_center = walk_w == centers[walk_owner]
+
+    # sphere membership by (owner, vertex) keys; sphere1 keys are sorted
+    s1_key = s1_owner * nv + s1_id
+    walk_key = walk_owner * nv + walk_w
+    pos = np.searchsorted(s1_key, walk_key)
+    in_s1 = s1_key[np.minimum(pos, len(s1_key) - 1)] == walk_key
+    s2_key = np.unique(walk_key[~at_center & ~in_s1])
+    s2_owner = s2_key // nv
+    k2 = np.bincount(s2_owner, minlength=len(centers))
+    s2_start = np.cumsum(k2) - k2
+    s2_rank = np.arange(len(s2_key)) - s2_start[s2_owner]
+
+    # local coordinates; -1 is the pinned center
+    iy = s1_rank[walk_s1]
+    iw = np.where(
+        in_s1, pos - s1_start[walk_owner],
+        k1[walk_owner] + np.searchsorted(s2_key, walk_key) - s2_start[walk_owner],
+    )
+    iw[at_center] = -1
+
+    # group order and storage
+    order = np.lexsort((k2, k1))
     k = k1 + k2
-    idx = ball.index_map
-    mx = g.m[x]
+    ball_start = np.empty_like(k)
+    ball_start[order] = np.cumsum(k[order]) - k[order]
+    form_start = np.empty_like(k)
+    form_start[order] = np.cumsum(k[order] ** 2) - k[order] ** 2
+    s1_at = ball_start[s1_owner] + s1_rank
+    ids = np.empty(int(k.sum()), dtype=np.int64)
+    ids[s1_at] = s1_id
+    ids[ball_start[s2_owner] + k1[s2_owner] + s2_rank] = s2_key - s2_owner * nv
+    gamma = np.zeros(len(ids))
+    delta = np.zeros(len(ids))
+    forms = np.zeros(int((k * k).sum()))
 
-    A = np.zeros((k, k))
+    def accumulate(own, i, j, c):
+        # the term c f_i f_j in the owners' blocks; -1 is the pinned center
+        keep = (i >= 0) & (j >= 0)
+        own, i, j, c = own[keep], i[keep], j[keep], c[keep]
+        at, kk = form_start[own], k[own]
+        diag = i == j
+        np.add.at(forms, at[diag] + i[diag] * (kk[diag] + 1), c[diag])
+        at, kk, i, j = at[~diag], kk[~diag], i[~diag], j[~diag]
+        half = 0.5 * c[~diag]
+        np.add.at(forms, at + i * kk + j, half)
+        np.add.at(forms, at + j * kk + i, half)
 
-    def add_quad(i, j, c):
-        # accumulate c * f_i f_j; i or j == -1 means the pinned center
-        if i < 0 or j < 0:
-            return
-        if i == j:
-            A[i, i] += c
-        else:
-            A[i, j] += 0.5 * c
-            A[j, i] += 0.5 * c
+    m = g.m
+    mx = m[centers][s1_owner]
+    two_mx = 2.0 * mx
+    c0 = mu_xy / two_mx
+    gamma[s1_at] = c0
+    delta[s1_at] = mu_xy / mx
 
-    b = np.zeros(k1)
-    d = np.zeros(k1)
-    ids_x, wts_x = g.neighbors(x)
-    center_row = [(int(y), float(w)) for y, w in zip(ids_x, wts_x) if int(y) != x]
-    deg_x = sum(w for _, w in center_row)
+    # 1/2 Delta Gamma(f)(x), the Gamma(f)(y) part:
+    #   (mu_xy/(2 m_x)) (1/(2 m_y)) sum_w mu_yw (f_w - f_y)^2
+    my = m[s1_id][walk_s1]
+    c = c0[walk_s1] * mu_yw / (2.0 * my)
+    accumulate(walk_owner, iw, iw, c)
+    accumulate(walk_owner, iw, iy, -2.0 * c)
+    accumulate(walk_owner, iy, iy, c)
 
-    for y, mu_xy in center_row:
-        iy = idx[y]
-        b[iy] = mu_xy / (2.0 * mx)
-        d[iy] = mu_xy / mx
+    # -Gamma(f, Delta f)(x), the -f_y Delta f(y) part
+    c = c0[walk_s1] * mu_yw / my
+    accumulate(walk_owner, iy, iw, -c)
+    accumulate(walk_owner, iy, iy, c)
 
-        my = g.m[y]
-        ids_y, wts_y = g.neighbors(y)
-        nbrs_y = [(int(w_id), float(w)) for w_id, w in zip(ids_y, wts_y)]
-
-        # 1/2 Delta Gamma(f)(x), the Gamma(f)(y) part:
-        #   (mu_xy/(2 m_x)) (1/(2 m_y)) sum_w mu_yw (f_w - f_y)^2
-        for w_id, mu_yw in nbrs_y:
-            c = mu_xy / (2.0 * mx) * mu_yw / (2.0 * my)
-            iw = -1 if w_id == x else idx[w_id]
-            add_quad(iw, iw, c)
-            add_quad(iw, iy, -2.0 * c)
-            add_quad(iy, iy, c)
-
-        # -Gamma(f, Delta f)(x), the -f_y Delta f(y) part
-        c0 = mu_xy / (2.0 * mx)
-        for w_id, mu_yw in nbrs_y:
-            c = c0 * mu_yw / my
-            iw = -1 if w_id == x else idx[w_id]
-            add_quad(iy, iw, -c)
-            add_quad(iy, iy, c)
-
-        # -Gamma(f, Delta f)(x), the +f_y Delta f(x) part
-        for y2, mu_xy2 in center_row:
-            add_quad(iy, idx[y2], c0 * mu_xy2 / mx)
+    # -Gamma(f, Delta f)(x), the +f_y Delta f(x) part, over sphere1 pairs
+    pair = _ranges(s1_start[s1_owner], k1[s1_owner])
+    pair_s1 = np.repeat(np.arange(len(s1_owner)), k1[s1_owner])
+    accumulate(
+        s1_owner[pair_s1], s1_rank[pair_s1], s1_rank[pair],
+        c0[pair_s1] * mu_xy[pair] / mx[pair_s1],
+    )
 
     # 1/2 Delta Gamma(f)(x), the -Gamma(f)(x) part
-    for y2, mu_xy2 in center_row:
-        add_quad(idx[y2], idx[y2], -(deg_x / (2.0 * mx)) * mu_xy2 / (2.0 * mx))
+    deg_x = g._degree[centers][s1_owner]
+    accumulate(s1_owner, s1_rank, s1_rank, -(deg_x / two_mx) * mu_xy / two_mx)
 
+    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms)
+
+
+def local_forms(g: WeightedGraph, x: int) -> LocalForms:
+    x = vertex_id(g, x)
+    (grp,) = form_table(g, [x]).groups()
+    s1 = tuple(grp.ids[0, :grp.k1].tolist())
+    s2 = tuple(grp.ids[0, grp.k1:].tolist())
+    ball = Ball(center=x, sphere1=s1, sphere2=s2,
+                index_map={v: i for i, v in enumerate(s1 + s2)})
     return LocalForms(
         ball=ball,
-        gamma_form=np.diag(b),
-        gamma2_form=A,
-        delta_vector=d,
+        gamma_form=np.diag(grp.gamma[0]),
+        gamma2_form=grp.forms[0],
+        delta_vector=grp.delta[0],
     )

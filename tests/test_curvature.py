@@ -13,7 +13,7 @@ from graphcd.curvature import (
     curvature_oracle,
     min_curvature,
 )
-from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
+from graphcd.fixtures import complete_graph, path_graph, random_connected_graph, star_graph
 from graphcd.graph import WeightedGraph, ball2, load_graph
 from graphcd.operators import gamma, gamma2, laplacian
 from conftest import rng_for
@@ -181,9 +181,11 @@ def test_check_cd_k2_examples():
 
 
 def test_witness_invariants():
-    rng = rng_for(33)
-    for seed in range(12):
-        g = random_connected_graph(1800 + seed)
+    looped = path_graph(4)
+    looped = WeightedGraph(looped.labels, looped.m, {**looped.edges, (1, 1): 3.0})
+    graphs = [random_connected_graph(1800 + seed) for seed in range(12)]
+    # complete_graph(4) has only the k2 = 0 group
+    for g in graphs + [complete_graph(4), star_graph(4), looped]:
         for n in (2.0, INF):
             for x in range(g.vertex_count):
                 r = curvature_at(g, x, n)
@@ -198,6 +200,41 @@ def test_witness_invariants():
                 inside = {x} | set(ball.sphere1) | set(ball.sphere2)
                 outside = [y for y in range(g.vertex_count) if y not in inside]
                 assert np.all(w[outside] == 0.0) and w[x] == 0.0
+
+
+def test_result_stores_witness_on_the_2ball():
+    g = random_connected_graph(1850, min_vertices=8, max_vertices=8, extra_edge_prob=0.1)
+    results = curvature_all(g, INF)
+    base = results[0].values.base
+    for r in results:
+        ball = ball2(g, r.vertex)
+        k = len(ball.sphere1) + len(ball.sphere2)
+        assert r.values.shape == r.support.shape == (k,)
+        assert list(r.support) == list(ball.sphere1 + ball.sphere2)
+        # views into one flat array per table, not copies
+        assert r.values.base is base and not r.values.flags.writeable
+        w = r.witness
+        off = np.ones(g.vertex_count, dtype=bool)
+        off[list(r.support)] = False
+        assert np.all(w[off] == 0.0) and np.array_equal(w[r.support], r.values)
+
+
+def test_indefinite_sphere2_block_raises(monkeypatch):
+    import graphcd.curvature as curvature
+
+    build = curvature.form_table
+
+    def indefinite(g, centers):
+        table = build(g, centers)
+        for grp in table.groups():
+            if grp.k2 > 0:
+                grp.forms[:, -1, -1] = -1.0
+        return table
+
+    monkeypatch.setattr(curvature, "form_table", indefinite)
+    g = path_graph(3)
+    with pytest.raises(CurvatureInternalError, match="not PSD at 'a'"):
+        curvature_all(g, INF)
 
 
 def test_witness_is_a_true_minimizer_over_random_functions():

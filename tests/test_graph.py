@@ -13,8 +13,10 @@ from graphcd.graph import (
     save_graph,
     save_vertex_function,
 )
+from graphcd.curvature import curvature_at, curvature_oracle
+from graphcd.operators import local_forms
 from conftest import rng_for
-from graphcd.fixtures import random_connected_graph
+from graphcd.fixtures import path_graph, random_connected_graph
 
 
 K2_TEXT = "vertex a 1\nvertex b 1\nedge a b 1\n"
@@ -126,6 +128,50 @@ def test_ball2_center_never_in_spheres_even_with_self_loop():
     assert b.sphere1 == (1,) and b.sphere2 == (2,)
     # index_map covers exactly sphere1 then sphere2
     assert [b.index_map[y] for y in b.sphere1 + b.sphere2] == [0, 1]
+
+
+def _python_adjacency(g):
+    """CSR rows and weighted degrees built one vertex at a time from g.edges."""
+    nv = g.vertex_count
+    rows = [[] for _ in range(nv)]
+    for (u, v), w in g.edges.items():
+        rows[u].append((v, w))
+        if v != u:
+            rows[v].append((u, w))
+    indptr, indices, weights, deg = [0], [], [], np.zeros(nv)
+    for x in range(nv):
+        for y, w in sorted(rows[x]):
+            indices.append(y)
+            weights.append(w)
+            if y != x:
+                deg[x] += w
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(weights, dtype=np.float64), deg)
+
+
+def test_adjacency_arrays_match_python_construction():
+    loops = 0
+    for seed in range(40):
+        g = random_connected_graph(2100 + seed, max_vertices=25, self_loop_prob=0.6)
+        loops += any(u == v for u, v in g.edges)
+        got = (g._csr_indptr, g._csr_indices, g._csr_weights, g._degree)
+        for a, b in zip(got, _python_adjacency(g)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+    assert loops > 0
+    g = load_graph("vertex a 1\nedge a a 2\n")
+    assert [a.tolist() for a in _python_adjacency(g)] == [
+        a.tolist() for a in (g._csr_indptr, g._csr_indices, g._csr_weights, g._degree)
+    ]
+
+
+def test_vertex_ids_outside_range_rejected():
+    g = path_graph(3)
+    for x in (-1, 3):
+        for fn in (ball2, local_forms, curvature_at, curvature_oracle):
+            with pytest.raises(ValueError, match=f"vertex id {x} is not in range\\(3\\)"):
+                fn(g, x)
 
 
 def test_degree_examples():

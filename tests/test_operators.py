@@ -18,6 +18,7 @@ from graphcd.operators import (
     laplacian,
     laplacian_many,
     laplacian_matrix,
+    form_table,
     local_forms,
 )
 from conftest import ref_gamma, ref_gamma2, ref_laplacian, rng_for
@@ -296,3 +297,19 @@ def test_local_forms_match_pointwise_operators():
         assert abs(v1 @ lf.gamma_form @ v1 - g1) <= 1e-10 * max(1.0, abs(g1))
         assert abs(vals @ lf.gamma2_form @ vals - g2) <= 1e-10 * max(1.0, abs(g2))
         assert abs(v1 @ lf.delta_vector - lap) <= 1e-10 * max(1.0, abs(lap))
+
+
+def test_form_table_balls_match_ball2():
+    loops = 0
+    for seed in range(30):
+        g = random_connected_graph(2200 + seed, max_vertices=12, self_loop_prob=0.6)
+        loops += any(u == v for u, v in g.edges)
+        seen = []
+        for grp in form_table(g, np.arange(g.vertex_count)).groups():
+            for x, ids in zip(grp.centers.tolist(), grp.ids.tolist()):
+                ball = ball2(g, x)
+                assert (len(ball.sphere1), len(ball.sphere2)) == (grp.k1, grp.k2)
+                assert ids == list(ball.sphere1 + ball.sphere2)
+                seen.append(x)
+        assert sorted(seen) == list(range(g.vertex_count))
+    assert loops > 0
