@@ -104,6 +104,14 @@ def dumps_report(obj) -> str:
     return "".join(out) + "\n"
 
 
+def _require_finite(labels, values, what):
+    """ValueError naming the first label whose value is inf or nan, so that
+    no report holding one is written with exit 0."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{what} at vertex {labels[bad[0]]!r} not finite: {values[bad[0]]}")
+
+
 def _write(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -141,17 +149,25 @@ def cmd_curvature(args) -> int:
 
     results = curvature_all(g, n)
     rows = sorted((g.labels[r.vertex], r) for r in results)
+    labels = [label for label, _ in rows]
+    kappas = [r.kappa for _, r in rows]
+    _require_finite(labels, kappas, "kappa")
     if args.format == "csv":
-        kappas, _ = _float_texts([r.kappa for _, r in rows])
-        labels = [label for label, _ in rows]
-        _write(csv_text(("vertex", "kappa"), zip(labels, kappas)), args.output)
+        texts, _ = _float_texts(kappas)
+        _write(csv_text(("vertex", "kappa"), zip(labels, texts)), args.output)
         return 0
 
+    all_labels = np.array(g.labels, dtype=object)
     report_rows = []
     for label, r in rows:
         row = {"vertex_label": label, "kappa": r.kappa}
         if args.witness:
-            row["witness"] = dict(zip(g.labels, r.witness.tolist()))
+            # the witness on the 2-ball, center (value 0) included, in vertex-id order
+            ball = np.append(r.support, r.vertex)
+            order = np.argsort(ball)
+            ball_labels, values = all_labels[ball[order]], np.append(r.values, 0.0)[order]
+            _require_finite(ball_labels, values, f"witness of {label!r}")
+            row["witness"] = dict(zip(ball_labels, values.tolist()))
         report_rows.append(row)
     report = {
         "graph_name": _graph_name(args.graph),
@@ -286,6 +302,7 @@ def cmd_heat(args) -> int:
         raise ValueError(f"--t must be finite and >= 0, got {t}")
     sd = decompose(g)
     result = heat_apply(sd, g, t, f)
+    _require_finite(g.labels, result, "P_t f")
     _write(save_vertex_function(g, result), args.output)
     return 0
 

@@ -2,9 +2,10 @@
 
 A graph is (V, E, mu, m): symmetric positive edge weights mu, a positive
 measure m on vertices, self-loops allowed.  Vertices get integer ids in
-order of first declaration; labels are arbitrary whitespace-free strings.
+order of first declaration; labels are non-empty and whitespace-free.
 Graphs must be connected (self-loops do not connect anything) and are
-immutable after construction.
+immutable after construction.  Edges are stored once, as arrays u <= v
+ascending in (u, v) and mu, self-loops included.
 
 Text format, one directive per line:
 
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse
@@ -58,60 +59,73 @@ class Ball:
     index_map: dict
 
 
+def _require(ok, lines, message):
+    """GraphFormatError(message(i), line) at the first False ok[i], if any."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise GraphFormatError(message(bad[0]), None if lines is None else lines[bad[0]])
+
+
 class WeightedGraph:
     def __init__(self, labels, measures, edges):
-        """Build a graph from labels, per-vertex measures, and an edge map.
+        """Build a graph from labels, per-vertex measures, and an edge map
+        {(u, v): mu} over integer vertex ids; (u, u) is a self-loop, and (v, u)
+        may repeat (u, v) with an equal weight.  Raises GraphFormatError on
+        invalid data or a disconnected graph."""
+        ends = np.array(list(edges) or np.empty((0, 2), dtype=np.int64))
+        self._build(labels, measures, ends, np.fromiter(edges.values(), float, len(edges)))
 
-        edges maps unordered id pairs (u, v) with u <= v to positive
-        weights; (u, u) is a self-loop.  Raises GraphFormatError on
-        invalid measures, weights, or a disconnected graph.
-        """
-        labels = tuple(str(s) for s in labels)
+    def _build(self, labels, measures, ends, mu, vertex_lines=None, edge_lines=None):
+        """Check graph data and store it: the one home of every rule on it.  ends
+        (ne x 2 vertex ids) and mu may repeat edges; *_lines are text lines."""
+        self.labels = labels = tuple(map(str, labels))
         nv = len(labels)
         if nv == 0:
             raise GraphFormatError("graph has no vertices")
-        if len(set(labels)) != nv:
-            raise GraphFormatError("duplicate vertex labels")
-        m = np.asarray(measures, dtype=np.float64)
+        # the first of repeated labels keeps its id, so ids[s] != i marks a repeat
+        self._label_to_id = ids = dict(zip(reversed(labels), range(nv - 1, -1, -1)))
+        if len(ids) != nv or " ".join(labels).split() != list(labels):
+            # the text format splits on whitespace, so only such labels round-trip
+            _require([s.split() == [s] for s in labels], vertex_lines,
+                     lambda i: f"vertex label {labels[i]!r} is empty or contains whitespace")
+            _require(list(map(ids.get, labels)) == np.arange(nv), vertex_lines,
+                     lambda i: f"duplicate vertex {labels[i]!r}")
+        self.m = m = np.asarray(measures, dtype=np.float64)
         if m.shape != (nv,):
             raise GraphFormatError("measure count does not match vertex count")
-        if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-            raise GraphFormatError("vertex measures must be positive and finite")
+        with np.errstate(divide="ignore", over="ignore"):  # 1/m must be finite too
+            _require((m > 0.0) & np.isfinite(m) & np.isfinite(1.0 / m), vertex_lines,
+                     lambda i: f"vertex {labels[i]!r}: measure must be positive and finite, "
+                     f"with a finite reciprocal, got {float(m[i])!r}")
+        if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+            raise GraphFormatError("edges must be keyed by pairs of integer vertex ids")
+        _require(((ends >= 0) & (ends < nv)).all(axis=1), None,
+                 lambda i: f"edge {tuple(ends[i].tolist())} references unknown vertex id")
+        _require((mu > 0.0) & np.isfinite(mu), edge_lines,
+                 lambda i: f"edge weight must be positive and finite, got {float(mu[i])!r}")
 
-        canon = {}
-        for (u, v), w in edges.items():
-            u, v = int(u), int(v)
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise GraphFormatError(f"edge ({u},{v}) references unknown vertex id")
-            key = (u, v) if u <= v else (v, u)
-            w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraphFormatError(f"edge weight must be positive and finite, got {w!r}")
-            if key in canon and canon[key] != w:
-                raise GraphFormatError(f"conflicting weights for edge {key}")
-            canon[key] = w
-
-        self.labels = labels
-        self.m = m
-        self.edges = canon
-        self._label_to_id = {s: i for i, s in enumerate(labels)}
+        # each edge once, u <= v ascending; a repeat must give the first one's weight
+        lo, hi = np.sort(ends, axis=1).astype(np.int64).T
+        key, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+        declared = mu[first][inverse]
+        _require(mu == declared, edge_lines, lambda i: f"edge {labels[ends[i, 0]]} "
+                 f"{labels[ends[i, 1]]} already declared with weight {float(declared[i])!r}")
+        self._u, self._v, self._mu = key // nv, key % nv, mu[first]
+        self._edge_map = None
 
         self._build_adjacency()
+        with np.errstate(over="ignore"):
+            _require(np.isfinite(self._degree * self._inv_m), vertex_lines,
+                     lambda i: f"vertex {labels[i]!r}: Deg = sum of mu / m is not finite")
         self._check_connected()
-        self.m.flags.writeable = False
-        self._csr_weights.flags.writeable = False
-        self._edge_mu.flags.writeable = False
+        for a in (m, self._u, self._v, self._mu, self._csr_weights, self._edge_mu):
+            a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
 
     def _build_adjacency(self):
         nv = len(self.labels)
-        ne = len(self.edges)
-        ends = np.fromiter(
-            itertools.chain.from_iterable(self.edges), dtype=np.int64, count=2 * ne
-        ).reshape(ne, 2)
-        mu = np.fromiter(self.edges.values(), dtype=np.float64, count=ne)
-        u, v = ends[:, 0], ends[:, 1]
+        u, v, mu = self._u, self._v, self._mu
         link = u != v
         # each edge in the rows of both ends, a self-loop once; rows list
         # their neighbors in ascending order
@@ -126,42 +140,40 @@ class WeightedGraph:
         self._csr_weights = wts
         # bincount sums each row in that ascending order (and returns
         # integers when there is nothing to sum)
-        link = rows != cols
-        self._degree = np.bincount(rows[link], weights=wts[link], minlength=nv).astype(
+        off = rows != cols
+        self._degree = np.bincount(rows[off], weights=wts[off], minlength=nv).astype(
             np.float64, copy=False
         )
         self._inv_m = 1.0 / self.m
 
         # signed incidence over the non-loop edges, (B f)_e = f(v) - f(u)
-        # for e = (u, v), u < v.  The upper-triangle adjacency entries list
-        # the edges in (u, v) order, which makes every row of B^T list its
-        # neighbors in ascending order, the adjacency order.
-        upper = cols > rows
-        ne = int(np.count_nonzero(upper))
-        ends = np.stack([rows[upper], cols[upper]], axis=1)
+        # for e = (u, v), u < v.  The edges ascend in (u, v), which makes
+        # every row of B^T list its neighbors in ascending order, the
+        # adjacency order.
+        self._edge_ends = np.stack([u[link], v[link]], axis=1)
+        self._edge_mu = mu[link]
+        ne = len(self._edge_mu)
         B = scipy.sparse.csr_array(
-            (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+            (np.tile([-1.0, 1.0], ne), self._edge_ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
             shape=(ne, nv),
         )
         self._incidence = B
         self._incidence_t = B.T.tocsr()
         self._abs_incidence_t = abs(self._incidence_t)
-        self._edge_mu = wts[upper]
 
     def _check_connected(self):
-        nv = len(self.labels)
-        seen = np.zeros(nv, dtype=bool)
+        indptr, indices = self._csr_indptr.tolist(), self._csr_indices.tolist()
+        seen = bytearray(len(self.labels))
+        seen[0] = 1
         stack = [0]
-        seen[0] = True
         while stack:
             x = stack.pop()
-            for k in range(self._csr_indptr[x], self._csr_indptr[x + 1]):
-                y = int(self._csr_indices[k])
-                if y != x and not seen[y]:
-                    seen[y] = True
+            for y in indices[indptr[x]:indptr[x + 1]]:
+                if not seen[y]:
+                    seen[y] = 1
                     stack.append(y)
-        if not seen.all():
-            missing = [self.labels[i] for i in np.nonzero(~seen)[0][:5]]
+        if not all(seen):
+            missing = [s for s, reached in zip(self.labels, seen) if not reached][:5]
             raise GraphFormatError(f"graph is not connected (unreachable: {missing})")
 
     # -- queries ---------------------------------------------------------
@@ -174,6 +186,15 @@ class WeightedGraph:
     def delta_min(self):
         """Nondegeneracy constant: the minimum vertex measure."""
         return float(self.m.min())
+
+    @property
+    def edges(self):
+        """Read-only {(u, v): mu}, u <= v ascending, self-loops included;
+        built from the edge arrays when first read."""
+        if self._edge_map is None:
+            ends = zip(self._u.tolist(), self._v.tolist())
+            self._edge_map = MappingProxyType(dict(zip(ends, self._mu.tolist())))
+        return self._edge_map
 
     def id_of(self, label):
         try:
@@ -230,65 +251,60 @@ def ball2(g: WeightedGraph, x: int) -> Ball:
 # text format
 # ---------------------------------------------------------------------------
 
-def _parse_positive(token, what, line):
+def _numbers(tokens, what, lines):
+    """The tokens as float64, each read as float() reads it."""
+    rest = iter(tokens)
     try:
-        val = float(token)
+        return np.fromiter(map(float, rest), dtype=np.float64, count=len(tokens))
     except ValueError:
-        raise GraphFormatError(f"cannot parse {what} {token!r}", line=line) from None
-    if not math.isfinite(val) or val <= 0.0:
-        raise GraphFormatError(f"{what} must be positive and finite, got {token}", line=line)
-    return val
+        k = len(tokens) - 1 - operator.length_hint(rest)  # the token float() rejected
+        raise GraphFormatError(f"cannot parse {what} {tokens[k]!r}", lines[k]) from None
 
 
 def load_graph(text: str) -> WeightedGraph:
-    labels = []
-    measures = []
-    ids = {}
-    edge_lines = []
+    """Tokenize the text format; WeightedGraph checks the data, naming each fault's line."""
+    labels, measures, vertex_lines = [], [], []
+    ends, weights, edge_lines = [], [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "vertex":
-            if len(tokens) != 3:
-                raise GraphFormatError("expected 'vertex <label> <m>'", line=ln)
-            label = tokens[1]
-            if label in ids:
-                raise GraphFormatError(f"duplicate vertex {label!r}", line=ln)
-            ids[label] = len(labels)
-            labels.append(label)
-            measures.append(_parse_positive(tokens[2], "vertex measure", ln))
-        elif tokens[0] == "edge":
+        head = tokens[0]
+        if head == "edge":
             if len(tokens) != 4:
                 raise GraphFormatError("expected 'edge <label1> <label2> <mu>'", line=ln)
-            edge_lines.append((ln, tokens[1], tokens[2], tokens[3]))
-        else:
-            raise GraphFormatError(f"unknown directive {tokens[0]!r}", line=ln)
+            ends += tokens[1:3]
+            weights.append(tokens[3])
+            edge_lines.append(ln)
+        elif head == "vertex":
+            if len(tokens) != 3:
+                raise GraphFormatError("expected 'vertex <label> <m>'", line=ln)
+            labels.append(tokens[1])
+            measures.append(tokens[2])
+            vertex_lines.append(ln)
+        elif not head.startswith("#"):
+            raise GraphFormatError(f"unknown directive {head!r}", line=ln)
 
-    edges = {}
-    for ln, la, lb, tok in edge_lines:
-        for lab in (la, lb):
-            if lab not in ids:
-                raise GraphFormatError(f"edge references undeclared vertex {lab!r}", line=ln)
-        w = _parse_positive(tok, "edge weight", ln)
-        u, v = ids[la], ids[lb]
-        key = (u, v) if u <= v else (v, u)
-        if key in edges and edges[key] != w:
-            raise GraphFormatError(
-                f"edge {la} {lb} already declared with weight {edges[key]!r}", line=ln
-            )
-        edges[key] = w
-    return WeightedGraph(labels, measures, edges)
+    ids = dict(zip(labels, range(len(labels))))
+    try:
+        ends = np.fromiter(map(ids.__getitem__, ends), dtype=np.int64, count=len(ends))
+    except KeyError as exc:
+        label = exc.args[0]
+        ln = edge_lines[ends.index(label) // 2]
+        raise GraphFormatError(f"edge references undeclared vertex {label!r}", ln) from None
+    measures = _numbers(measures, "vertex measure", vertex_lines)
+    weights = _numbers(weights, "edge weight", edge_lines)
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._build(labels, measures, ends.reshape(-1, 2), weights, vertex_lines, edge_lines)
+    return g
 
 
 def save_graph(g: WeightedGraph) -> str:
-    out = []
-    for label, m in zip(g.labels, g.m):
-        out.append(f"vertex {label} {float(m)!r}")
-    for (u, v) in sorted(g.edges):
-        out.append(f"edge {g.labels[u]} {g.labels[v]} {float(g.edges[(u, v)])!r}")
-    return "\n".join(out) + "\n"
+    """The text that load_graph reads back as g, each edge once, u <= v ascending."""
+    labels = np.array(g.labels, dtype=object)
+    vertices = map("vertex {} {!r}".format, g.labels, g.m.tolist())
+    edges = map("edge {} {} {!r}".format, labels[g._u], labels[g._v], g._mu.tolist())
+    return "\n".join([*vertices, *edges]) + "\n"
 
 
 def load_vertex_function(text: str, g: WeightedGraph) -> np.ndarray:

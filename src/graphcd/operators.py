@@ -133,12 +133,10 @@ def green_identity_residual(g: WeightedGraph, f, h) -> float:
 def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
     """Dense L with L f = Delta f.  Self-loops never enter L."""
     nv = g.vertex_count
+    (u, v), w = g._edge_ends.T, g._edge_mu
     L = np.zeros((nv, nv))
-    for (u, v), w in g.edges.items():
-        if u == v:
-            continue
-        L[u, v] += w * g._inv_m[u]
-        L[v, u] += w * g._inv_m[v]
+    L[u, v] = w * g._inv_m[u]
+    L[v, u] = w * g._inv_m[v]
     L[np.diag_indices(nv)] = -g._degree * g._inv_m
     return L
 

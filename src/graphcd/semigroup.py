@@ -33,14 +33,9 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
     sqrt_m = np.sqrt(g.m)
     inv_sqrt_m = 1.0 / sqrt_m
 
+    u, v = g._edge_ends.T
     S = np.zeros((nv, nv))
-    for (u, v), w in g.edges.items():
-        if u == v:
-            continue
-        # same float both ways round: w * (isq_u * isq_v)
-        val = w * (inv_sqrt_m[u] * inv_sqrt_m[v])
-        S[u, v] = val
-        S[v, u] = val
+    S[u, v] = S[v, u] = g._edge_mu * (inv_sqrt_m[u] * inv_sqrt_m[v])
     S[np.diag_indices(nv)] = -g._degree * g._inv_m
 
     try:

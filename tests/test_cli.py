@@ -10,6 +10,7 @@ import pytest
 
 from graphcd import __version__
 from graphcd.cli import main
+from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function
 from graphcd.semigroup import decompose
 from graphcd.verify import function_corpus, run_verification
@@ -84,6 +85,58 @@ def test_curvature_witness_json(capsys, k2_path):
     rep = json.loads(out)
     for row in rep["rows"]:
         assert "witness" in row and len(row["witness"]) == 2
+
+
+def test_curvature_witness_lists_the_2ball(capsys, tmp_path):
+    p = tmp_path / "p5.graph"
+    p.write_text("".join(f"vertex {s} 1\n" for s in "edcba") + "edge e d 1\nedge d c 2\n"
+                 "edge c b 1\nedge b a 3\nedge a a 5\n")
+    code, out, _ = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "2",
+                            "--witness")
+    assert code == 0
+    g = load_graph(p.read_text())
+    balls = {"a": "cba", "b": "dcba", "c": "edcba", "d": "edcb", "e": "edc"}
+    for row in json.loads(out)["rows"]:
+        x = row["vertex_label"]
+        # the dense witness with every off-ball entry (all zero) removed
+        r = curvature_at(g, g.id_of(x), 2.0)
+        dense = {s: float(f"{v:.12e}") for s, v in zip(g.labels, r.witness.tolist())}
+        assert list(row["witness"]) == list(balls[x])
+        assert row["witness"] == {s: v for s, v in dense.items() if s in balls[x]}
+        assert row["witness"][x] == 0.0
+        assert all(v == 0.0 for s, v in dense.items() if s not in balls[x])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_nonfinite_report_exit_2(capsys, tmp_path, monkeypatch):
+    # finite Deg, but Gamma2 carries Deg^2: kappa overflows to nan/-inf
+    p = tmp_path / "big.graph"
+    p.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e160\nedge b c 1e160\n")
+    for fmt in ("csv", "json"):
+        code, out, err = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "inf",
+                                  "--format", fmt)
+        assert code == 2 and out == ""
+        assert "kappa at vertex 'a'" in err
+    f = tmp_path / "f.csv"
+    f.write_text("vertex,value\na,1\nb,0\nc,2\n")
+    monkeypatch.setattr("graphcd.cli.heat_apply", lambda sd, g, t, f: np.array([0.5, np.inf, 1.0]))
+    code, out, err = run_main(capsys, "heat", "--graph", str(p), "--f", str(f), "--t", "1")
+    assert code == 2 and out == ""
+    assert "vertex 'b'" in err
+
+
+def test_unrepresentable_graph_exit_2(capsys, tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_text("vertex,value\na,1\nb,0\nc,2\n")
+    for measure, weight, where in [("1e-320", "1", "line 1: vertex 'a': measure"),
+                                   ("1", "1e308", "line 2: vertex 'b': Deg")]:
+        p = tmp_path / "g.graph"
+        p.write_text(f"vertex a {measure}\nvertex b 1\nvertex c 1\n"
+                     f"edge a b {weight}\nedge b c {weight}\n")
+        for argv in (["heat", "--f", str(f), "--t", "1"],
+                     ["curvature", "--dimension", "inf", "--format", "csv"]):
+            code, out, err = run_main(capsys, argv[0], "--graph", str(p), *argv[1:])
+            assert code == 2 and out == "" and where in err
 
 
 def test_curvature_witness_rejected_for_csv(capsys, k2_path):

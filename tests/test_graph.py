@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcd.graph import (
     GraphFormatError,
@@ -50,6 +52,39 @@ def test_parse_errors_carry_line_numbers():
         load_graph("vertex a 0\n")
     with pytest.raises(GraphFormatError, match="line 3"):
         load_graph("vertex a 1\nvertex b 1\nedge a c 1\n")
+    # one input per loader error; V is a valid head, the rest is the fault
+    V = "vertex a 1\nvertex b 1\n"
+    for text, line in [
+        ("vertex a\n", 1),
+        ("vertex a 1 2\n", 1),
+        (V + "edge a b\n", 3),
+        (V + "edge a b 1 2\n", 3),
+        (V + "# note\n\nloop a b 1\n", 5),
+        (V + "vertex a 2\nedge a b 1\n", 3),
+        (V + "edge a b 1\nedge b z 1\n", 4),
+        ("vertex a one\nvertex b 1\nedge a b 1\n", 1),
+        (V + "edge a b 1x\n", 3),
+        ("vertex a 1\nvertex b -1\nedge a b 1\n", 2),
+        ("vertex a 1\nvertex b nan\nedge a b 1\n", 2),
+        ("vertex a inf\nvertex b 1\nedge a b 1\n", 1),
+        (V + "edge a b 1\nedge a a 0\n", 4),
+        (V + "edge a b -inf\n", 3),
+        (V + "edge a b 1\nedge b b 1e400\n", 4),
+        (V + "edge a b 2\nedge a b 2.0\n# again\nedge b a 3\n", 6),
+    ]:
+        with pytest.raises(GraphFormatError, match=f"^line {line}: "):
+            load_graph(text)
+
+
+def test_number_tokens_read_as_float():
+    for token in ["1_0", "+2", ".5", "1.", "1e3", "\u0661\u0662"]:
+        g = load_graph(f"vertex a {token}\nvertex b 1\nedge a b {token}\n")
+        assert g.m[0].hex() == g.weight(0, 1).hex() == float(token).hex()
+    for token in ["0x10", "1d3", "1,5"]:
+        with pytest.raises(GraphFormatError, match="^line 1: cannot parse"):
+            load_graph(f"vertex a {token}\nvertex b 1\nedge a b 1\n")
+        with pytest.raises(GraphFormatError, match="^line 3: cannot parse"):
+            load_graph(f"vertex a 1\nvertex b 1\nedge a b {token}\n")
 
 
 def test_bad_weights_and_measures_rejected():
@@ -88,6 +123,87 @@ def test_ids_assigned_by_first_appearance():
     assert g.id_of("z") == 0
     with pytest.raises(GraphFormatError):
         g.id_of("missing")
+
+
+@st.composite
+def graph_texts(draw):
+    """(text, labels, measures, edges) of a connected graph file with
+    comments, blank lines, repeated edges in either order and measures and
+    weights log-uniform over 60 decades."""
+    nv = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.text("abz019_.:#,\u00e9", min_size=1, max_size=4),
+                           min_size=nv, max_size=nv, unique=True))
+    scale = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
+    measures = draw(st.lists(scale, min_size=nv, max_size=nv))
+    edges = {(draw(st.integers(0, i - 1)), i): draw(scale) for i in range(1, nv)}
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = sorted(draw(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))
+        edges.setdefault((u, v), draw(scale))
+    lines = [f"vertex {s} {m!r}" for s, m in zip(labels, measures)]
+    for (u, v), w in edges.items():
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = (v, u) if draw(st.booleans()) else (u, v)
+            lines.append(f"  edge {labels[a]} {labels[b]} {w:.17e}")
+    out = []
+    for line in lines:
+        out.append(draw(st.sampled_from(["", "# comment", "   ", "#"])))
+        out.append(line)
+    return "\n".join(out), labels, measures, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_texts())
+def test_generated_texts_round_trip_bitwise(case):
+    text, labels, measures, edges = case
+    g = load_graph(text)
+    assert g.labels == tuple(labels)
+    assert g.m.tobytes() == np.array(measures).tobytes()
+    assert dict(g.edges) == {k: float(f"{w:.17e}") for k, w in edges.items()}
+    h = load_graph(save_graph(g))
+    assert h.labels == g.labels and h.m.tobytes() == g.m.tobytes()
+    assert list(h.edges.items()) == list(g.edges.items())
+    assert save_graph(h) == save_graph(g)
+
+
+def test_edges_are_read_only():
+    g = load_graph(K2_TEXT)
+    with pytest.raises(TypeError):
+        g.edges[(0, 1)] = 5.0
+    with pytest.raises(AttributeError):
+        g.edges = {(0, 1): 5.0}
+    assert dict(g.edges) == {(0, 1): 1.0}
+
+
+def test_constructor_rejects_labels_the_text_format_cannot_carry():
+    for labels in (["a b", "c"], ["", "c"], ["a", "c\n"], ["a", "c\u2028d"]):
+        with pytest.raises(GraphFormatError, match="empty or contains whitespace"):
+            WeightedGraph(labels, [1.0, 1.0], {(0, 1): 1.0})
+
+
+def test_constructor_requires_integer_ids():
+    for key in ((0.7, 1.9), (0.0, 1.0), ("0", "1"), (0, 1, 1)):
+        with pytest.raises(GraphFormatError, match="integer vertex ids"):
+            WeightedGraph(["a", "b"], [1.0, 1.0], {key: 1.0})
+    g = WeightedGraph(["a", "b"], [1.0, 1.0], {(np.int32(1), 0): 2.0})
+    assert dict(g.edges) == {(0, 1): 2.0}
+
+
+def test_subnormal_measure_rejected():
+    # 1/m overflows, which left every heat value nan with exit 0
+    with pytest.raises(GraphFormatError, match="^line 2: vertex 'b': measure"):
+        load_graph("vertex a 1\nvertex b 1e-320\nvertex c 1\nedge a b 1\nedge b c 1\n")
+    with pytest.raises(GraphFormatError, match="vertex 'b': measure"):
+        WeightedGraph(["a", "b"], [1.0, 5e-324], {(0, 1): 1.0})
+    load_graph("vertex a 1\nvertex b 1e-300\nedge a b 1\n")
+
+
+def test_overflowing_degree_rejected():
+    # Deg(b) = (1e308 + 1e308) / 1 overflows although each weight is finite
+    with pytest.raises(GraphFormatError, match="^line 2: vertex 'b': Deg"):
+        load_graph("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e308\nedge b c 1e308\n")
+    # ... and so does Deg(a) = 1e300 / 1e-10
+    with pytest.raises(GraphFormatError, match="vertex 'a': Deg"):
+        WeightedGraph(["a", "b"], [1e-10, 1.0], {(0, 1): 1e300})
 
 
 def test_round_trip():

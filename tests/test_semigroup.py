@@ -30,6 +30,36 @@ def test_eigenvalues_self_loop_singleton():
     assert np.allclose(sd.eigenvalues, [0.0], atol=1e-14)
 
 
+def _edge_loop_matrices(g):
+    """L and S = M^{1/2} L M^{-1/2} filled one edge at a time from g.edges:
+    the construction the array fill replaced, kept as its reference."""
+    nv = g.vertex_count
+    inv_sqrt_m = 1.0 / np.sqrt(g.m)
+    L, S = np.zeros((nv, nv)), np.zeros((nv, nv))
+    for (u, v), w in g.edges.items():
+        if u == v:
+            continue
+        L[u, v] += w * g._inv_m[u]
+        L[v, u] += w * g._inv_m[v]
+        S[u, v] = S[v, u] = w * (inv_sqrt_m[u] * inv_sqrt_m[v])
+    L[np.diag_indices(nv)] = S[np.diag_indices(nv)] = -g._degree * g._inv_m
+    return L, S
+
+
+def test_dense_matrices_match_edge_loop_construction():
+    loops = 0
+    for seed in range(60):
+        g = random_connected_graph(2500 + seed, max_vertices=20, self_loop_prob=0.5)
+        loops += any(u == v for u, v in g.edges)
+        L, S = _edge_loop_matrices(g)
+        assert laplacian_matrix(g).tobytes() == L.tobytes()
+        # decompose keeps only eigh(S); identical bytes in, identical bytes out
+        lam, U = np.linalg.eigh(S)
+        sd = decompose(g)
+        assert sd.eigenvalues.tobytes() == lam.tobytes() and sd.basis.tobytes() == U.tobytes()
+    assert loops > 0
+
+
 def test_decomposition_structure():
     for seed in range(15):
         g = random_connected_graph(2300 + seed)
