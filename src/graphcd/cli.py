@@ -14,7 +14,6 @@ stable key order, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -64,16 +63,10 @@ def _float_texts(values):
     return texts, [t if math.isfinite(x) else json.dumps(t) for x, t in zip(values, texts)]
 
 
-class _JsonText(str):
-    """Text that is already JSON; _emit_json copies it as it is."""
-
-
 def _emit_json(obj, out):
     """JSON with floats as _float_texts writes them and insertion-order keys."""
     if obj is None:
         out.append("null")
-    elif isinstance(obj, _JsonText):
-        out.append(obj)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
@@ -102,6 +95,49 @@ def dumps_report(obj) -> str:
     out = []
     _emit_json(obj, out)
     return "".join(out) + "\n"
+
+
+def _percent_escaped(text):
+    """text with each % doubled, to stand for itself in a %-template."""
+    return text.replace("%", "%%")
+
+
+def _csv_field(text):
+    """text, not empty, quoted as the csv module quotes a field of a row
+    (a row of one empty field would be quoted where a longer row's is not)."""
+    return csv_text((text,), ())[:-1]
+
+
+def _stream_records(report, json_fh, csv_fh):
+    """Write the records of a VerificationReport to json_fh as the members of
+    a JSON list and, unless csv_fh is None, to csv_fh as CSV with its header.
+
+    One function's (time x vertex) block is written at a time.  Its floats
+    are formatted once, by _float_texts, and fill one %-template per file
+    that holds the block's keys, each escaped once per function id, time
+    and vertex.
+    """
+    t_csv, t_json = _float_texts(report.times)
+    json_tails = [
+        ', "vertex": %s, "lhs": %%s, "rhs": %%s, "slack": %%s}' % _percent_escaped(json.dumps(v))
+        for v in report.vertices
+    ]
+    csv_tails = ["%s,%%s,%%s,%%s\n" % _percent_escaped(_csv_field(v)) for v in report.vertices]
+    if csv_fh is not None:
+        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
+    for i, fid in enumerate(report.function_ids):
+        values = np.stack((report.lhs[i], report.rhs[i], report.slack[i]), axis=-1)
+        texts, json_texts = _float_texts(values.ravel().tolist())
+        # a record is its head {"function": ..., "t": ... and its vertex's tail
+        f = _percent_escaped(json.dumps(fid))
+        heads = [f'{{"function": {f}, "t": {t}' for t in t_json]
+        template = ", ".join(h + (", " + h).join(json_tails) for h in heads)
+        json_fh.write((", " if i else "") + template % tuple(json_texts))
+        if csv_fh is not None:
+            f = _percent_escaped(_csv_field(fid))
+            heads = [f"{f},{t}," for t in t_csv]
+            template = "".join(h + h.join(csv_tails) for h in heads)
+            csv_fh.write(template % tuple(texts))
 
 
 def _require_finite(labels, values, what):
@@ -215,6 +251,9 @@ def _build_corpus(g, spec, dimension):
 
 
 def cmd_verify(args) -> int:
+    if (args.output is not None and args.csv is not None
+            and os.path.realpath(args.output) == os.path.realpath(args.csv)):
+        raise ValueError(f"--output and --csv name the same file {args.csv!r}")
     with open(args.graph) as fh:
         g = load_graph(fh.read())
     name = _INEQUALITY_BY_FLAG[args.inequality]
@@ -248,35 +287,30 @@ def cmd_verify(args) -> int:
 
     sd = decompose(g)
     report = run_verification(g, sd, name, K, times, functions, n=n, quad=quad)
-    t_csv, t_json = _float_texts(report.times)
-    (lhs, lhs_json), (rhs, rhs_json), (slack, slack_json) = (
-        _float_texts(a.ravel().tolist()) for a in (report.lhs, report.rhs, report.slack)
-    )
-    keys = itertools.product(
-        [json.dumps(fid) for fid in report.function_ids],
-        t_json,
-        [json.dumps(label) for label in report.vertices],
-    )
-    records = ", ".join(
-        f'{{"function": {f}, "t": {t}, "vertex": {v}, "lhs": {a}, "rhs": {b}, "slack": {c}}}'
-        for (f, t, v), a, b, c in zip(keys, lhs_json, rhs_json, slack_json)
-    )
-    payload = {
+    # the report object around "records", split at it: the head without its
+    # closing "}\n", the tail without its opening "{"
+    head = dumps_report({
         "inequality": report.inequality_name,
         "K": report.K,
         "n": report.n,
         "graph": _graph_name(args.graph),
-        "records": _JsonText(f"[{records}]"),
+    })[:-2]
+    tail = dumps_report({
         "min_slack": report.min_slack,
         "quadrature_error": report.quadrature_error_estimate,
         "tool_version": __version__,
-    }
-    _write(dumps_report(payload), args.output)
-
-    if args.csv is not None:
-        keys = itertools.product(report.function_ids, t_csv, report.vertices)
-        rows = ((*key, a, b, c) for key, a, b, c in zip(keys, lhs, rhs, slack))
-        _write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), rows), args.csv)
+    })[1:]
+    json_fh = csv_fh = None
+    try:
+        json_fh = sys.stdout if args.output is None else open(args.output, "w")
+        csv_fh = None if args.csv is None else open(args.csv, "w")
+        json_fh.write(head + ', "records": [')
+        _stream_records(report, json_fh, csv_fh)
+        json_fh.write("], " + tail)
+    finally:
+        for fh in (json_fh, csv_fh):
+            if fh is not None and fh is not sys.stdout:
+                fh.close()
 
     violations = find_violations(report)
     if violations:

@@ -90,7 +90,7 @@ class WeightedGraph:
                      lambda i: f"vertex label {labels[i]!r} is empty or contains whitespace")
             _require(list(map(ids.get, labels)) == np.arange(nv), vertex_lines,
                      lambda i: f"duplicate vertex {labels[i]!r}")
-        self.m = m = np.asarray(measures, dtype=np.float64)
+        self.m = m = np.array(measures, dtype=np.float64)  # a copy: it is frozen below
         if m.shape != (nv,):
             raise GraphFormatError("measure count does not match vertex count")
         with np.errstate(divide="ignore", over="ignore"):  # 1/m must be finite too

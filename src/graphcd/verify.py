@@ -339,6 +339,9 @@ def run_verification(
     if inequality_name == "cdn_bound" and n is None:
         raise ValueError("cdn_bound requires a dimension n")
     times = sorted(_check_time(t) for t in times)
+    for a, b in zip(times, times[1:]):
+        if a == b:
+            raise ValueError(f"time {a!r} is given twice")
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
 
     functions = sorted(functions, key=lambda item: item[0])

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -251,7 +252,9 @@ def _report_number(x):
 
 
 def test_verify_report_format_is_pinned(capsys, tmp_path):
-    text = "vertex b 1\nvertex a 2\nvertex c 1.5\nedge b a 1\nedge a c 0.5\n"
+    # c's label needs CSV quoting, JSON escapes and a doubled % in a template
+    c = 'c,"%{\\\u00e9'
+    text = f"vertex b 1\nvertex a 2\nvertex {c} 1.5\nedge b a 1\nedge a {c} 0.5\n"
     graph = tmp_path / "p3.graph"
     graph.write_text(text)
     out, records_csv = tmp_path / "r.json", tmp_path / "r.csv"
@@ -269,7 +272,7 @@ def test_verify_report_format_is_pinned(capsys, tmp_path):
     records = list(report.records)
     keys = [(r.function_id, r.t, r.vertex) for r in records]
     assert keys == sorted(keys) and len(keys) == 3 * 2 * 3
-    assert [r.vertex for r in records[:3]] == ["a", "b", "c"]
+    assert [r.vertex for r in records[:3]] == ["a", "b", c]
 
     body = ", ".join(
         "{"
@@ -293,11 +296,97 @@ def test_verify_report_format_is_pinned(capsys, tmp_path):
     )
     assert out.read_text() == want_json
 
+    def field(s):  # a CSV field holding a comma or a quote is quoted, its quotes doubled
+        return '"' + s.replace('"', '""') + '"' if any(ch in s for ch in ',"') else s
+
     want_csv = "function,t,vertex,lhs,rhs,slack\n" + "".join(
-        f"{r.function_id},{r.t:.12e},{r.vertex},{r.lhs:.12e},{r.rhs:.12e},{r.slack:.12e}\n"
+        f"{field(r.function_id)},{r.t:.12e},{field(r.vertex)},"
+        f"{r.lhs:.12e},{r.rhs:.12e},{r.slack:.12e}\n"
         for r in records
     )
     assert records_csv.read_text() == want_csv
+
+
+def _per_record_reports(report, graph_name):
+    """(JSON, CSV) of a verify report as the CLI wrote them one record at a
+    time before it streamed them: the reference for the streamed bytes."""
+    keys = list(itertools.product(report.function_ids, report.times, report.vertices))
+    values = list(zip(*(a.ravel().tolist() for a in (report.lhs, report.rhs, report.slack))))
+    records = ", ".join(
+        f'{{"function": {json.dumps(f)}, "t": {_report_number(t)}, "vertex": {json.dumps(v)}, '
+        f'"lhs": {_report_number(a)}, "rhs": {_report_number(b)}, "slack": {_report_number(c)}}}'
+        for (f, t, v), (a, b, c) in zip(keys, values)
+    )
+    n = "null" if report.n is None else _report_number(report.n)
+    want_json = (
+        f'{{"inequality": {json.dumps(report.inequality_name)}, '
+        f'"K": {_report_number(report.K)}, "n": {n}, "graph": {json.dumps(graph_name)}, '
+        f'"records": [{records}], "min_slack": {_report_number(report.min_slack)}, '
+        f'"quadrature_error": {_report_number(report.quadrature_error_estimate)}, '
+        f'"tool_version": {json.dumps(__version__)}}}\n'
+    )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("function", "t", "vertex", "lhs", "rhs", "slack"))
+    writer.writerows((f, f"{t:.12e}", v, f"{a:.12e}", f"{b:.12e}", f"{c:.12e}")
+                     for (f, t, v), (a, b, c) in zip(keys, values))
+    return want_json, out.getvalue()
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_verify_streamed_reports_match_per_record_writer(capsys, tmp_path, monkeypatch,
+                                                         to_stdout):
+    # labels (and so the corpus's function ids) with characters that JSON,
+    # CSV or a %-template must escape
+    labels = ["a,1", 'b"2', "c%s", "d{%}", "e\\f", "\u00e9"]
+    graph = tmp_path / "awk.graph"
+    graph.write_text("".join(f"vertex {s} {1 + i / 4}\n" for i, s in enumerate(labels))
+                     + "".join(f"edge {labels[i]} {labels[(i + 1) % 6]} {1 + i / 3}\n"
+                               for i in range(6)))
+    reports = []
+
+    def spoiled(*args, **kwargs):
+        # a NaN and an inf slack in the second function's block only
+        report = run_verification(*args, **kwargs)
+        report.slack[1, 0, 2] = np.nan
+        report.slack[1, 1, 4] = np.inf
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr("graphcd.cli.run_verification", spoiled)
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["verify", "--graph", str(graph), "--inequality", "gradient", "--K", "auto",
+            "--times", "0.3,0.05", "--csv", str(out_csv)]
+    code, out, _ = run_main(capsys, *argv, *([] if to_stdout else ["--output", str(out_json)]))
+    assert code == 3  # a non-finite slack is a violation
+
+    (report,) = reports
+    assert len(report.function_ids) == 1 + 6 + 6 + 50 and len(report.times) == 2
+    assert np.isfinite(report.slack[[0, *range(2, 63)]]).all()
+    want_json, want_csv = _per_record_reports(report, "awk")
+    got_json = out if to_stdout else out_json.read_text()
+    # compared record by record, so that a failure reports the first bad one
+    assert got_json.split("}, {") == want_json.split("}, {")
+    assert out_csv.read_text().splitlines() == want_csv.splitlines()
+    assert got_json == want_json and out_csv.read_text() == want_csv
+    assert '"slack": "nan"' in want_json and ",inf\n" in want_csv
+
+
+def test_verify_output_and_csv_same_file_exit_2(capsys, k2_path, tmp_path):
+    same, alias = tmp_path / "same.out", tmp_path / "sub" / ".." / "same.out"
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--times", "0.5", "--output", str(same), "--csv", str(alias))
+    assert code == 2 and out == ""
+    assert "same file" in err
+    assert not same.exists()
+
+
+def test_verify_duplicate_times_exit_2(capsys, k2_path):
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--times", "0.1,0.5,0.10")
+    assert code == 2 and out == ""
+    assert "time 0.1 is given twice" in err
 
 
 def test_verify_bad_flags(capsys, k2_path):

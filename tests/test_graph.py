@@ -348,3 +348,10 @@ def test_arrays_frozen():
     g = load_graph(K2_TEXT)
     with pytest.raises(ValueError):
         g.m[0] = 7.0
+    # the constructor freezes a copy, not the caller's array
+    m = np.ones(2)
+    g = WeightedGraph(["a", "b"], m, {(0, 1): 1.0})
+    assert m.flags.writeable and not g.m.flags.writeable
+    assert not np.shares_memory(m, g.m)
+    m[0] = 7.0
+    assert g.m[0] == 1.0

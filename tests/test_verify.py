@@ -358,6 +358,8 @@ def test_run_verification_validation():
         run_verification(K2, SD2, "gradient_estimate", 0.0, [0.0], funcs)
     with pytest.raises(ValueError):
         run_verification(K2, SD2, "gradient_estimate", 0.0, [-1.0], funcs)
+    with pytest.raises(ValueError, match="time 0.1 is given twice"):
+        run_verification(K2, SD2, "gradient_estimate", 0.0, [0.1, 0.5, 0.1], funcs)
 
 
 def test_record_tolerance_policy():
