@@ -59,9 +59,7 @@ def laplacian_many(g: WeightedGraph, F) -> np.ndarray:
     terms mu_xy (f(y) - f(x)) in neighbor order and constants map to an
     exact +0.
     """
-    F = _as_columns(g, F)
-    flux = -g._edge_mu[:, None] * (g._incidence @ F)
-    return g._inv_m[:, None] * (g._incidence_t @ flux)
+    return _delta(g, g._incidence @ _as_columns(g, F))
 
 
 def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
@@ -73,10 +71,25 @@ def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
 
 def gamma_many(g: WeightedGraph, F, H=None) -> np.ndarray:
     """Gamma(F,H) = 1/2 M^{-1} |B|^T (mu * BF * BH) column by column."""
-    F = _as_columns(g, F)
-    BF = g._incidence @ F
-    BH = BF if H is None else g._incidence @ _as_columns(g, H)
-    return (0.5 * g._inv_m)[:, None] * (g._abs_incidence_t @ (g._edge_mu[:, None] * BF * BH))
+    BF = g._incidence @ _as_columns(g, F)
+    return _gamma(g, BF, BF if H is None else g._incidence @ _as_columns(g, H))
+
+
+def _delta(g, BF):
+    """Delta F from the edge differences BF = B F, which it overwrites."""
+    BF *= -g._edge_mu[:, None]
+    out = g._incidence_t @ BF
+    out *= g._inv_m[:, None]
+    return out
+
+
+def _gamma(g, BF, BH):
+    """Gamma(F, H) from the edge differences BF = B F and BH = B H."""
+    prod = g._edge_mu[:, None] * BF
+    prod *= BH
+    out = g._abs_incidence_t @ prod
+    out *= (0.5 * g._inv_m)[:, None]
+    return out
 
 
 def gamma_composition(g: WeightedGraph, f, h=None) -> np.ndarray:
@@ -102,9 +115,25 @@ def gamma2(g: WeightedGraph, f, h=None) -> np.ndarray:
 
 def gamma2_many(g: WeightedGraph, F) -> np.ndarray:
     """Diagonal Gamma2 applied to each column of F."""
-    F = _as_columns(g, F)
-    LF = laplacian_many(g, F)
-    return 0.5 * laplacian_many(g, gamma_many(g, F)) - gamma_many(g, F, LF)
+    return _gamma2_parts(g, F)[0]
+
+
+def _gamma2_parts(g, F):
+    """(Gamma2(F), Gamma(F)) column by column, with BF formed once.
+
+    Every term is the float that laplacian_many and gamma_many give, so
+    the pair is bitwise equal to (0.5 Delta Gamma(F) - Gamma(F, Delta F),
+    Gamma(F)) composed from them.  At most three edge-by-column arrays
+    are alive at once.
+    """
+    BF = g._incidence @ _as_columns(g, F)
+    cross = _gamma(g, BF, g._incidence @ _delta(g, BF.copy()))
+    G = _gamma(g, BF, BF)
+    del BF
+    G2 = laplacian_many(g, G)
+    G2 *= 0.5
+    G2 -= cross
+    return G2, G
 
 
 def dirichlet_energy(g: WeightedGraph, f) -> float:

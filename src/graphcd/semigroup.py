@@ -8,7 +8,16 @@ S = U diag(lambda) U^T,
 
 All eigenvalues are <= 0; on a connected graph 0 is simple with
 eigenvector proportional to sqrt(m), which is where mass conservation and
-the constant fixed point come from.
+the constant fixed point come from.  Two rules keep that mode exact:
+
+- the package admits only connected graphs, so the top eigenvalue is the
+  simple kernel eigenvalue.  eigh returns it with roundoff of the order
+  of the largest weighted degree (-1e144 at edge weights of 1e160), and
+  e^{t lambda} of that would wipe out the constant mode, so every
+  exponential takes it as exactly 0 (SpectralDecomposition.rates);
+- P_t commutes with adding a constant, so each function is applied as
+  f(x_0) + P_t(f - f(x_0)) with x_0 the first vertex.  A constant then
+  never passes through the basis, and P_t c = c bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ class SpectralDecomposition:
     basis: np.ndarray         # orthonormal columns, S = U diag(lam) U^T
     sqrt_m: np.ndarray
     inv_sqrt_m: np.ndarray
+    rates: np.ndarray         # the eigenvalues with the top one set to exactly 0
 
 
 def decompose(g: WeightedGraph) -> SpectralDecomposition:
@@ -42,8 +52,10 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
         lam, U = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
         raise RuntimeError(f"spectral decomposition failed: {exc}") from exc
+    rates = lam.copy()
+    rates[-1] = 0.0
     return SpectralDecomposition(
-        eigenvalues=lam, basis=U, sqrt_m=sqrt_m, inv_sqrt_m=inv_sqrt_m
+        eigenvalues=lam, basis=U, sqrt_m=sqrt_m, inv_sqrt_m=inv_sqrt_m, rates=rates
     )
 
 
@@ -63,9 +75,10 @@ def heat_apply(sd: SpectralDecomposition, g: WeightedGraph, t: float, f) -> np.n
         raise ValueError(f"heat semigroup is defined for finite t >= 0, got {t}")
     if t == 0:
         return f.copy()
-    w = sd.basis.T @ (sd.sqrt_m * f)
-    w *= np.exp(t * sd.eigenvalues)
-    return sd.inv_sqrt_m * (sd.basis @ w)
+    c = f[0]
+    w = sd.basis.T @ (sd.sqrt_m * (f - c))
+    w *= np.exp(t * sd.rates)
+    return c + sd.inv_sqrt_m * (sd.basis @ w)
 
 
 def heat_curve(sd: SpectralDecomposition, g: WeightedGraph, ts, f) -> np.ndarray:
@@ -74,9 +87,12 @@ def heat_curve(sd: SpectralDecomposition, g: WeightedGraph, ts, f) -> np.ndarray
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all((0 <= ts) & (ts < np.inf)):
         raise ValueError("heat semigroup is defined for finite t >= 0")
-    w = sd.basis.T @ (sd.sqrt_m * f)
-    W = np.exp(np.outer(sd.eigenvalues, ts)) * w[:, None]
-    return sd.inv_sqrt_m[:, None] * (sd.basis @ W)
+    c = f[0]
+    w = sd.basis.T @ (sd.sqrt_m * (f - c))
+    W = np.outer(sd.rates, ts)
+    np.exp(W, out=W)
+    W *= w[:, None]
+    return _to_vertices(sd, W, c)
 
 
 def heat_apply_columns(sd: SpectralDecomposition, g: WeightedGraph, ts, F) -> np.ndarray:
@@ -89,6 +105,16 @@ def heat_apply_columns(sd: SpectralDecomposition, g: WeightedGraph, ts, F) -> np
         raise ValueError("need one time per column")
     if not np.all((0 <= ts) & (ts < np.inf)):
         raise ValueError("heat semigroup is defined for finite t >= 0")
-    W = sd.basis.T @ (sd.sqrt_m[:, None] * F)
-    W *= np.exp(sd.eigenvalues[:, None] * ts[None, :])
-    return sd.inv_sqrt_m[:, None] * (sd.basis @ W)
+    c = F[0]
+    W = sd.basis.T @ (sd.sqrt_m[:, None] * (F - c))
+    W *= np.exp(sd.rates[:, None] * ts[None, :])
+    return _to_vertices(sd, W, c)
+
+
+def _to_vertices(sd, W, c):
+    """c + M^{-1/2} U W, spectral coefficients back to vertex columns,
+    in place on the one product."""
+    Y = sd.basis @ W
+    Y *= sd.inv_sqrt_m[:, None]
+    Y += c
+    return Y

@@ -17,9 +17,11 @@ consequences of the semigroup, independent of curvature):
                         for every real K
 
 Integrals are evaluated by composite Simpson on a shared fine grid, with
-the coarse/fine difference over 15 as the error estimate.  Each operation
-returns per-vertex values; run_verification sweeps a corpus of functions
-and a time grid into a VerificationReport.
+the coarse/fine difference over 15 as the error estimate.  The sums are
+taken on the integrand's spectral coefficients, and only the two sums are
+mapped back to the vertices.  Each operation returns per-vertex values;
+run_verification sweeps a corpus of functions and a time grid into a
+VerificationReport.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
 from .graph import WeightedGraph
-from .operators import gamma, gamma2, gamma2_many, gamma_many, laplacian_many
-from .semigroup import SpectralDecomposition, heat_apply, heat_apply_columns, heat_curve
+from .operators import _gamma2_parts, gamma, gamma2, gamma_many, laplacian_many
+from .semigroup import SpectralDecomposition, heat_apply, heat_curve
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -127,17 +129,18 @@ def _simpson_weights(nseg, h):
 def _integrate(integrand, t, quad):
     """Vector-valued Simpson over [0, t] at two resolutions.
 
-    integrand(nodes) must return an (nv, len(nodes)) array.  Returns the
-    fine-grid value and the per-vertex Richardson error estimate
-    |fine - coarse| / 15.
+    integrand(nodes) must return a (k, len(nodes)) array.  Returns the
+    (k, 2) array of the fine-grid and the coarse-grid sums; the Richardson
+    error estimate is |fine - coarse| / 15.
     """
     n_coarse = quad.panels
     n_fine = 2 * n_coarse
     nodes = np.linspace(0.0, t, n_fine + 1)
     Y = integrand(nodes)
-    fine = Y @ _simpson_weights(n_fine, t / n_fine)
-    coarse = Y[:, ::2] @ _simpson_weights(n_coarse, t / n_coarse)
-    return fine, np.abs(fine - coarse) / 15.0
+    weights = np.zeros((n_fine + 1, 2))
+    weights[:, 0] = _simpson_weights(n_fine, t / n_fine)
+    weights[::2, 1] = _simpson_weights(n_coarse, t / n_coarse)
+    return Y @ weights
 
 
 def _check_time(t):
@@ -164,25 +167,54 @@ def _sides(g, sd, inequality_name, f, K, n, t, quad):
         return lhs, variance_coefficient(K, t) * heat_apply(sd, g, t, gamma(g, f)), None
 
     gradient = gamma(g, heat_apply(sd, g, t, f))
-    decayed = math.exp(-2.0 * K * t) * heat_apply(sd, g, t, gamma(g, f))
+    decayed = _decay(K, t) * heat_apply(sd, g, t, gamma(g, f))
     if inequality_name == "gradient_estimate":
         return gradient, decayed, None
     if inequality_name == "gamma2_identity":
         return (decayed - gradient, *_integrate_gamma2(g, sd, f, K, t, quad))
 
     n = _check_dimension(n)
-    integral, err = _heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2)
+    def inner(F):
+        L = laplacian_many(g, F)
+        L *= L
+        return L
+
+    integral, err = _heat_integral(g, sd, f, K, t, quad, inner)
     coeff = 0.0 if math.isinf(n) else 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
 
 
+def _decay(K, t, exp=math.exp):
+    """exp(-2Kt), or a ValueError naming K and t where it overflows."""
+    try:
+        return exp(-2.0 * K * t)
+    except OverflowError:
+        raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}") from None
+
+
 def _heat_integral(g, sd, f, K, t, quad, inner):
-    """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate, per vertex."""
+    """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate, per vertex.
+
+    With P_s = M^{-1/2} U e^{s lambda} U^T M^{1/2}, the integrand's column
+    at node s_j is M^{-1/2} U [e^{(lambda - 2K) s_j} U^T M^{1/2} V_j].  The
+    Simpson sums are taken on the bracket, so only the fine and the coarse
+    sum are mapped back through M^{-1/2} U.
+    """
+    # the table's largest entry is e^{-2Kt}: its top rate is 0 and s <= t
+    _decay(K, t)
+    rates = sd.rates - 2.0 * K
+
     def integrand(s):
         V = inner(heat_curve(sd, g, t - s, f))
-        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
+        V *= sd.sqrt_m[:, None]
+        Z = sd.basis.T @ V
+        E = np.outer(rates, s)
+        Z *= np.exp(E, out=E)
+        return Z
 
-    return _integrate(integrand, t, quad)
+    sums = sd.inv_sqrt_m[:, None] * (sd.basis @ _integrate(integrand, t, quad))
+    fine, coarse = sums.T
+    return fine, np.abs(fine - coarse) / 15.0
 
 
 def _integrate_variance(g, sd, f, t, quad):
@@ -193,9 +225,14 @@ def _integrate_variance(g, sd, f, t, quad):
 
 def _integrate_gamma2(g, sd, f, K, t, quad):
     """2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds and its error estimate."""
-    integral, err = _heat_integral(
-        g, sd, f, K, t, quad, lambda F: gamma2_many(g, F) - K * gamma_many(g, F)
-    )
+    def inner(F):
+        # Gamma2(F) - K Gamma(F), with BF and Gamma(F) formed once
+        G2, G = _gamma2_parts(g, F)
+        G *= K
+        G2 -= G
+        return G2
+
+    integral, err = _heat_integral(g, sd, f, K, t, quad, inner)
     return 2.0 * integral, 2.0 * err
 
 
@@ -213,7 +250,7 @@ def variance_coefficient(K, t):
     """
     if K == 0.0:
         return 2.0 * t
-    return -math.expm1(-2.0 * K * t) / K
+    return -_decay(K, t, math.expm1) / K
 
 
 def variance_bound(g, sd, f, K, t):

@@ -414,6 +414,28 @@ def test_verify_nonfinite_K_exit_2(capsys, k2_path, K):
     assert "--K" in err
 
 
+# a 4-cycle whose vertex b has measure 1e-4: min kappa(.;2) is -9999
+STIFF_C4_TEXT = ("vertex a 1\nvertex b 1e-4\nvertex c 1\nvertex d 1\n"
+                 "edge a b 1\nedge b c 1\nedge c d 1\nedge d a 1\n")
+
+
+@pytest.mark.parametrize("flags, K", [
+    (("--inequality", "gradient", "--K", "-400"), "-400.0"),
+    (("--inequality", "variance", "--K", "-400"), "-400.0"),
+    (("--inequality", "gamma2-identity", "--K", "-400"), "-400.0"),
+    (("--inequality", "cdn", "--n", "2", "--K", "auto"), "-9999.0"),
+])
+def test_verify_overflowing_decay_exit_2(capsys, tmp_path, flags, K):
+    # e^{-2Kt} overflows at t = 1; an inf there would read as a violation
+    path = tmp_path / "c4.graph"
+    path.write_text(STIFF_C4_TEXT)
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), *flags, "--times", "1",
+                              "--functions", "random:0:1")
+    assert code == 2
+    assert out == ""
+    assert f"K = {K}, t = 1.0" in err
+
+
 def test_verify_panels_flag(capsys, k2_path):
     code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "variance-identity", "--K", "0",
@@ -461,6 +483,16 @@ def test_heat_constant_is_fixed(capsys, k2_path, tmp_path):
     assert code == 0
     g = load_graph(K2_TEXT)
     assert np.abs(load_vertex_function(out, g) - 1.0).max() <= 1e-12
+
+
+def test_heat_keeps_the_mean_at_huge_weights(capsys, tmp_path):
+    graph, f = tmp_path / "p3.graph", tmp_path / "f.csv"
+    graph.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e160\nedge b c 1e160\n")
+    f.write_text("vertex,value\na,1\nb,0\nc,2\n")
+    code, out, _ = run_main(capsys, "heat", "--graph", str(graph), "--f", str(f), "--t", "1")
+    assert code == 0
+    got = load_vertex_function(out, load_graph(graph.read_text()))
+    assert np.abs(got - 1.0).max() <= 1e-14
 
 
 def test_heat_negative_time_exit_2(capsys, k2_path, f_path):

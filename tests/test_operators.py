@@ -20,6 +20,7 @@ from graphcd.operators import (
     laplacian_matrix,
     form_table,
     local_forms,
+    _gamma2_parts,
 )
 from conftest import ref_gamma, ref_gamma2, ref_laplacian, rng_for
 
@@ -217,6 +218,25 @@ def test_batched_variants_match_single():
         assert np.allclose(LF[:, j], laplacian(g, F[:, j]), atol=1e-13)
         assert np.allclose(GF[:, j], gamma(g, F[:, j], H[:, j]), atol=1e-13)
         assert np.allclose(G2[:, j], gamma2(g, F[:, j]), atol=1e-12)
+
+
+def test_gamma2_parts_bitwise_equal_to_composition():
+    # Gamma2(F) - K Gamma(F) from one BF against the composition of the
+    # column operators, signed zeros included (columns 0 and 1)
+    loops = 0
+    for seed in range(60):
+        g = random_connected_graph(3100 + seed, max_vertices=20, self_loop_prob=0.5)
+        loops += any(u == v for u, v in g.edges)
+        F = rng_for(60, seed).standard_normal((g.vertex_count, 6))
+        F[:, 0], F[:, 1], F[:, 2] = 0.0, -0.0, 3.0
+        G2, G = _gamma2_parts(g, F)
+        GF = gamma_many(g, F)
+        assert G.tobytes() == GF.tobytes()
+        assert gamma2_many(g, F).tobytes() == G2.tobytes()
+        for K in (0.0, -1.0, 2.5):
+            want = 0.5 * laplacian_many(g, GF) - gamma_many(g, F, laplacian_many(g, F)) - K * GF
+            assert (G2 - K * G).tobytes() == want.tobytes()
+    assert loops > 0
 
 
 def test_size_mismatch_rejected():

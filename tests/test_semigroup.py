@@ -113,6 +113,43 @@ def test_heat_preserves_constants():
             assert np.abs(heat_apply(sd, g, t, ones) - 1.0).max() <= 1e-12
 
 
+def test_heat_of_a_constant_is_the_constant_bit_for_bit():
+    loops = 0
+    for seed in range(60):
+        g = random_connected_graph(2500 + seed, max_vertices=20, self_loop_prob=0.5)
+        loops += any(u == v for u, v in g.edges)
+        sd = decompose(g)
+        for c in (1.0, -2.5, 3.0e7):
+            f = np.full(g.vertex_count, c)
+            for t in (0.1, 1.0, 10.0):
+                assert heat_apply(sd, g, t, f).tobytes() == f.tobytes()
+            ts = np.array([0.0, 0.1, 10.0])
+            assert heat_curve(sd, g, ts, f).tobytes() == np.repeat(f[:, None], 3, axis=1).tobytes()
+            F = np.outer(np.ones(g.vertex_count), [c, -c, 2.0 * c])
+            assert heat_apply_columns(sd, g, ts, F).tobytes() == F.tobytes()
+    assert loops > 0
+
+
+def test_heat_keeps_the_constant_mode_at_huge_weights():
+    # eigh puts the kernel eigenvalue at about -1e144 here; e^{t lambda} of
+    # it would send P_t f to 0 instead of the m-weighted mean 1.0
+    g = load_graph("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e160\nedge b c 1e160\n")
+    sd = decompose(g)
+    f = np.array([1.0, 0.0, 2.0])
+    for got in (heat_apply(sd, g, 1.0, f), heat_curve(sd, g, [1.0], f)[:, 0],
+                heat_apply_columns(sd, g, [1.0], f[:, None])[:, 0]):
+        assert np.abs(got - 1.0).max() <= 1e-14
+
+
+def test_rates_pin_only_the_kernel_eigenvalue():
+    g = random_connected_graph(2450, max_vertices=12)
+    sd = decompose(g)
+    lam = sd.eigenvalues.copy()
+    rates = sd.rates
+    assert rates[-1] == 0.0 and np.array_equal(rates[:-1], lam[:-1])
+    assert sd.eigenvalues.tobytes() == lam.tobytes()
+
+
 def test_negative_time_rejected():
     sd = decompose(K2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
-from graphcd.operators import gamma, gamma2
-from graphcd.semigroup import decompose, heat_apply
+from graphcd.operators import gamma, gamma2, gamma2_many, gamma_many, laplacian_many
+from graphcd.semigroup import decompose, heat_apply, heat_apply_columns, heat_curve
 from graphcd.verify import (
+    _heat_integral,
+    _integrate_gamma2,
+    _integrate_variance,
+    _sides,
+    _simpson_weights,
     QuadratureSpec,
     VerificationReport,
     cdn_bound,
@@ -269,6 +275,93 @@ def test_quadrature_estimate_bounds_true_error():
     ref, _ = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=4096))
     res, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=64))
     assert res.max() <= max(1e-10, 20.0 * float(np.max(err)) + float(ref.max()))
+
+
+def _vertex_space_heat_integral(g, sd, f, K, t, quad, inner):
+    """The integral as it was taken before the Simpson fold: every node's
+    column mapped back to the vertices, both Simpson sums taken there.
+    Kept as the fold's reference."""
+    def integrand(s):
+        V = inner(heat_curve(sd, g, t - s, f))
+        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
+
+    n_coarse = quad.panels
+    n_fine = 2 * n_coarse
+    Y = integrand(np.linspace(0.0, t, n_fine + 1))
+    fine = Y @ _simpson_weights(n_fine, t / n_fine)
+    coarse = Y[:, ::2] @ _simpson_weights(n_coarse, t / n_coarse)
+    return fine, np.abs(fine - coarse) / 15.0
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.0, 2.0])
+def test_spectral_simpson_fold_matches_vertex_space_sums(K):
+    quad, t, loops = QuadratureSpec(panels=32), 0.4, 0
+    for seed in range(12):
+        g = random_connected_graph(3800 + seed, max_vertices=12, self_loop_prob=0.5)
+        loops += any(u == v for u, v in g.edges)
+        sd = decompose(g)
+        f = rng_for(62, seed).standard_normal(g.vertex_count)
+        pf = heat_apply(sd, g, t, f)
+        sides = max(np.abs(heat_apply(sd, g, t, f * f)).max(), np.abs(pf * pf).max(),
+                    math.exp(-2.0 * K * t) * np.abs(heat_apply(sd, g, t, gamma(g, f))).max(),
+                    np.abs(gamma(g, pf)).max())
+        pairs = [
+            (_integrate_variance(g, sd, f, t, quad),
+             _vertex_space_heat_integral(g, sd, f, 0.0, t, quad, lambda F: gamma_many(g, F)), 2.0),
+            (_integrate_gamma2(g, sd, f, K, t, quad),
+             _vertex_space_heat_integral(
+                 g, sd, f, K, t, quad, lambda F: gamma2_many(g, F) - K * gamma_many(g, F)), 2.0),
+            (_heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2),
+             _vertex_space_heat_integral(
+                 g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2), 1.0),
+        ]
+        for (integral, err), (ref, ref_err), c in pairs:
+            assert np.abs(integral - c * ref).max() <= 1e-12 * sides
+            assert np.abs(err - c * ref_err).max() <= 1e-12 * sides
+    assert loops > 0
+
+
+class _CountingProducts:
+    """A matrix whose products A @ X log X's shape."""
+
+    def __init__(self, A, log):
+        self.A, self.log = A, log
+
+    def __matmul__(self, X):
+        self.log.append(X.shape)
+        return self.A @ X
+
+
+def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatch):
+    # a product over the nodes has nv x nodes operands; the heat curve's
+    # U^T M^{1/2} f and the map back of the two sums have 1 and 2 columns
+    g = random_connected_graph(3900, min_vertices=8, max_vertices=8, self_loop_prob=1.0)
+    sd = decompose(g)
+    f = rng_for(63).standard_normal(g.vertex_count)
+    quad = QuadratureSpec(panels=8)
+    nodes = 2 * quad.panels + 1
+    dense = []
+
+    class Basis(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                dense.append([np.shape(x) for x in inputs])
+            inputs = [x.view(np.ndarray) if isinstance(x, Basis) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    counted = dataclasses.replace(sd, basis=sd.basis.view(Basis))
+    sparse = []
+    for name in ("_incidence", "_incidence_t", "_abs_incidence_t"):
+        monkeypatch.setattr(g, name, _CountingProducts(getattr(g, name), sparse))
+    for name, K, n in (("variance_identity", 0.0, None), ("gamma2_identity", -1.0, None),
+                       ("cdn_bound", -1.0, 2.0)):
+        dense.clear()
+        sparse.clear()
+        got = _sides(g, counted, name, f, K, n, 0.3, quad)
+        assert sum(shapes[1][-1] == nodes for shapes in dense) == 2
+        if name == "gamma2_identity":
+            assert sum(shape[-1] == nodes for shape in sparse) == 7
+        assert all(np.array_equal(a, b) for a, b in zip(got, _sides(g, sd, name, f, K, n, 0.3, quad)))
 
 
 def test_quadrature_spec_validation():
