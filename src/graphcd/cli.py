@@ -372,7 +372,8 @@ def build_parser():
         default=None,
         help="random:<seed>:<count> | file:<path> | witnesses (default: full corpus)",
     )
-    p.add_argument("--panels", type=int, default=256)
+    p.add_argument("--panels", type=int, default=None,
+                   help="coarse quadrature degree, even (default: sized from t, lambda_min and K)")
     p.add_argument("--output", default=None)
     p.add_argument("--csv", default=None, help="also write records as CSV")
     p.set_defaults(func=cmd_verify)

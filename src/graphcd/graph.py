@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse
 
 
 class GraphFormatError(ValueError):
@@ -146,20 +145,31 @@ class WeightedGraph:
         )
         self._inv_m = 1.0 / self.m
 
-        # signed incidence over the non-loop edges, (B f)_e = f(v) - f(u)
-        # for e = (u, v), u < v.  The edges ascend in (u, v), which makes
-        # every row of B^T list its neighbors in ascending order, the
-        # adjacency order.
         self._edge_ends = np.stack([u[link], v[link]], axis=1)
         self._edge_mu = mu[link]
-        ne = len(self._edge_mu)
-        B = scipy.sparse.csr_array(
-            (np.tile([-1.0, 1.0], ne), self._edge_ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
-            shape=(ne, nv),
-        )
-        self._incidence = B
-        self._incidence_t = B.T.tocsr()
-        self._abs_incidence_t = abs(self._incidence_t)
+        self._incidence_cache = None
+
+    def _incidences(self):
+        """(B, B^T, |B^T|) as sparse CSR arrays, built when first asked for.
+
+        B is the signed incidence over the non-loop edges, (B f)_e =
+        f(v) - f(u) for e = (u, v), u < v.  The edges ascend in (u, v),
+        which makes every row of B^T list its neighbors in ascending order,
+        the adjacency order.
+        """
+        if self._incidence_cache is None:
+            # imported here: loading a graph, curvature and heat need no
+            # scipy, and scipy.sparse is most of the package's import time
+            import scipy.sparse
+
+            ne, nv = len(self._edge_mu), len(self.labels)
+            B = scipy.sparse.csr_array(
+                (np.tile([-1.0, 1.0], ne), self._edge_ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+                shape=(ne, nv),
+            )
+            Bt = B.T.tocsr()
+            self._incidence_cache = (B, Bt, abs(Bt))
+        return self._incidence_cache
 
     def _check_connected(self):
         indptr, indices = self._csr_indptr.tolist(), self._csr_indices.tolist()

@@ -59,7 +59,7 @@ def laplacian_many(g: WeightedGraph, F) -> np.ndarray:
     terms mu_xy (f(y) - f(x)) in neighbor order and constants map to an
     exact +0.
     """
-    return _delta(g, g._incidence @ _as_columns(g, F))
+    return _delta(g, g._incidences()[0] @ _as_columns(g, F))
 
 
 def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
@@ -71,14 +71,15 @@ def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
 
 def gamma_many(g: WeightedGraph, F, H=None) -> np.ndarray:
     """Gamma(F,H) = 1/2 M^{-1} |B|^T (mu * BF * BH) column by column."""
-    BF = g._incidence @ _as_columns(g, F)
-    return _gamma(g, BF, BF if H is None else g._incidence @ _as_columns(g, H))
+    B = g._incidences()[0]
+    BF = B @ _as_columns(g, F)
+    return _gamma(g, BF, BF if H is None else B @ _as_columns(g, H))
 
 
 def _delta(g, BF):
     """Delta F from the edge differences BF = B F, which it overwrites."""
     BF *= -g._edge_mu[:, None]
-    out = g._incidence_t @ BF
+    out = g._incidences()[1] @ BF
     out *= g._inv_m[:, None]
     return out
 
@@ -87,7 +88,7 @@ def _gamma(g, BF, BH):
     """Gamma(F, H) from the edge differences BF = B F and BH = B H."""
     prod = g._edge_mu[:, None] * BF
     prod *= BH
-    out = g._abs_incidence_t @ prod
+    out = g._incidences()[2] @ prod
     out *= (0.5 * g._inv_m)[:, None]
     return out
 
@@ -126,8 +127,9 @@ def _gamma2_parts(g, F):
     Gamma(F)) composed from them.  At most three edge-by-column arrays
     are alive at once.
     """
-    BF = g._incidence @ _as_columns(g, F)
-    cross = _gamma(g, BF, g._incidence @ _delta(g, BF.copy()))
+    B = g._incidences()[0]
+    BF = B @ _as_columns(g, F)
+    cross = _gamma(g, BF, B @ _delta(g, BF.copy()))
     G = _gamma(g, BF, BF)
     del BF
     G2 = laplacian_many(g, G)

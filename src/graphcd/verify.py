@@ -16,16 +16,18 @@ consequences of the semigroup, independent of curvature):
                           = 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds
                         for every real K
 
-Integrals are evaluated by composite Simpson on a shared fine grid, with
-the coarse/fine difference over 15 as the error estimate.  The sums are
-taken on the integrand's spectral coefficients, and only the two sums are
-mapped back to the vertices.  Each operation returns per-vertex values;
+Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
+n, with the coarse/fine difference as the error estimate; n is sized from
+the spectrum unless it is given.  The sums are taken on the integrand's
+spectral coefficients, and only the two sums are mapped back to the
+vertices.  Each operation returns per-vertex values;
 run_verification sweeps a corpus of functions and a time grid into a
 VerificationReport.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -52,12 +54,13 @@ QUAD_TOLERANCE_FLOOR = 1e-8  # quadrature-backed checks use max(floor, estimate)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Simpson panel count; the error estimate doubles it once."""
+    """Degree n of the coarse Clenshaw-Curtis rule; the fine rule has
+    degree 2n.  None sizes n from the spectrum, K and t (_sized_panels)."""
 
-    panels: int = 256
+    panels: int | None = None
 
     def __post_init__(self):
-        if self.panels < 2 or self.panels % 2 != 0:
+        if self.panels is not None and (self.panels < 2 or self.panels % 2 != 0):
             raise ValueError("panels must be an even integer >= 2")
 
 
@@ -119,28 +122,69 @@ class _Records(Sequence):
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson_weights(nseg, h):
-    w = np.ones(nseg + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+# integrand columns evaluated at once: the integrand's arrays stay at
+# nv x 513 however many nodes a stiff spectrum needs
+_NODE_BLOCK = 513
+# a larger sized degree (t |lambda_min| above about 1e10 at K = 0) is
+# refused: its integrals would take minutes, and an explicit panel count
+# is the caller's own choice
+_MAX_SIZED_PANELS = 2**20
+
+
+@functools.lru_cache(maxsize=16)
+def _cc_weights(n):
+    """(2n + 1, 2) weights on [-1, 1] at the points -cos(j pi / 2n), j = 0..2n:
+    column 0 the Clenshaw-Curtis rule of degree 2n, column 1 that of degree
+    n, which uses the even points.  Read-only, as the cache shares it."""
+    W = np.zeros((2 * n + 1, 2))
+    for col, N in ((0, 2 * n), (1, n)):
+        # Waldvogel (BIT 46, 2006): the weights are the inverse DFT of the
+        # moments Int_{-1}^{1} T_k = 2 / (1 - k^2) of even k
+        w = np.fft.irfft(2.0 / (1.0 - np.arange(0, N + 1, 2, dtype=np.float64) ** 2), N)
+        w = np.append(w, w[0])
+        w[[0, -1]] *= 0.5
+        W[:: 2 * n // N, col] = w
+    W.flags.writeable = False
+    return W
 
 
 def _integrate(integrand, t, quad):
-    """Vector-valued Simpson over [0, t] at two resolutions.
+    """Vector-valued Clenshaw-Curtis over [0, t] at two degrees.
 
-    integrand(nodes) must return a (k, len(nodes)) array.  Returns the
-    (k, 2) array of the fine-grid and the coarse-grid sums; the Richardson
-    error estimate is |fine - coarse| / 15.
+    integrand(nodes) must return a (k, len(nodes)) array; it is called on
+    blocks of at most _NODE_BLOCK ascending nodes.  Returns the (k, 2) array
+    of the degree-2n and the degree-n sums (n = quad.panels); the error
+    estimate is |fine - coarse|, the coarse rule's error.
     """
-    n_coarse = quad.panels
-    n_fine = 2 * n_coarse
-    nodes = np.linspace(0.0, t, n_fine + 1)
-    Y = integrand(nodes)
-    weights = np.zeros((n_fine + 1, 2))
-    weights[:, 0] = _simpson_weights(n_fine, t / n_fine)
-    weights[::2, 1] = _simpson_weights(n_coarse, t / n_coarse)
-    return Y @ weights
+    n = quad.panels
+    # s_j = t (1 - cos(j pi / 2n)) / 2, written to keep the small nodes exact
+    nodes = t * np.sin(np.arange(2 * n + 1) * (np.pi / (4 * n))) ** 2
+    W = _cc_weights(n)
+    sums = sum(integrand(nodes[i:i + _NODE_BLOCK]) @ W[i:i + _NODE_BLOCK]
+               for i in range(0, len(nodes), _NODE_BLOCK))
+    return sums * (0.5 * t)
+
+
+def _sized_panels(sd, K, t):
+    """The coarse degree that resolves Int_0^t e^{-2Ks} P_s[Q(P_{t-s} f)] ds
+    for a quadratic Q.
+
+    The integrand is a sum of e^{rs} with r = (lam_i - 2K) - (lam_j + lam_k)
+    and lam in [lam_min, 0], so |r| t / 2 <= a below.  The Chebyshev
+    coefficients of such a term on [0, t] decay like I_n(a) / I_0(a), and
+    ceil(sqrt(80 a)) + 16 bounds the n at which that falls to 1e-17: for
+    large a the ratio is about e^{-n^2 / 2a}, and 1e-17 = e^{-39.1}.
+    """
+    lam_min = float(sd.eigenvalues[0])
+    a = 0.5 * t * max(abs(lam_min - 2.0 * K), abs(2.0 * lam_min + 2.0 * K))
+    root = math.sqrt(80.0 * a)
+    if not root + 16 <= _MAX_SIZED_PANELS:
+        raise ValueError(
+            f"the time integral at K = {K!r}, t = {t!r} needs more than "
+            f"{_MAX_SIZED_PANELS} panels on this spectrum (lambda_min = {lam_min!r}); "
+            "set the panel count (--panels) explicitly")
+    n = math.ceil(root) + 16
+    return n + n % 2
 
 
 def _check_time(t):
@@ -174,13 +218,17 @@ def _sides(g, sd, inequality_name, f, K, n, t, quad):
         return (decayed - gradient, *_integrate_gamma2(g, sd, f, K, t, quad))
 
     n = _check_dimension(n)
+    if math.isinf(n):
+        # the integral's coefficient 2/n is 0
+        return gradient, decayed, np.zeros_like(decayed)
+
     def inner(F):
         L = laplacian_many(g, F)
         L *= L
         return L
 
     integral, err = _heat_integral(g, sd, f, K, t, quad, inner)
-    coeff = 0.0 if math.isinf(n) else 2.0 / n
+    coeff = 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
 
 
@@ -197,11 +245,13 @@ def _heat_integral(g, sd, f, K, t, quad, inner):
 
     With P_s = M^{-1/2} U e^{s lambda} U^T M^{1/2}, the integrand's column
     at node s_j is M^{-1/2} U [e^{(lambda - 2K) s_j} U^T M^{1/2} V_j].  The
-    Simpson sums are taken on the bracket, so only the fine and the coarse
-    sum are mapped back through M^{-1/2} U.
+    quadrature sums are taken on the bracket, so only the fine and the
+    coarse sum are mapped back through M^{-1/2} U.
     """
     # the table's largest entry is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
+    if quad.panels is None:
+        quad = QuadratureSpec(panels=_sized_panels(sd, K, t))
     rates = sd.rates - 2.0 * K
 
     def integrand(s):
@@ -214,7 +264,7 @@ def _heat_integral(g, sd, f, K, t, quad, inner):
 
     sums = sd.inv_sqrt_m[:, None] * (sd.basis @ _integrate(integrand, t, quad))
     fine, coarse = sums.T
-    return fine, np.abs(fine - coarse) / 15.0
+    return fine, np.abs(fine - coarse)
 
 
 def _integrate_variance(g, sd, f, t, quad):
@@ -412,8 +462,8 @@ def run_verification(
 
 
 def record_tolerance(inequality_name, quadrature_error_estimate):
-    # 2x guards against the Richardson estimate undershooting the true
-    # quadrature error (it is exact only in the h -> 0 limit)
+    # 2x guards against the estimate undershooting the true quadrature
+    # error (|fine - coarse| bounds the fine rule's error once converged)
     if inequality_name in ("gradient_estimate", "variance_bound"):
         return PLAIN_TOLERANCE
     return max(QUAD_TOLERANCE_FLOOR, 2.0 * quadrature_error_estimate)

@@ -121,3 +121,53 @@ def check_semigroup_invariants(g, sd, rng, times=(0.05, 0.3, 1.0, 4.0)):
         for p in (1.0, 2.0):
             bound = g.delta_min ** (-1.0 / p) * lp_norm(g, pt_f, p)
             assert lp_norm(g, pt_f, math.inf) <= bound * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact time integrals (independent of the package's quadrature)
+# ---------------------------------------------------------------------------
+
+def ref_eigenpairs(g):
+    """(lam, Phi) with Delta Phi = Phi diag(lam) and Phi^T M Phi = I, from
+    the generator assembled entry by entry from the edge dictionary."""
+    nv = g.vertex_count
+    L = np.zeros((nv, nv))
+    for x, nbrs in adjacency(g).items():
+        for y, w in nbrs.items():
+            L[x, y] += w / g.m[x]
+            L[x, x] -= w / g.m[x]
+    r = np.sqrt(g.m)
+    lam, U = np.linalg.eigh(r[:, None] * L / r[None, :])
+    return lam, U / r[:, None]
+
+
+def ref_form_table(g, Phi, form):
+    """T[i, j, k] = <Q(phi_j, phi_k), phi_i>_m for the quadratic form(h) =
+    Q(h, h), with the bilinear Q recovered by polarization."""
+    nv = Phi.shape[1]
+    T = np.empty((nv, nv, nv))
+    for j in range(nv):
+        for k in range(j, nv):
+            q = 0.25 * (form(Phi[:, j] + Phi[:, k]) - form(Phi[:, j] - Phi[:, k]))
+            T[:, j, k] = T[:, k, j] = Phi.T @ (g.m * q)
+    return T
+
+
+def exact_heat_integral(g, lam, Phi, T, f, K, t):
+    """Int_0^t e^{-2Ks} P_s[Q(P_{t-s} f)] ds per vertex, in closed form.
+
+    With f = sum_j a_j phi_j, the (i, j, k) term of the integrand is
+    a_j a_k T[i, j, k] e^{q + (p - q) s / t} phi_i, p = (lam_i - 2K) t and
+    q = (lam_j + lam_k) t.  Its integral t (e^p - e^q) / (p - q) is taken
+    as t e^{max(p, q)} phi_1(-|p - q|), phi_1(z) = expm1(z) / z, which
+    neither overflows nor cancels at stiff rates.
+    """
+    a = Phi.T @ (g.m * np.asarray(f, dtype=np.float64))
+    p = ((lam - 2.0 * K) * t)[:, None, None]
+    q = ((lam[:, None] + lam[None, :]) * t)[None, :, :]
+    z = -np.abs(p - q)
+    phi1 = np.ones_like(z)
+    nz = z != 0.0
+    phi1[nz] = np.expm1(z[nz]) / z[nz]
+    E = t * np.exp(np.maximum(p, q)) * phi1
+    return Phi @ np.einsum("ijk,j,k->i", T * E, a, a)

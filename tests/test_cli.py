@@ -219,6 +219,26 @@ def test_verify_cdn_auto(capsys, k2_path):
     assert rep["n"] == 2.0
 
 
+def test_verify_cdn_at_infinite_n_is_the_gradient_estimate(capsys, tmp_path, monkeypatch):
+    # the integral's coefficient 2/n is 0 at n = inf, so it is not taken,
+    # and the records are byte for byte those of the gradient estimate
+    def no_integral(*args):
+        raise AssertionError("the cdn integral was taken at n = inf")
+
+    monkeypatch.setattr("graphcd.verify._heat_integral", no_integral)
+    graph = tmp_path / "p3.graph"
+    graph.write_text("vertex a 1\nvertex b 2\nvertex c 1\nedge a b 1\nedge b c 0.5\n")
+    tails = []
+    for flags in (("--inequality", "gradient"), ("--inequality", "cdn", "--n", "inf")):
+        path = tmp_path / "r.json"
+        code, _, err = run_main(capsys, "verify", "--graph", str(graph), *flags, "--K", "auto",
+                                "--times", "0.1,1", "--output", str(path))
+        assert code == 0, err
+        tails.append(path.read_text().split('"records": ', 1)[1])
+    assert tails[0] == tails[1]
+    assert json.loads(path.read_text())["quadrature_error"] == 0.0
+
+
 def test_verify_functions_file(capsys, k2_path, f_path):
     code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "variance-identity", "--K", "0",
@@ -436,6 +456,22 @@ def test_verify_overflowing_decay_exit_2(capsys, tmp_path, flags, K):
     assert f"K = {K}, t = 1.0" in err
 
 
+@pytest.mark.parametrize("m_b", ["1", "1e-2", "1e-4", "1e-6"])
+@pytest.mark.parametrize("inequality", ["variance-identity", "gamma2-identity"])
+def test_verify_identities_hold_on_stiff_4_cycles(capsys, tmp_path, m_b, inequality):
+    # Deg(b) = 2 / m(b), so lambda_min is about -2e6 at m(b) = 1e-6 and the
+    # integrand's rates reach 4e6; the sized rule resolves them, so the
+    # estimate stays near roundoff and cannot widen the tolerance
+    path = tmp_path / "c4.graph"
+    path.write_text(STIFF_C4_TEXT.replace("vertex b 1e-4", f"vertex b {m_b}"))
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), "--inequality", inequality,
+                              "--K", "0", "--times", "1")
+    assert code == 0, err
+    rep = json.loads(out)
+    scale = max(max(abs(r["lhs"]), abs(r["rhs"])) for r in rep["records"])
+    assert rep["quadrature_error"] <= 1e-11 * scale
+
+
 def test_verify_panels_flag(capsys, k2_path):
     code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "variance-identity", "--K", "0",
@@ -553,6 +589,26 @@ def test_console_script(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["min_kappa"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_cli_import_curvature_and_heat_load_no_scipy(tmp_path):
+    graph, f = tmp_path / "k2.graph", tmp_path / "f.csv"
+    graph.write_text(K2_TEXT)
+    f.write_text("vertex,value\na,1.0\nb,0.0\n")
+    script = "\n".join([
+        "import sys",
+        "import graphcd.cli",
+        "def scipy_modules():",
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not scipy_modules(), scipy_modules()",
+        f"assert graphcd.cli.main(['curvature', '--graph', {str(graph)!r}, '--dimension', '2',"
+        f" '--output', {str(tmp_path / 'k.json')!r}]) == 0",
+        f"assert graphcd.cli.main(['heat', '--graph', {str(graph)!r}, '--f', {str(f)!r},"
+        f" '--t', '0.5', '--output', {str(tmp_path / 'h.csv')!r}]) == 0",
+        "assert not scipy_modules(), scipy_modules()",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_version_flag(capsys):

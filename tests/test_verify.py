@@ -1,19 +1,21 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
-from graphcd.operators import gamma, gamma2, gamma2_many, gamma_many, laplacian_many
-from graphcd.semigroup import decompose, heat_apply, heat_apply_columns, heat_curve
+from graphcd.operators import gamma, gamma2, laplacian_many
+from graphcd.semigroup import decompose, heat_apply
 from graphcd.verify import (
     _heat_integral,
+    _integrate,
     _integrate_gamma2,
     _integrate_variance,
     _sides,
-    _simpson_weights,
+    _sized_panels,
     QuadratureSpec,
     VerificationReport,
     cdn_bound,
@@ -29,7 +31,15 @@ from graphcd.verify import (
     variance_coefficient,
     variance_identity_residual,
 )
-from conftest import rng_for
+from conftest import (
+    exact_heat_integral,
+    ref_eigenpairs,
+    ref_form_table,
+    ref_gamma,
+    ref_gamma2,
+    ref_laplacian,
+    rng_for,
+)
 
 
 K2 = complete_graph(2)
@@ -39,7 +49,7 @@ F10 = np.array([1.0, 0.0])
 
 
 def mild_graph(seed, max_vertices=10):
-    # modest spectral radius keeps Simpson truncation far below tolerances
+    # modest spectral radius keeps quadrature truncation far below tolerances
     return random_connected_graph(seed, min_vertices=4, max_vertices=max_vertices,
                                   weight_range=(0.2, 1.0), measure_range=(1.0, 3.0))
 
@@ -258,10 +268,11 @@ def test_quadrature_estimate_shrinks_4x_per_doubling():
     rng = rng_for(46)
     f = rng.standard_normal(g.vertex_count)
     ests = []
-    for panels in (8, 16, 32):
+    # the rule converges geometrically and is at roundoff by 16 panels here
+    for panels in (2, 4, 8):
         _, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=panels))
         ests.append(float(np.max(err)))
-    assert ests[0] > 1e-13  # far from the roundoff floor, ratios meaningful
+    assert min(ests) > 1e-13  # far from the roundoff floor, ratios meaningful
     assert ests[1] <= ests[0] / 4.0
     assert ests[2] <= ests[1] / 4.0
 
@@ -277,47 +288,40 @@ def test_quadrature_estimate_bounds_true_error():
     assert res.max() <= max(1e-10, 20.0 * float(np.max(err)) + float(ref.max()))
 
 
-def _vertex_space_heat_integral(g, sd, f, K, t, quad, inner):
-    """The integral as it was taken before the Simpson fold: every node's
-    column mapped back to the vertices, both Simpson sums taken there.
-    Kept as the fold's reference."""
-    def integrand(s):
-        V = inner(heat_curve(sd, g, t - s, f))
-        return np.exp(-2.0 * K * s)[None, :] * heat_apply_columns(sd, g, s, V)
-
-    n_coarse = quad.panels
-    n_fine = 2 * n_coarse
-    Y = integrand(np.linspace(0.0, t, n_fine + 1))
-    fine = Y @ _simpson_weights(n_fine, t / n_fine)
-    coarse = Y[:, ::2] @ _simpson_weights(n_coarse, t / n_coarse)
-    return fine, np.abs(fine - coarse) / 15.0
-
-
 @pytest.mark.parametrize("K", [-1.0, 0.0, 2.0])
-def test_spectral_simpson_fold_matches_vertex_space_sums(K):
-    quad, t, loops = QuadratureSpec(panels=32), 0.4, 0
+def test_heat_integrals_match_exact_oracle(K):
+    # at the sized degree the integrals agree with the closed form to 1e-12
+    # of the sides' scale; at that and at fixed low degrees, the reported
+    # (largest) estimate is at least the largest true error above roundoff
+    loops = 0
     for seed in range(12):
         g = random_connected_graph(3800 + seed, max_vertices=12, self_loop_prob=0.5)
         loops += any(u == v for u, v in g.edges)
         sd = decompose(g)
         f = rng_for(62, seed).standard_normal(g.vertex_count)
-        pf = heat_apply(sd, g, t, f)
-        sides = max(np.abs(heat_apply(sd, g, t, f * f)).max(), np.abs(pf * pf).max(),
-                    math.exp(-2.0 * K * t) * np.abs(heat_apply(sd, g, t, gamma(g, f))).max(),
-                    np.abs(gamma(g, pf)).max())
-        pairs = [
-            (_integrate_variance(g, sd, f, t, quad),
-             _vertex_space_heat_integral(g, sd, f, 0.0, t, quad, lambda F: gamma_many(g, F)), 2.0),
-            (_integrate_gamma2(g, sd, f, K, t, quad),
-             _vertex_space_heat_integral(
-                 g, sd, f, K, t, quad, lambda F: gamma2_many(g, F) - K * gamma_many(g, F)), 2.0),
-            (_heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2),
-             _vertex_space_heat_integral(
-                 g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2), 1.0),
-        ]
-        for (integral, err), (ref, ref_err), c in pairs:
-            assert np.abs(integral - c * ref).max() <= 1e-12 * sides
-            assert np.abs(err - c * ref_err).max() <= 1e-12 * sides
+        lam, Phi = ref_eigenpairs(g)
+        T_gamma, T_gamma2, T_lap2 = (ref_form_table(g, Phi, form) for form in (
+            lambda h: ref_gamma(g, h), lambda h: ref_gamma2(g, h),
+            lambda h: ref_laplacian(g, h) ** 2))
+        for t in (0.05, 1.0, 5.0):
+            pf = heat_apply(sd, g, t, f)
+            sides = max(np.abs(heat_apply(sd, g, t, f * f)).max(), np.abs(pf * pf).max(),
+                        math.exp(-2.0 * K * t) * np.abs(heat_apply(sd, g, t, gamma(g, f))).max(),
+                        np.abs(gamma(g, pf)).max())
+            exact = (2.0 * exact_heat_integral(g, lam, Phi, T_gamma, f, 0.0, t),
+                     2.0 * exact_heat_integral(g, lam, Phi, T_gamma2 - K * T_gamma, f, K, t),
+                     exact_heat_integral(g, lam, Phi, T_lap2, f, K, t))
+            for panels in (None, 4, 8, 16):
+                quad = QuadratureSpec(panels=panels)
+                got = (_integrate_variance(g, sd, f, t, quad),
+                       _integrate_gamma2(g, sd, f, K, t, quad),
+                       _heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2))
+                for (integral, err), ref in zip(got, exact):
+                    true = np.abs(integral - ref).max()
+                    if panels is None:
+                        assert true <= 1e-12 * sides
+                    if true > 1e-13 * sides:
+                        assert err.max() >= true
     assert loops > 0
 
 
@@ -351,8 +355,8 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
 
     counted = dataclasses.replace(sd, basis=sd.basis.view(Basis))
     sparse = []
-    for name in ("_incidence", "_incidence_t", "_abs_incidence_t"):
-        monkeypatch.setattr(g, name, _CountingProducts(getattr(g, name), sparse))
+    counting = tuple(_CountingProducts(M, sparse) for M in g._incidences())
+    monkeypatch.setattr(g, "_incidences", lambda: counting)
     for name, K, n in (("variance_identity", 0.0, None), ("gamma2_identity", -1.0, None),
                        ("cdn_bound", -1.0, 2.0)):
         dense.clear()
@@ -362,6 +366,38 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
         if name == "gamma2_identity":
             assert sum(shape[-1] == nodes for shape in sparse) == 7
         assert all(np.array_equal(a, b) for a, b in zip(got, _sides(g, sd, name, f, K, n, 0.3, quad)))
+
+
+def test_integrate_is_exact_on_exponentials_in_node_blocks():
+    t, rates = 1.5, np.array([-50.0, -1.0, 0.0, 3.0])
+    seen = []
+
+    def integrand(s):
+        seen.append(s)
+        return np.exp(np.outer(rates, s))
+
+    sums = _integrate(integrand, t, QuadratureSpec(panels=600))
+    nodes = np.concatenate(seen)
+    assert max(map(len, seen)) <= 513 and len(nodes) == 1201
+    assert nodes[0] == 0.0 and nodes[-1] == t and np.all(np.diff(nodes) > 0)
+    exact = np.array([-math.expm1(50.0 * -t) / 50.0, -math.expm1(-t), t, math.expm1(3.0 * t) / 3.0])
+    assert np.abs(sums - exact[:, None]).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_sized_panels_resolve_the_fastest_exponential():
+    # with t = 1 and K = 0 the bound on |r| t / 2 is a = -lam_min; the
+    # Chebyshev coefficients of e^{a x} on [-1, 1] are I_n(a)
+    from scipy.special import ive
+
+    for a in (0.01, 1.85, 20.0, 1e3, 2e4, 3e6):
+        n = _sized_panels(SimpleNamespace(eigenvalues=np.array([-a, 0.0])), 0.0, 1.0)
+        assert n % 2 == 0
+        assert ive(n, a) / ive(0, a) <= 1e-17
+    # K moves the rates: a = 0.025 max(|lam_min - 2K|, |2 lam_min + 2K|)
+    sd = SimpleNamespace(eigenvalues=np.array([-23.7, 0.0]))
+    assert (_sized_panels(sd, -1.0, 0.05), _sized_panels(sd, -13.3, 0.05)) == (26, 30)
+    with pytest.raises(ValueError, match="panel count"):
+        _sized_panels(SimpleNamespace(eigenvalues=np.array([-1e12, 0.0])), 0.0, 1.0)
 
 
 def test_quadrature_spec_validation():
