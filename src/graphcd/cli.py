@@ -30,9 +30,10 @@ from .graph import (
     load_vertex_function,
     save_vertex_function,
 )
-from .semigroup import decompose, heat_apply
+from .semigroup import _propagator_for, heat_apply
 from .verify import (
     QuadratureSpec,
+    _sweep_propagator,
     find_violations,
     run_verification,
     function_corpus,
@@ -285,7 +286,7 @@ def cmd_verify(args) -> int:
     corpus_dim = n if (name == "cdn_bound" and n is not None) else math.inf
     functions = _build_corpus(g, args.functions, corpus_dim)
 
-    sd = decompose(g)
+    sd = _sweep_propagator(g, name, K, n, times, len(functions), quad)
     report = run_verification(g, sd, name, K, times, functions, n=n, quad=quad)
     # the report object around "records", split at it: the head without its
     # closing "}\n", the tail without its opening "{"
@@ -334,7 +335,7 @@ def cmd_heat(args) -> int:
     t = float(args.t)
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be finite and >= 0, got {t}")
-    sd = decompose(g)
+    sd = _propagator_for(g, t, 1)
     result = heat_apply(sd, g, t, f)
     _require_finite(g.labels, result, "P_t f")
     _write(save_vertex_function(g, result), args.output)

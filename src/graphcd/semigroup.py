@@ -1,27 +1,36 @@
-"""Heat semigroup P_t = e^{t Delta} via the symmetrized spectral problem.
+"""Heat semigroup P_t = e^{t Delta}, by either of two propagators.
 
 L is not symmetric in general, but S = M^{1/2} L M^{-1/2} is (M = diag(m)):
-S_xy = mu_xy / sqrt(m(x) m(y)) off the diagonal and S_xx = L_xx.  With
-S = U diag(lambda) U^T,
+S_xy = mu_xy / sqrt(m(x) m(y)) off the diagonal and S_xx = L_xx.  All its
+eigenvalues are <= 0; on a connected graph 0 is simple with eigenvector
+proportional to sqrt(m), which is where mass conservation and the
+constant fixed point come from.  Both propagators work on S:
 
-    P_t f = M^{-1/2} U diag(e^{t lambda}) U^T M^{1/2} f.
-
-All eigenvalues are <= 0; on a connected graph 0 is simple with
-eigenvector proportional to sqrt(m), which is where mass conservation and
-the constant fixed point come from.  Two rules keep that mode exact:
-
-- the package admits only connected graphs, so the top eigenvalue is the
-  simple kernel eigenvalue.  eigh returns it with roundoff of the order
-  of the largest weighted degree (-1e144 at edge weights of 1e160), and
+- decompose: one dense eigh, S = U diag(lambda) U^T, and
+  P_t f = M^{-1/2} U diag(e^{t lambda}) U^T M^{1/2} f.  Exact up to
+  floating point at every t, in O(nv^3) time and O(nv^2) memory.  eigh
+  returns the kernel eigenvalue with roundoff of the order of the
+  largest weighted degree (-1e144 at edge weights of 1e160), and
   e^{t lambda} of that would wipe out the constant mode, so every
   exponential takes it as exactly 0 (SpectralDecomposition.rates);
-- P_t commutes with adding a constant, so each function is applied as
-  f(x_0) + P_t(f - f(x_0)) with x_0 the first vertex.  A constant then
-  never passes through the basis, and P_t c = c bit for bit.
+- ChebyshevPropagator: the expansion of e^{t lambda} in Chebyshev
+  polynomials on [-rho, 0], rho = 2 max Deg the Gershgorin bound of the
+  spectrum (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984).  Its degree
+  grows like sqrt(rho t) and each term is one product with the sparse S,
+  so it needs no dense matrix at all.
+
+P_t commutes with adding a constant, so each function is applied as
+f(x_0) + P_t(f - f(x_0)) with x_0 the first vertex.  A constant then never
+passes through either propagator, and P_t c = c bit for bit.
+
+heat_apply, heat_curve and heat_apply_columns take either propagator.
+_propagator_for picks the one a cost model finds cheaper for a job.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +68,144 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
     )
 
 
+# a larger degree is refused: each application would take more sparse
+# products, and its coefficient table more rows, than that
+_MAX_DEGREE = 2**16
+# Chebyshev terms gathered into one dense product by heat_curve
+_TERM_BLOCK = 64
+
+
+def _radius(g):
+    """rho = 2 max Deg: every row of Delta has diagonal -Deg(x) and
+    off-diagonal sum Deg(x), so by Gershgorin its spectrum, which is that
+    of S, lies in [-rho, 0].  A single vertex has Deg = 0, and any
+    positive rho bounds its spectrum {0}."""
+    return 2.0 * float((g._degree * g._inv_m).max()) or 1.0
+
+
+def _chebyshev_degree(b):
+    """ceil(sqrt(80 b)) + 16, the degree past which the coefficients
+    2 I_k(b) e^{-b} of e^{b (x - 1)} on [-1, 1] stay below 1e-17 of the
+    leading one (the rule of verify._sized_panels); inf where that exceeds
+    _MAX_DEGREE or b is not finite.  Closed form, so it costs the same at
+    every b."""
+    root = math.sqrt(80.0 * b)
+    return math.ceil(root) + 16 if root <= _MAX_DEGREE else math.inf
+
+
+class ChebyshevPropagator:
+    """e^{t S} = e^{b (X - I)} = sum_k (2 - delta_k0) I_k(b) e^{-b} T_k(X),
+    with X = 2 S / rho + I and b = rho t / 2.
+
+    X is symmetric with its spectrum in [-1, 1], so ||T_k(X)||_2 <= 1 and
+    the three-term recurrence T_{k+1} = 2 X T_k - T_{k-1} does not grow;
+    the coefficients sum to 1.  The sum stops at _chebyshev_degree(b).
+    """
+
+    def __init__(self, g: WeightedGraph):
+        # imported here: a job that decomposes loads no scipy
+        import scipy.sparse
+
+        nv = g.vertex_count
+        self.sqrt_m = np.sqrt(g.m)
+        self.inv_sqrt_m = 1.0 / self.sqrt_m
+        self.radius = rho = _radius(g)
+        # 2X, whose products give 2 X T_k in one step
+        u, v = g._edge_ends.T
+        off = (4.0 / rho) * (g._edge_mu * (self.inv_sqrt_m[u] * self.inv_sqrt_m[v]))
+        diag = 2.0 - (4.0 / rho) * (g._degree * g._inv_m)
+        ids = np.arange(nv)
+        self._twice_x = scipy.sparse.csr_array(
+            (np.concatenate([off, off, diag]),
+             (np.concatenate([u, v, ids]), np.concatenate([v, u, ids]))),
+            shape=(nv, nv),
+        )
+
+    def _coefficients(self, ts):
+        """(m + 1, len(ts)): column j the coefficients of e^{ts[j] S} in
+        T_0(X), ..., T_m(X), m the degree for the largest time."""
+        from scipy.special import ive
+
+        b = (0.5 * self.radius) * ts
+        m = _chebyshev_degree(float(b.max(initial=0.0)))
+        if m == math.inf:
+            raise ValueError(
+                f"the Chebyshev expansion at t = {float(ts.max())!r} needs more than "
+                f"{_MAX_DEGREE} terms on this graph (rho = {self.radius!r})")
+        C = ive(np.arange(m + 1, dtype=np.float64)[:, None], b[None, :])
+        C[1:] *= 2.0
+        return C
+
+    def _terms(self, V, m):
+        """T_0(X) V, ..., T_m(X) V, one new array each."""
+        prev, cur = V, self._twice_x @ V
+        cur *= 0.5
+        yield prev
+        yield cur
+        for _ in range(m - 1):
+            nxt = self._twice_x @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+            yield cur
+
+    def _curve(self, ts, v):
+        """(nv, len(ts)): column j is e^{ts[j] S} v."""
+        C = self._coefficients(ts)
+        Y = np.zeros((len(v), len(ts)))
+        terms = self._terms(v, len(C) - 1)
+        for k in range(0, len(C), _TERM_BLOCK):
+            block = np.stack(list(itertools.islice(terms, _TERM_BLOCK)), axis=1)
+            Y += block @ C[k:k + _TERM_BLOCK]
+        return Y
+
+    def _columns(self, ts, V):
+        """e^{ts[j] S} applied to column j of V."""
+        C = self._coefficients(ts)
+        Y = np.zeros_like(V)
+        scaled = np.empty_like(V)
+        for c, T in zip(C, self._terms(V, len(C) - 1)):
+            Y += np.multiply(T, c, out=scaled)
+        return Y
+
+
+# Seconds per unit of work, measured with one BLAS thread on a 2-core x86
+# machine.  The choice depends only on their ratios.
+_EIGH_S = 5e-10      # the dense eigh, per nv^3
+_GEMV_S = 4e-10      # a product of the dense basis and a vector, per entry
+_GEMM_S = 1e-10      # a product of two dense matrices, per multiply-add
+_STEP_S = 1.5e-5     # one sparse product call with its recurrence step
+_SPARSE_S = 3e-9     # a sparse product, per stored entry and column
+_SETUP_S = 0.05      # importing scipy.special and building X
+
+
+def _propagator_for(g: WeightedGraph, t_max, applies, integrals=0, nodes=0):
+    """decompose(g) or ChebyshevPropagator(g), whichever is cheaper for a
+    job of `applies` single-function heat applications and `integrals`
+    time integrals on `nodes` quadrature nodes in all, at times up to t_max.
+
+    A dense application is two products with the nv x nv basis, and a
+    dense integral two nv x nv x nodes products.  A Chebyshev application
+    is m sparse products (m its degree at t_max), each with its own call
+    overhead; an integral is one curve of m single-vector products and m
+    products of a block of its nodes' columns.
+    """
+    nv, ne = g.vertex_count, len(g._edge_mu)
+    m = _chebyshev_degree(0.5 * _radius(g) * t_max)
+    dense = _EIGH_S * nv**3 + nv * nv * (2.0 * _GEMV_S * applies + 2.0 * _GEMM_S * nodes)
+    chebyshev = _SETUP_S + m * (_STEP_S * (applies + 2 * integrals)
+                                + _SPARSE_S * (2 * ne + nv) * (applies + integrals + nodes)
+                                + _GEMM_S * nv * nodes)
+    return ChebyshevPropagator(g) if chebyshev < dense else decompose(g)
+
+
 def _check_sizes(sd, g, f):
     f = np.asarray(f, dtype=np.float64)
-    if f.shape[0] != g.vertex_count or sd.basis.shape[0] != g.vertex_count:
-        raise ValueError("decomposition/function size mismatch with graph")
+    if f.shape[0] != g.vertex_count or sd.sqrt_m.shape[0] != g.vertex_count:
+        raise ValueError("propagator/function size mismatch with graph")
     return f
 
 
-def heat_apply(sd: SpectralDecomposition, g: WeightedGraph, t: float, f) -> np.ndarray:
+def heat_apply(sd, g: WeightedGraph, t: float, f) -> np.ndarray:
     """P_t f for a single finite time t >= 0."""
     f = _check_sizes(sd, g, f)
     if f.ndim != 1:
@@ -76,26 +215,30 @@ def heat_apply(sd: SpectralDecomposition, g: WeightedGraph, t: float, f) -> np.n
     if t == 0:
         return f.copy()
     c = f[0]
+    if isinstance(sd, ChebyshevPropagator):
+        return c + sd.inv_sqrt_m * sd._curve(np.array([float(t)]), sd.sqrt_m * (f - c))[:, 0]
     w = sd.basis.T @ (sd.sqrt_m * (f - c))
     w *= np.exp(t * sd.rates)
     return c + sd.inv_sqrt_m * (sd.basis @ w)
 
 
-def heat_curve(sd: SpectralDecomposition, g: WeightedGraph, ts, f) -> np.ndarray:
+def heat_curve(sd, g: WeightedGraph, ts, f) -> np.ndarray:
     """Column j is P_{ts[j]} f.  Vectorized over the whole time grid."""
     f = _check_sizes(sd, g, f)
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all((0 <= ts) & (ts < np.inf)):
         raise ValueError("heat semigroup is defined for finite t >= 0")
     c = f[0]
+    if isinstance(sd, ChebyshevPropagator):
+        return _to_vertices(sd, sd._curve(ts, sd.sqrt_m * (f - c)), c)
     w = sd.basis.T @ (sd.sqrt_m * (f - c))
     W = np.outer(sd.rates, ts)
     np.exp(W, out=W)
     W *= w[:, None]
-    return _to_vertices(sd, W, c)
+    return _to_vertices(sd, sd.basis @ W, c)
 
 
-def heat_apply_columns(sd: SpectralDecomposition, g: WeightedGraph, ts, F) -> np.ndarray:
+def heat_apply_columns(sd, g: WeightedGraph, ts, F) -> np.ndarray:
     """Apply P_{ts[j]} to column j of F (one time per column)."""
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] != g.vertex_count:
@@ -106,15 +249,17 @@ def heat_apply_columns(sd: SpectralDecomposition, g: WeightedGraph, ts, F) -> np
     if not np.all((0 <= ts) & (ts < np.inf)):
         raise ValueError("heat semigroup is defined for finite t >= 0")
     c = F[0]
-    W = sd.basis.T @ (sd.sqrt_m[:, None] * (F - c))
+    V = sd.sqrt_m[:, None] * (F - c)
+    if isinstance(sd, ChebyshevPropagator):
+        return _to_vertices(sd, sd._columns(ts, V), c)
+    W = sd.basis.T @ V
     W *= np.exp(sd.rates[:, None] * ts[None, :])
-    return _to_vertices(sd, W, c)
+    return _to_vertices(sd, sd.basis @ W, c)
 
 
-def _to_vertices(sd, W, c):
-    """c + M^{-1/2} U W, spectral coefficients back to vertex columns,
-    in place on the one product."""
-    Y = sd.basis @ W
+def _to_vertices(sd, Y, c):
+    """c + M^{-1/2} Y, columns of the symmetrized frame back to vertex
+    columns, in place on Y."""
     Y *= sd.inv_sqrt_m[:, None]
     Y += c
     return Y

@@ -18,11 +18,12 @@ consequences of the semigroup, independent of curvature):
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
-the spectrum unless it is given.  The sums are taken on the integrand's
-spectral coefficients, and only the two sums are mapped back to the
-vertices.  Each operation returns per-vertex values;
-run_verification sweeps a corpus of functions and a time grid into a
-VerificationReport.
+the spectrum unless it is given.  With a dense SpectralDecomposition the
+sums are taken on the integrand's spectral coefficients, and only the two
+sums are mapped back to the vertices; with a ChebyshevPropagator the
+integrand is formed at the vertices.  Each operation returns per-vertex
+values; run_verification sweeps a corpus of functions and a time grid
+into a VerificationReport, with the propagator _sweep_propagator picks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ import numpy as np
 from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
 from .graph import WeightedGraph
 from .operators import _gamma2_parts, gamma, gamma2, gamma_many, laplacian_many
-from .semigroup import SpectralDecomposition, heat_apply, heat_curve
+from .semigroup import (
+    ChebyshevPropagator,
+    _propagator_for,
+    _radius,
+    heat_apply,
+    heat_apply_columns,
+    heat_curve,
+)
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -174,10 +182,12 @@ def _sized_panels(sd, K, t):
     coefficients of such a term on [0, t] decay like I_n(a) / I_0(a), and
     ceil(sqrt(80 a)) + 16 bounds the n at which that falls to 1e-17: for
     large a the ratio is about e^{-n^2 / 2a}, and 1e-17 = e^{-39.1}.
+
+    A ChebyshevPropagator knows only the bound -rho <= lam_min, which
+    widens the interval of rates, so n stays a bound.
     """
-    lam_min = float(sd.eigenvalues[0])
-    a = 0.5 * t * max(abs(lam_min - 2.0 * K), abs(2.0 * lam_min + 2.0 * K))
-    root = math.sqrt(80.0 * a)
+    lam_min = -sd.radius if isinstance(sd, ChebyshevPropagator) else float(sd.eigenvalues[0])
+    root = _panel_root(lam_min, K, t)
     if not root + 16 <= _MAX_SIZED_PANELS:
         raise ValueError(
             f"the time integral at K = {K!r}, t = {t!r} needs more than "
@@ -185,6 +195,12 @@ def _sized_panels(sd, K, t):
             "set the panel count (--panels) explicitly")
     n = math.ceil(root) + 16
     return n + n % 2
+
+
+def _panel_root(lam_min, K, t):
+    """sqrt(80 a) of _sized_panels."""
+    a = 0.5 * t * max(abs(lam_min - 2.0 * K), abs(2.0 * lam_min + 2.0 * K))
+    return math.sqrt(80.0 * a)
 
 
 def _check_time(t):
@@ -246,12 +262,21 @@ def _heat_integral(g, sd, f, K, t, quad, inner):
     With P_s = M^{-1/2} U e^{s lambda} U^T M^{1/2}, the integrand's column
     at node s_j is M^{-1/2} U [e^{(lambda - 2K) s_j} U^T M^{1/2} V_j].  The
     quadrature sums are taken on the bracket, so only the fine and the
-    coarse sum are mapped back through M^{-1/2} U.
+    coarse sum are mapped back through M^{-1/2} U.  A ChebyshevPropagator
+    has no basis, and its integrand is e^{-2K s_j} P_{s_j} V_j.
     """
     # the table's largest entry is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
     if quad.panels is None:
         quad = QuadratureSpec(panels=_sized_panels(sd, K, t))
+    if isinstance(sd, ChebyshevPropagator):
+        def integrand(s):
+            Z = heat_apply_columns(sd, g, s, inner(heat_curve(sd, g, t - s, f)))
+            Z *= np.exp(-2.0 * K * s)
+            return Z
+
+        fine, coarse = _integrate(integrand, t, quad).T
+        return fine, np.abs(fine - coarse)
     rates = sd.rates - 2.0 * K
 
     def integrand(s):
@@ -406,9 +431,29 @@ def resolve_K(g, K, inequality_name="gradient_estimate", n=math.inf):
     return float(K)
 
 
+def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=QuadratureSpec()):
+    """The propagator, dense or Chebyshev, that semigroup._propagator_for
+    finds cheaper for run_verification over function_count functions.
+
+    Each (function, time) of _sides applies the heat semigroup to two
+    functions (three for the variance bound) and takes at most one
+    integral, whose node count is sized with lambda_min = -rho.
+    """
+    K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
+    points = function_count * len(times)
+    applies = (3 if inequality_name == "variance_bound" else 2) * points
+    integrals = nodes = 0
+    if inequality_name in _IDENTITY_OPS or (inequality_name == "cdn_bound"
+                                            and not math.isinf(n)):
+        integrals = points
+        panels = [quad.panels or _panel_root(-_radius(g), K, t) + 17 for t in times]
+        nodes = function_count * sum(2 * p + 1 for p in panels)
+    return _propagator_for(g, max(times), applies, integrals, nodes)
+
+
 def run_verification(
     g: WeightedGraph,
-    sd: SpectralDecomposition,
+    sd,
     inequality_name: str,
     K,
     times,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from graphcd.fixtures import fixture_graphs, random_connected_graph
+from graphcd.graph import WeightedGraph
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +65,15 @@ def random_graphs(count, seed0=0, **kwargs):
 
 def rng_for(*key):
     return np.random.default_rng(list(key))
+
+
+def cycle_with_chords(nv, seed):
+    """A cycle plus a chord (i, i + 7) at every even i: degree at most 4,
+    weights and measures uniform in [0.5, 2]."""
+    rng = rng_for(42, seed)
+    pairs = [(i, (i + 1) % nv) for i in range(nv)] + [(i, (i + 7) % nv) for i in range(0, nv, 2)]
+    edges = {(min(u, v), max(u, v)): w for (u, v), w in zip(pairs, rng.uniform(0.5, 2.0, len(pairs)))}
+    return WeightedGraph([f"v{i}" for i in range(nv)], rng.uniform(0.5, 2.0, nv), edges)
 
 
 def lp_norm(g, f, p):

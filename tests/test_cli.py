@@ -9,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import graphcd.semigroup
 from graphcd import __version__
 from graphcd.cli import main
 from graphcd.curvature import curvature_at
-from graphcd.graph import load_graph, load_vertex_function
-from graphcd.semigroup import decompose
+from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
+from graphcd.semigroup import decompose, heat_apply
 from graphcd.verify import function_corpus, run_verification
+from conftest import cycle_with_chords, rng_for
 
 
 K2_TEXT = "vertex a 1\nvertex b 1\nedge a b 1\n"
@@ -573,6 +575,37 @@ def test_heat_output_round_trips_quoted_labels(capsys, tmp_path):
     assert code == 0, err
     g = load_graph(graph.read_text())
     assert np.array_equal(load_vertex_function(out, g), load_vertex_function(h.read_text(), g))
+
+
+def test_chebyshev_side_reports_are_deterministic(capsys, tmp_path, monkeypatch):
+    # at 1000 vertices of degree at most 4 both jobs take the Chebyshev
+    # propagator, so a dense decompose would be a wrong turn
+    g = cycle_with_chords(1000, 1)
+    f = rng_for(43).standard_normal(g.vertex_count)
+    want = heat_apply(decompose(g), g, 0.5, f)
+    graph, f_path = tmp_path / "g.graph", tmp_path / "f.csv"
+    graph.write_text(save_graph(g))
+    f_path.write_text(save_vertex_function(g, f))
+
+    def no_dense(g):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(graphcd.semigroup, "decompose", no_dense)
+    jobs = {
+        "heat": ["heat", "--graph", str(graph), "--f", str(f_path), "--t", "0.5"],
+        "gamma2": ["verify", "--graph", str(graph), "--inequality", "gamma2-identity",
+                   "--K", "auto", "--times", "0.1", "--functions", "random:0:2"],
+    }
+    for name, argv in jobs.items():
+        reports = []
+        for run in range(2):
+            out = tmp_path / f"{name}{run}.out"
+            code, _, err = run_main(capsys, *argv, "--output", str(out))
+            assert code == 0, err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+    got = load_vertex_function((tmp_path / "heat0.out").read_text(), g)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(f).max()
 
 
 # ---------------------------------------------------------------------------

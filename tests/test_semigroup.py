@@ -1,17 +1,30 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
-from graphcd.graph import load_graph
+from graphcd.fixtures import complete_graph, cycle_graph, path_graph, random_connected_graph
+from graphcd.graph import WeightedGraph, load_graph
 from graphcd.operators import laplacian_matrix
-from graphcd.semigroup import decompose, heat_apply, heat_apply_columns, heat_curve
-from conftest import check_semigroup_invariants, rng_for
+from graphcd.semigroup import (
+    ChebyshevPropagator,
+    SpectralDecomposition,
+    _chebyshev_degree,
+    _propagator_for,
+    decompose,
+    heat_apply,
+    heat_apply_columns,
+    heat_curve,
+)
+from graphcd.verify import _sweep_propagator
+from conftest import check_semigroup_invariants, cycle_with_chords, rng_for
 
 
 K2 = complete_graph(2)
 P3 = path_graph(3)
+PROPAGATORS = (decompose, ChebyshevPropagator)
 
 
 def test_eigenvalues_k2():
@@ -115,10 +128,10 @@ def test_heat_preserves_constants():
 
 def test_heat_of_a_constant_is_the_constant_bit_for_bit():
     loops = 0
-    for seed in range(60):
+    for seed, propagator in itertools.product(range(60), PROPAGATORS):
         g = random_connected_graph(2500 + seed, max_vertices=20, self_loop_prob=0.5)
         loops += any(u == v for u, v in g.edges)
-        sd = decompose(g)
+        sd = propagator(g)
         for c in (1.0, -2.5, 3.0e7):
             f = np.full(g.vertex_count, c)
             for t in (0.1, 1.0, 10.0):
@@ -185,29 +198,98 @@ def test_size_mismatch_rejected():
 
 
 def test_invariant_suite_random_graphs():
-    for seed in range(10):
+    for seed, propagator in itertools.product(range(10), PROPAGATORS):
         g = random_connected_graph(2600 + seed)
-        check_semigroup_invariants(g, decompose(g), rng_for(37, seed))
+        check_semigroup_invariants(g, propagator(g), rng_for(37, seed))
 
 
 def test_heat_curve_matches_heat_apply():
     g = random_connected_graph(2700)
-    sd = decompose(g)
-    rng = rng_for(38)
-    f = rng.standard_normal(g.vertex_count)
-    ts = np.array([0.0, 0.3, 1.7])
-    Y = heat_curve(sd, g, ts, f)
-    assert Y.shape == (g.vertex_count, 3)
-    for j, t in enumerate(ts):
-        assert np.allclose(Y[:, j], heat_apply(sd, g, t, f), atol=1e-13)
+    for propagator in PROPAGATORS:
+        sd = propagator(g)
+        rng = rng_for(38)
+        f = rng.standard_normal(g.vertex_count)
+        ts = np.array([0.0, 0.3, 1.7])
+        Y = heat_curve(sd, g, ts, f)
+        assert Y.shape == (g.vertex_count, 3)
+        for j, t in enumerate(ts):
+            assert np.allclose(Y[:, j], heat_apply(sd, g, t, f), atol=1e-13)
 
 
 def test_heat_apply_columns_matches_heat_apply():
     g = random_connected_graph(2800)
-    sd = decompose(g)
-    rng = rng_for(39)
-    F = rng.standard_normal((g.vertex_count, 4))
-    ts = np.array([0.1, 0.5, 1.0, 2.5])
-    Y = heat_apply_columns(sd, g, ts, F)
-    for j, t in enumerate(ts):
-        assert np.allclose(Y[:, j], heat_apply(sd, g, t, F[:, j]), atol=1e-13)
+    for propagator in PROPAGATORS:
+        sd = propagator(g)
+        rng = rng_for(39)
+        F = rng.standard_normal((g.vertex_count, 4))
+        ts = np.array([0.1, 0.5, 1.0, 2.5])
+        Y = heat_apply_columns(sd, g, ts, F)
+        for j, t in enumerate(ts):
+            assert np.allclose(Y[:, j], heat_apply(sd, g, t, F[:, j]), atol=1e-13)
+
+
+def _log_uniform_measures(seed, decades):
+    """A random_connected_graph whose measures are 10^u, u uniform in [0, decades)."""
+    g = random_connected_graph(seed, max_vertices=20, self_loop_prob=0.5)
+    m = 10.0 ** rng_for(40, seed).uniform(0.0, decades, g.vertex_count)
+    return WeightedGraph(g.labels, m, dict(g.edges))
+
+
+@pytest.mark.parametrize("graphs", [
+    # the graphs of test_c03_solver_oracle_equivalence
+    lambda: (random_connected_graph(seed) for seed in range(100)),
+    lambda: (_log_uniform_measures(2900 + seed, 3.0) for seed in range(40)),
+], ids=["c03", "log_uniform_measures"])
+def test_propagators_agree(graphs):
+    for i, g in enumerate(graphs()):
+        dense, chebyshev = decompose(g), ChebyshevPropagator(g)
+        f = rng_for(41, i).standard_normal(g.vertex_count)
+        ts = np.array([0.01, 0.1, 1.0, 10.0])
+        tol = 1e-12 * np.abs(f).max()
+        assert np.abs(heat_curve(dense, g, ts, f) - heat_curve(chebyshev, g, ts, f)).max() <= tol
+        for t in ts:
+            assert np.abs(heat_apply(dense, g, t, f) - heat_apply(chebyshev, g, t, f)).max() <= tol
+
+
+def test_chebyshev_degree_is_closed_form():
+    from scipy.special import ive
+
+    # the coefficients past the degree sum to below 1e-16
+    for b in (0.0, 1e-3, 0.5, 7.0, 300.0, 5e4):
+        m = _chebyshev_degree(b)
+        assert 2.0 * ive(np.arange(m + 1, m + 2000), b).sum() <= 1e-16
+    # no search: rho t = 1e160 returns at once, as a degree no one can run
+    start = time.perf_counter()
+    assert _chebyshev_degree(0.5e160) == math.inf
+    assert _chebyshev_degree(math.inf) == math.inf
+    assert time.perf_counter() - start < 0.01
+    g = load_graph("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e160\nedge b c 1e160\n")
+    with pytest.raises(ValueError, match="Chebyshev expansion"):
+        heat_apply(ChebyshevPropagator(g), g, 1.0, np.array([1.0, 0.0, 2.0]))
+
+
+STIFF_C4 = "vertex a 1\nvertex b {}\nvertex c 1\nvertex d 1\n" \
+    "edge a b 1\nedge b c 1\nedge c d 1\nedge d a 1\n"
+
+
+def test_propagator_choice():
+    dense = SpectralDecomposition
+    # the stiff 4-cycles, full corpus: 58 functions at t = 1
+    for m_b in (1.0, 1e-2, 1e-4, 1e-6):
+        g = load_graph(STIFF_C4.format(m_b))
+        for name in ("variance_identity", "gamma2_identity"):
+            assert isinstance(_sweep_propagator(g, name, 0.0, None, [1.0], 58), dense)
+    g = load_graph("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e160\nedge b c 1e160\n")
+    assert isinstance(_propagator_for(g, 1.0, 1), dense)
+    # 160 vertices, the full corpus (2 nv + 51 functions) at two times, and
+    # the witnesses alone at t = 1e-4: many unbatched applications
+    g = random_connected_graph(2950, min_vertices=160, max_vertices=160, extra_edge_prob=5 / 160)
+    assert isinstance(_sweep_propagator(g, "gradient_estimate", "auto", None, [0.05, 0.1], 371), dense)
+    assert isinstance(_sweep_propagator(g, "gradient_estimate", 0.0, None, [1e-4], 160), dense)
+    # 1000 vertices of degree at most 4: four integrals of about 60 nodes
+    g = cycle_with_chords(1000, 0)
+    for K in (-1.0, "auto"):
+        assert isinstance(_sweep_propagator(g, "gamma2_identity", K, None, [0.05], 4),
+                          ChebyshevPropagator)
+    assert isinstance(_propagator_for(cycle_graph(5000), 1.0, 1), ChebyshevPropagator)
+

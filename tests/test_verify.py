@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
 from graphcd.operators import gamma, gamma2, laplacian_many
-from graphcd.semigroup import decompose, heat_apply
+from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply
 from graphcd.verify import (
     _heat_integral,
     _integrate,
@@ -292,18 +293,20 @@ def test_quadrature_estimate_bounds_true_error():
 def test_heat_integrals_match_exact_oracle(K):
     # at the sized degree the integrals agree with the closed form to 1e-12
     # of the sides' scale; at that and at fixed low degrees, the reported
-    # (largest) estimate is at least the largest true error above roundoff
+    # (largest) estimate is at least the largest true error above roundoff.
+    # Both propagators: the dense one folds the sums into its eigenbasis,
+    # the Chebyshev one forms the integrand at the vertices
     loops = 0
     for seed in range(12):
         g = random_connected_graph(3800 + seed, max_vertices=12, self_loop_prob=0.5)
         loops += any(u == v for u, v in g.edges)
-        sd = decompose(g)
         f = rng_for(62, seed).standard_normal(g.vertex_count)
         lam, Phi = ref_eigenpairs(g)
         T_gamma, T_gamma2, T_lap2 = (ref_form_table(g, Phi, form) for form in (
             lambda h: ref_gamma(g, h), lambda h: ref_gamma2(g, h),
             lambda h: ref_laplacian(g, h) ** 2))
-        for t in (0.05, 1.0, 5.0):
+        for t, propagator in itertools.product((0.05, 1.0, 5.0), (decompose, ChebyshevPropagator)):
+            sd = propagator(g)
             pf = heat_apply(sd, g, t, f)
             sides = max(np.abs(heat_apply(sd, g, t, f * f)).max(), np.abs(pf * pf).max(),
                         math.exp(-2.0 * K * t) * np.abs(heat_apply(sd, g, t, gamma(g, f))).max(),
