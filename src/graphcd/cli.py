@@ -52,16 +52,102 @@ _INEQUALITY_BY_FLAG = {
 # deterministic report text
 # ---------------------------------------------------------------------------
 
+def _char_words(*chars):
+    """uint32 words of four ASCII characters each: word i holds chars[0][i],
+    ..., chars[3][i] (arrays of codes, or one code for every word), in that
+    order in memory."""
+    return np.stack(np.broadcast_arrays(*chars), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+# %.12e text of a float x with |x| = M * 10**(e - 12), M a 13-digit integer,
+# as five words: sign, first digit, "." and second digit, looked up by the
+# sign and M's first two digits; two 4-digit words; 3 digits and "e"; and the
+# exponent's sign and 2 digits with a space after them.  A space stands for
+# the "+" sign, so that split() separates the texts and drops it.
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")  # row i: digits of i
+_LEAD = _char_words(np.repeat([ord(" "), ord("-")], 100), np.tile(_DIGITS[:100, 2], 2), ord("."),
+                    np.tile(_DIGITS[:100, 3], 2))
+_QUAD = _char_words(*_DIGITS.T)
+_TRIPLE_E = _char_words(*_DIGITS[:1000, 1:].T, ord("e"))
+# e in [_E_MIN, _E_MAX] is the range in which |x| * 10**(12 - e) takes at
+# most two steps, each by an exact power of ten, 10**0 to 10**22
+_E_MIN, _E_MAX = 12 - 44, 12 + 44
+_e = np.arange(_E_MIN, _E_MAX + 1)
+_EXP = _char_words(np.where(_e < 0, ord("-"), ord("+")), *_DIGITS[abs(_e), 2:].T, ord(" "))
+# the two steps of 10**(12 - e), for e = _E_MAX, ..., _E_MIN: a factor to
+# multiply by, then one to divide by, each 1 or an exact power of ten
+_k = 12 - _e[::-1]
+_k1 = np.clip(_k, -22, 22)
+_p = np.array([10**i for i in range(23)], dtype=np.float64)
+_k2 = _k - _k1
+_MUL1, _DIV1 = np.where(_k1 > 0, _p[abs(_k1)], 1.0), np.where(_k1 < 0, _p[abs(_k1)], 1.0)
+_MUL2, _DIV2 = np.where(_k2 > 0, _p[abs(_k2)], 1.0), np.where(_k2 < 0, _p[abs(_k2)], 1.0)
+del _DIGITS, _e, _k, _k1, _k2, _p
+# |s - |x| * 10**(12 - e)| <= 2u s < 2.3e-3 after two correctly rounded
+# steps, u = 2**-53 and s < 1e13, so rint(s) is the correctly rounded M
+# wherever s is farther than this from a half-integer
+_TIE_MARGIN = 1 / 128
+
+
+def _certain_mantissas(x):
+    """(m, e, certain) of a 1-d float64 array x: |x| = m * 10**(e - 12)
+    rounded to 13 significant digits, with m an integer in [1e12, 1e13),
+    wherever certain is True.
+
+    m is rint(s) for s = |x| * 10**(12 - e), e = floor(log10|x|), and
+    certain says that this rounding is the correctly rounded one: s is in
+    [1e12, 1e13) before rounding, rint(s) < 1e13 and s is farther than
+    _TIE_MARGIN from a half-integer.  That rules out 0, -0, subnormals,
+    inf, nan, |x| outside [1e-32, 1e57), near-ties and an e one too small.
+    An e one too large passes only for s within 2.3e-3 above 1e12, where
+    the exact s / 10 rounds up to 10**12 as well.  Where certain is False,
+    m is 1e12 and e is some exponent in range, for the caller to overwrite.
+    """
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # 0, inf and nan are not certain
+        e = np.floor(np.log10(a))
+        in_range = (e >= _E_MIN) & (e <= _E_MAX)
+        e = np.where(in_range, e, 0).astype(np.intp)
+        i = _E_MAX - e
+        s = a * _MUL1[i] / _DIV1[i] * _MUL2[i] / _DIV2[i]
+        m = np.rint(s)
+        certain = in_range & (s >= 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+    return np.where(certain, m, 1e12), e, certain
+
+
+def _e12_texts(x):
+    """[f"{v:.12e}" for v in x] of a 1-d float64 array x, formatted in bulk:
+    by table lookups where _certain_mantissas is certain, by Python where
+    it is not."""
+    m, e, certain = _certain_mantissas(x)
+    q, r3 = np.divmod(m.astype(np.int64), 1000)
+    q, r2 = np.divmod(q, 10000)
+    q, r1 = np.divmod(q, 10000)
+    words = np.empty((x.size, 5), dtype=np.uint32)
+    words[:, 0] = _LEAD[np.where(x < 0, q + 100, q)]
+    words[:, 1] = _QUAD[r1]
+    words[:, 2] = _QUAD[r2]
+    words[:, 3] = _TRIPLE_E[r3]
+    words[:, 4] = _EXP[e - _E_MIN]
+    texts = words.tobytes().decode("ascii").split()
+    slow = np.flatnonzero(~certain)
+    for j, v in zip(slow.tolist(), x[slow].tolist()):
+        texts[j] = f"{v:.12e}"
+    return texts
+
+
 def _float_texts(values):
-    """(CSV texts, JSON texts) of a sequence of floats.
+    """(CSV texts, JSON texts) of a 1-d array or a sequence of floats.
 
     A finite float is written %.12e in both.  inf, -inf and nan are those
     words (Python's own %e text for them): bare in CSV, strings in JSON.
     """
-    texts = [f"{x:.12e}" for x in values]
-    if all(map(math.isfinite, values)):
+    values = np.asarray(values, dtype=np.float64)
+    texts = _e12_texts(values)
+    finite = np.isfinite(values)
+    if finite.all():
         return texts, texts
-    return texts, [t if math.isfinite(x) else json.dumps(t) for x, t in zip(values, texts)]
+    return texts, [t if ok else json.dumps(t) for t, ok in zip(texts, finite.tolist())]
 
 
 def _emit_json(obj, out):
@@ -71,7 +157,8 @@ def _emit_json(obj, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
-        out.append(_float_texts([obj])[1][0])
+        text = f"{obj:.12e}"
+        out.append(text if math.isfinite(obj) else json.dumps(text))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -128,7 +215,7 @@ def _stream_records(report, json_fh, csv_fh):
         csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
     for i, fid in enumerate(report.function_ids):
         values = np.stack((report.lhs[i], report.rhs[i], report.slack[i]), axis=-1)
-        texts, json_texts = _float_texts(values.ravel().tolist())
+        texts, json_texts = _float_texts(values.ravel())
         # a record is its head {"function": ..., "t": ... and its vertex's tail
         f = _percent_escaped(json.dumps(fid))
         heads = [f'{{"function": {f}, "t": {t}' for t in t_json]
@@ -187,7 +274,7 @@ def cmd_curvature(args) -> int:
     results = curvature_all(g, n)
     rows = sorted((g.labels[r.vertex], r) for r in results)
     labels = [label for label, _ in rows]
-    kappas = [r.kappa for _, r in rows]
+    kappas = np.array([r.kappa for _, r in rows])
     _require_finite(labels, kappas, "kappa")
     if args.format == "csv":
         texts, _ = _float_texts(kappas)

@@ -8,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcd.semigroup
 from graphcd import __version__
-from graphcd.cli import main
+from graphcd.cli import _certain_mantissas, _float_texts, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
@@ -392,6 +394,98 @@ def test_verify_streamed_reports_match_per_record_writer(capsys, tmp_path, monke
     assert out_csv.read_text().splitlines() == want_csv.splitlines()
     assert got_json == want_json and out_csv.read_text() == want_csv
     assert '"slack": "nan"' in want_json and ",inf\n" in want_csv
+
+
+def test_verify_streamed_special_floats_match_per_record_writer(capsys, tmp_path, monkeypatch):
+    graph = tmp_path / "p3.graph"
+    graph.write_text("vertex a 1\nvertex b 2\nvertex c 1.5\nedge a b 1\nedge b c 0.5\n")
+    reports = []
+
+    def spoiled(*args, **kwargs):
+        # values the bulk formatter hands to Python, in one function's block
+        report = run_verification(*args, **kwargs)
+        report.lhs[1, 0] = 0.0, -0.0, 5e-324
+        report.rhs[1, 0] = 1e300, math.nextafter(1.0, 0.0), math.inf
+        report.slack[1, 1, 0] = math.nan
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr("graphcd.cli.run_verification", spoiled)
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code, _, _ = run_main(capsys, "verify", "--graph", str(graph), "--inequality", "gradient",
+                          "--K", "auto", "--times", "0.3,0.05", "--output", str(out_json),
+                          "--csv", str(out_csv))
+    assert code == 3  # a non-finite slack is a violation
+
+    (report,) = reports
+    want_json, want_csv = _per_record_reports(report, "p3")
+    assert out_json.read_text().split("}, {") == want_json.split("}, {")
+    assert out_csv.read_text().splitlines() == want_csv.splitlines()
+    assert out_json.read_text() == want_json and out_csv.read_text() == want_csv
+    for text in ("-0.000000000000e+00", "4.940656458412e-324", "1.000000000000e+300",
+                 '"inf"', '"nan"'):
+        assert text in want_json
+
+
+# ---------------------------------------------------------------------------
+# bulk %.12e text
+# ---------------------------------------------------------------------------
+
+_MAX = np.finfo(np.float64).max
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX,
+                   math.inf, -math.inf, math.nan]
+
+
+def _bits_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _power_of_ten_neighbour(k, side):
+    p = float(f"1e{k}")
+    return p if side == 0 else math.nextafter(p, side * math.inf)
+
+
+_report_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_float),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.builds(_power_of_ten_neighbour, st.integers(-40, 60), st.sampled_from([-1, 0, 1])),
+    # exact 13-digit ties (j = 0) and their binary rescalings
+    st.builds(lambda n, j, sign: sign * (n + 0.5) * 2.0**j, st.integers(10**12, 10**13 - 1),
+              st.integers(-60, 60) | st.just(0), st.sampled_from([-1.0, 1.0])),
+    # the doubles nearest to 13-digit decimal ties
+    st.builds(lambda n, k: float(f"{n}5e{k}"), st.integers(10**12, 10**13 - 1),
+              st.integers(-45, 45)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_report_floats, max_size=40))
+def test_bulk_float_texts_equal_python_e12(xs):
+    texts, json_texts = _float_texts(np.array(xs, dtype=np.float64))
+    assert texts == [f"{x:.12e}" for x in xs]
+    assert json_texts == [_report_number(x) for x in xs]
+
+
+def test_bulk_float_texts_at_powers_of_ten_and_ties():
+    xs = [_power_of_ten_neighbour(k, side) for k in range(-40, 61) for side in (-1, 0, 1)]
+    xs += [(n + 0.5) * 10.0**k for n in (10**12, 1234567890123, 10**13 - 1) for k in range(-9, 1)]
+    # decimal near-ties whose scaled s lands on the wrong side of the half,
+    # by less than the tie margin: a margin of 0 misrounds each of them
+    xs += [4.3599539739645e-12, 8.2100244969125e-25, 1.9153935686705e-27, 7.8614270783975e-25,
+           8.2851413868775e+50, 6.1987307589535e+52, 2.0201542769465e-29, 3.7120030909025e-21]
+    xs += _SPECIAL_FLOATS
+    xs += [-x for x in xs]
+    assert _float_texts(np.array(xs))[0] == [f"{x:.12e}" for x in xs]
+
+
+def test_bulk_float_texts_mostly_take_the_fast_path():
+    # a margin or a scaling that sent everything to Python would still be
+    # correct, only slow: this keeps the fast path in use
+    x = rng_for(12).standard_normal(10**5)
+    _, _, certain = _certain_mantissas(x)
+    assert 1 - certain.mean() <= 0.02
+    assert _float_texts(x)[0] == [f"{v:.12e}" for v in x.tolist()]
 
 
 def test_verify_output_and_csv_same_file_exit_2(capsys, k2_path, tmp_path):
