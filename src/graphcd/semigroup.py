@@ -23,8 +23,16 @@ P_t commutes with adding a constant, so each function is applied as
 f(x_0) + P_t(f - f(x_0)) with x_0 the first vertex.  A constant then never
 passes through either propagator, and P_t c = c bit for bit.
 
-heat_apply, heat_curve and heat_apply_columns take either propagator.
-_propagator_for picks the one a cost model finds cheaper for a job.
+The heat functions and verify read a propagator only through this:
+- sqrt_m, inv_sqrt_m (M^{1/2}, M^{-1/2}), and lam_min <= min spec(S);
+- _curve(ts, v), column j e^{ts[j] S} v (a vector at a scalar ts);
+  _columns(ts, V), column j e^{ts[j] S} V_j;
+- _decayed(K, s, F), column j e^{-2K s[j]} P_{s[j]} F_j in the
+  propagator's own coordinates (F may be overwritten), and
+  _to_functions(Z), those coordinates back at the vertices: the
+  eigenbasis on the dense side, where time integrals are summed, and
+  the vertices on the Chebyshev side.
+_propagator_for picks the propagator a cost model finds cheaper for a job.
 """
 
 from __future__ import annotations
@@ -45,6 +53,30 @@ class SpectralDecomposition:
     sqrt_m: np.ndarray
     inv_sqrt_m: np.ndarray
     rates: np.ndarray         # the eigenvalues with the top one set to exactly 0
+
+    @property
+    def lam_min(self):
+        return float(self.eigenvalues[0])
+
+    def _curve(self, ts, v):
+        W = np.multiply.outer(self.rates, ts)
+        np.exp(W, out=W)
+        np.multiply(W.T, self.basis.T @ v, out=W.T)
+        return self.basis @ W
+
+    def _columns(self, ts, V):
+        W = self.basis.T @ V
+        W *= np.exp(self.rates[:, None] * ts[None, :])
+        return self.basis @ W
+
+    def _decayed(self, K, s, F):
+        Z = self.basis.T @ np.multiply(F, self.sqrt_m[:, None], out=F)
+        E = np.outer(self.rates - 2.0 * K, s)
+        Z *= np.exp(E, out=E)
+        return Z
+
+    def _to_functions(self, Z):
+        return self.inv_sqrt_m[:, None] * (self.basis @ Z)
 
 
 def decompose(g: WeightedGraph) -> SpectralDecomposition:
@@ -68,10 +100,10 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
     )
 
 
-# a larger degree is refused: each application would take more sparse
-# products, and its coefficient table more rows, than that
+# a degree above _MAX_DEGREE + 16 is refused: each application would take
+# more sparse products, and its coefficient table more rows, than that
 _MAX_DEGREE = 2**16
-# Chebyshev terms gathered into one dense product by heat_curve
+# Chebyshev terms gathered into one dense product by _curve
 _TERM_BLOCK = 64
 
 
@@ -83,14 +115,19 @@ def _radius(g):
     return 2.0 * float((g._degree * g._inv_m).max()) or 1.0
 
 
+def _bessel_tail_degree(a):
+    """ceil(sqrt(80 a)) + 16, the n past which the Chebyshev coefficients
+    2 I_n(a) e^{-a} of e^{a (x - 1)} on [-1, 1] stay below 1e-17 of the
+    leading one (I_n(a) / I_0(a) ~ e^{-n^2 / 2a}, 1e-17 = e^{-39.1}); inf
+    where a is not finite.  Closed form; each caller applies its own cap."""
+    root = math.sqrt(80.0 * a)
+    return math.ceil(root) + 16 if root < math.inf else math.inf
+
+
 def _chebyshev_degree(b):
-    """ceil(sqrt(80 b)) + 16, the degree past which the coefficients
-    2 I_k(b) e^{-b} of e^{b (x - 1)} on [-1, 1] stay below 1e-17 of the
-    leading one (the rule of verify._sized_panels); inf where that exceeds
-    _MAX_DEGREE or b is not finite.  Closed form, so it costs the same at
-    every b."""
-    root = math.sqrt(80.0 * b)
-    return math.ceil(root) + 16 if root <= _MAX_DEGREE else math.inf
+    """The degree of the expansion of e^{b (X - I)}; inf above the cap."""
+    m = _bessel_tail_degree(b)
+    return m if m <= _MAX_DEGREE + 16 else math.inf
 
 
 class ChebyshevPropagator:
@@ -110,6 +147,7 @@ class ChebyshevPropagator:
         self.sqrt_m = np.sqrt(g.m)
         self.inv_sqrt_m = 1.0 / self.sqrt_m
         self.radius = rho = _radius(g)
+        self.lam_min = -rho
         # 2X, whose products give 2 X T_k in one step
         u, v = g._edge_ends.T
         off = (4.0 / rho) * (g._edge_mu * (self.inv_sqrt_m[u] * self.inv_sqrt_m[v]))
@@ -122,17 +160,17 @@ class ChebyshevPropagator:
         )
 
     def _coefficients(self, ts):
-        """(m + 1, len(ts)): column j the coefficients of e^{ts[j] S} in
+        """(m + 1,) + ts.shape: column j the coefficients of e^{ts[j] S} in
         T_0(X), ..., T_m(X), m the degree for the largest time."""
         from scipy.special import ive
 
         b = (0.5 * self.radius) * ts
-        m = _chebyshev_degree(float(b.max(initial=0.0)))
+        m = _chebyshev_degree(float(np.max(b, initial=0.0)))
         if m == math.inf:
             raise ValueError(
-                f"the Chebyshev expansion at t = {float(ts.max())!r} needs more than "
+                f"the Chebyshev expansion at t = {float(np.max(ts))!r} needs more than "
                 f"{_MAX_DEGREE} terms on this graph (rho = {self.radius!r})")
-        C = ive(np.arange(m + 1, dtype=np.float64)[:, None], b[None, :])
+        C = ive.outer(np.arange(m + 1, dtype=np.float64), b)
         C[1:] *= 2.0
         return C
 
@@ -149,9 +187,8 @@ class ChebyshevPropagator:
             yield cur
 
     def _curve(self, ts, v):
-        """(nv, len(ts)): column j is e^{ts[j] S} v."""
         C = self._coefficients(ts)
-        Y = np.zeros((len(v), len(ts)))
+        Y = np.zeros(np.shape(v) + np.shape(ts))
         terms = self._terms(v, len(C) - 1)
         for k in range(0, len(C), _TERM_BLOCK):
             block = np.stack(list(itertools.islice(terms, _TERM_BLOCK)), axis=1)
@@ -159,13 +196,20 @@ class ChebyshevPropagator:
         return Y
 
     def _columns(self, ts, V):
-        """e^{ts[j] S} applied to column j of V."""
         C = self._coefficients(ts)
         Y = np.zeros_like(V)
         scaled = np.empty_like(V)
         for c, T in zip(C, self._terms(V, len(C) - 1)):
             Y += np.multiply(T, c, out=scaled)
         return Y
+
+    def _decayed(self, K, s, F):
+        Z = _columns_at_vertices(self, s, F)
+        Z *= np.exp(-2.0 * K * s)
+        return Z
+
+    def _to_functions(self, Z):
+        return Z
 
 
 # Seconds per unit of work, measured with one BLAS thread on a 2-core x86
@@ -178,10 +222,11 @@ _SPARSE_S = 3e-9     # a sparse product, per stored entry and column
 _SETUP_S = 0.05      # importing scipy.special and building X
 
 
-def _propagator_for(g: WeightedGraph, t_max, applies, integrals=0, nodes=0):
+def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_min: ()):
     """decompose(g) or ChebyshevPropagator(g), whichever is cheaper for a
-    job of `applies` single-function heat applications and `integrals`
-    time integrals on `nodes` quadrature nodes in all, at times up to t_max.
+    job of `applies` single-function heat applications at times up to
+    t_max and a time integral per node count in integral_nodes(lam_min),
+    sized with the Chebyshev side's bound lam_min = -rho.
 
     A dense application is two products with the nv x nv basis, and a
     dense integral two nv x nv x nodes products.  A Chebyshev application
@@ -190,7 +235,10 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integrals=0, nodes=0):
     products of a block of its nodes' columns.
     """
     nv, ne = g.vertex_count, len(g._edge_mu)
-    m = _chebyshev_degree(0.5 * _radius(g) * t_max)
+    rho = _radius(g)
+    m = _chebyshev_degree(0.5 * rho * t_max)
+    counts = integral_nodes(-rho)
+    integrals, nodes = len(counts), sum(counts)
     dense = _EIGH_S * nv**3 + nv * nv * (2.0 * _GEMV_S * applies + 2.0 * _GEMM_S * nodes)
     chebyshev = _SETUP_S + m * (_STEP_S * (applies + 2 * integrals)
                                 + _SPARSE_S * (2 * ne + nv) * (applies + integrals + nodes)
@@ -198,68 +246,59 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integrals=0, nodes=0):
     return ChebyshevPropagator(g) if chebyshev < dense else decompose(g)
 
 
-def _check_sizes(sd, g, f):
+def _check_sizes(sd, g, f, ndim):
+    """f as an ndim-D float64 array with a row per vertex of g, else a ValueError."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape[0] != g.vertex_count or sd.sqrt_m.shape[0] != g.vertex_count:
-        raise ValueError("propagator/function size mismatch with graph")
+    if f.ndim != ndim or f.shape[0] != g.vertex_count or sd.sqrt_m.shape[0] != g.vertex_count:
+        raise ValueError(f"propagator/function size mismatch with graph: {g.vertex_count} "
+                         f"vertices, a propagator on {sd.sqrt_m.shape[0]}, a {ndim}-D array "
+                         f"expected, shape {f.shape} given")
     return f
+
+
+def _check_times(ts):
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1 or not np.all((0 <= ts) & (ts < np.inf)):
+        raise ValueError("heat semigroup needs a 1-D array of finite times t >= 0")
+    return ts
 
 
 def heat_apply(sd, g: WeightedGraph, t: float, f) -> np.ndarray:
     """P_t f for a single finite time t >= 0."""
-    f = _check_sizes(sd, g, f)
-    if f.ndim != 1:
-        raise ValueError("heat_apply expects a single function")
+    f = _check_sizes(sd, g, f, 1)
     if not 0 <= t < np.inf:
         raise ValueError(f"heat semigroup is defined for finite t >= 0, got {t}")
     if t == 0:
         return f.copy()
     c = f[0]
-    if isinstance(sd, ChebyshevPropagator):
-        return c + sd.inv_sqrt_m * sd._curve(np.array([float(t)]), sd.sqrt_m * (f - c))[:, 0]
-    w = sd.basis.T @ (sd.sqrt_m * (f - c))
-    w *= np.exp(t * sd.rates)
-    return c + sd.inv_sqrt_m * (sd.basis @ w)
+    return c + sd.inv_sqrt_m * sd._curve(float(t), sd.sqrt_m * (f - c))
 
 
 def heat_curve(sd, g: WeightedGraph, ts, f) -> np.ndarray:
     """Column j is P_{ts[j]} f.  Vectorized over the whole time grid."""
-    f = _check_sizes(sd, g, f)
-    ts = np.asarray(ts, dtype=np.float64)
-    if not np.all((0 <= ts) & (ts < np.inf)):
-        raise ValueError("heat semigroup is defined for finite t >= 0")
+    f = _check_sizes(sd, g, f, 1)
+    ts = _check_times(ts)
     c = f[0]
-    if isinstance(sd, ChebyshevPropagator):
-        return _to_vertices(sd, sd._curve(ts, sd.sqrt_m * (f - c)), c)
-    w = sd.basis.T @ (sd.sqrt_m * (f - c))
-    W = np.outer(sd.rates, ts)
-    np.exp(W, out=W)
-    W *= w[:, None]
-    return _to_vertices(sd, sd.basis @ W, c)
+    return _to_vertices(sd, sd._curve(ts, sd.sqrt_m * (f - c)), c)
 
 
 def heat_apply_columns(sd, g: WeightedGraph, ts, F) -> np.ndarray:
     """Apply P_{ts[j]} to column j of F (one time per column)."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[0] != g.vertex_count:
-        raise ValueError(f"expected ({g.vertex_count}, k) column block, got {F.shape}")
-    ts = np.asarray(ts, dtype=np.float64)
+    F = _check_sizes(sd, g, F, 2)
+    ts = _check_times(ts)
     if ts.shape != (F.shape[1],):
         raise ValueError("need one time per column")
-    if not np.all((0 <= ts) & (ts < np.inf)):
-        raise ValueError("heat semigroup is defined for finite t >= 0")
+    return _columns_at_vertices(sd, ts, F)
+
+
+def _columns_at_vertices(sd, ts, F):
+    """P_{ts[j]} applied to column j of F, through sd._columns."""
     c = F[0]
-    V = sd.sqrt_m[:, None] * (F - c)
-    if isinstance(sd, ChebyshevPropagator):
-        return _to_vertices(sd, sd._columns(ts, V), c)
-    W = sd.basis.T @ V
-    W *= np.exp(sd.rates[:, None] * ts[None, :])
-    return _to_vertices(sd, sd.basis @ W, c)
+    return _to_vertices(sd, sd._columns(ts, sd.sqrt_m[:, None] * (F - c)), c)
 
 
 def _to_vertices(sd, Y, c):
-    """c + M^{-1/2} Y, columns of the symmetrized frame back to vertex
-    columns, in place on Y."""
+    """c + M^{-1/2} Y in place: columns of S's frame back at the vertices."""
     Y *= sd.inv_sqrt_m[:, None]
     Y += c
     return Y

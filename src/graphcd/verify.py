@@ -18,12 +18,11 @@ consequences of the semigroup, independent of curvature):
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
-the spectrum unless it is given.  With a dense SpectralDecomposition the
-sums are taken on the integrand's spectral coefficients, and only the two
-sums are mapped back to the vertices; with a ChebyshevPropagator the
-integrand is formed at the vertices.  Each operation returns per-vertex
-values; run_verification sweeps a corpus of functions and a time grid
-into a VerificationReport, with the propagator _sweep_propagator picks.
+the propagator's spectral bound unless it is given.  The sums are taken
+in the propagator's own coordinates (see semigroup), which is all this
+module knows of it.  Each operation returns per-vertex values;
+run_verification sweeps a corpus of functions and a time grid into a
+VerificationReport, with the propagator _sweep_propagator picks.
 """
 
 from __future__ import annotations
@@ -38,14 +37,7 @@ import numpy as np
 from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
 from .graph import WeightedGraph
 from .operators import _gamma2_parts, gamma, gamma2, gamma_many, laplacian_many
-from .semigroup import (
-    ChebyshevPropagator,
-    _propagator_for,
-    _radius,
-    heat_apply,
-    heat_apply_columns,
-    heat_curve,
-)
+from .semigroup import _bessel_tail_degree, _propagator_for, heat_apply, heat_curve
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -178,29 +170,22 @@ def _sized_panels(sd, K, t):
     for a quadratic Q.
 
     The integrand is a sum of e^{rs} with r = (lam_i - 2K) - (lam_j + lam_k)
-    and lam in [lam_min, 0], so |r| t / 2 <= a below.  The Chebyshev
-    coefficients of such a term on [0, t] decay like I_n(a) / I_0(a), and
-    ceil(sqrt(80 a)) + 16 bounds the n at which that falls to 1e-17: for
-    large a the ratio is about e^{-n^2 / 2a}, and 1e-17 = e^{-39.1}.
-
-    A ChebyshevPropagator knows only the bound -rho <= lam_min, which
-    widens the interval of rates, so n stays a bound.
+    and lam in [sd.lam_min, 0], so |r| t / 2 <= a of _panel_degree, and the
+    coefficients of such a term fall below 1e-17 at _bessel_tail_degree(a).
     """
-    lam_min = -sd.radius if isinstance(sd, ChebyshevPropagator) else float(sd.eigenvalues[0])
-    root = _panel_root(lam_min, K, t)
-    if not root + 16 <= _MAX_SIZED_PANELS:
+    n = _panel_degree(sd.lam_min, K, t)
+    if not n <= _MAX_SIZED_PANELS:
         raise ValueError(
             f"the time integral at K = {K!r}, t = {t!r} needs more than "
-            f"{_MAX_SIZED_PANELS} panels on this spectrum (lambda_min = {lam_min!r}); "
+            f"{_MAX_SIZED_PANELS} panels on this spectrum (lambda_min = {sd.lam_min!r}); "
             "set the panel count (--panels) explicitly")
-    n = math.ceil(root) + 16
     return n + n % 2
 
 
-def _panel_root(lam_min, K, t):
-    """sqrt(80 a) of _sized_panels."""
+def _panel_degree(lam_min, K, t):
+    """The degree of _sized_panels before its cap and its rounding to even."""
     a = 0.5 * t * max(abs(lam_min - 2.0 * K), abs(2.0 * lam_min + 2.0 * K))
-    return math.sqrt(80.0 * a)
+    return _bessel_tail_degree(a)
 
 
 def _check_time(t):
@@ -259,36 +244,15 @@ def _decay(K, t, exp=math.exp):
 def _heat_integral(g, sd, f, K, t, quad, inner):
     """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate, per vertex.
 
-    With P_s = M^{-1/2} U e^{s lambda} U^T M^{1/2}, the integrand's column
-    at node s_j is M^{-1/2} U [e^{(lambda - 2K) s_j} U^T M^{1/2} V_j].  The
-    quadrature sums are taken on the bracket, so only the fine and the
-    coarse sum are mapped back through M^{-1/2} U.  A ChebyshevPropagator
-    has no basis, and its integrand is e^{-2K s_j} P_{s_j} V_j.
+    The integrand is sd._decayed(K, s_j, inner(P_{t - s_j} f)) at node s_j, in the
+    propagator's own coordinates; only the two sums go back to the vertices.
     """
-    # the table's largest entry is e^{-2Kt}: its top rate is 0 and s <= t
+    # the integrand's largest factor is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
     if quad.panels is None:
         quad = QuadratureSpec(panels=_sized_panels(sd, K, t))
-    if isinstance(sd, ChebyshevPropagator):
-        def integrand(s):
-            Z = heat_apply_columns(sd, g, s, inner(heat_curve(sd, g, t - s, f)))
-            Z *= np.exp(-2.0 * K * s)
-            return Z
-
-        fine, coarse = _integrate(integrand, t, quad).T
-        return fine, np.abs(fine - coarse)
-    rates = sd.rates - 2.0 * K
-
-    def integrand(s):
-        V = inner(heat_curve(sd, g, t - s, f))
-        V *= sd.sqrt_m[:, None]
-        Z = sd.basis.T @ V
-        E = np.outer(rates, s)
-        Z *= np.exp(E, out=E)
-        return Z
-
-    sums = sd.inv_sqrt_m[:, None] * (sd.basis @ _integrate(integrand, t, quad))
-    fine, coarse = sums.T
+    fine, coarse = sd._to_functions(_integrate(
+        lambda s: sd._decayed(K, s, inner(heat_curve(sd, g, t - s, f))), t, quad)).T
     return fine, np.abs(fine - coarse)
 
 
@@ -437,18 +401,15 @@ def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=Quad
 
     Each (function, time) of _sides applies the heat semigroup to two
     functions (three for the variance bound) and takes at most one
-    integral, whose node count is sized with lambda_min = -rho.
+    integral, its nodes sized with the cost model's bound lambda_min.
     """
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
-    points = function_count * len(times)
-    applies = (3 if inequality_name == "variance_bound" else 2) * points
-    integrals = nodes = 0
-    if inequality_name in _IDENTITY_OPS or (inequality_name == "cdn_bound"
-                                            and not math.isinf(n)):
-        integrals = points
-        panels = [quad.panels or _panel_root(-_radius(g), K, t) + 17 for t in times]
-        nodes = function_count * sum(2 * p + 1 for p in panels)
-    return _propagator_for(g, max(times), applies, integrals, nodes)
+    applies = (3 if inequality_name == "variance_bound" else 2) * function_count * len(times)
+    if inequality_name not in _IDENTITY_OPS and (inequality_name != "cdn_bound"
+                                                 or math.isinf(n)):
+        return _propagator_for(g, max(times), applies)
+    return _propagator_for(g, max(times), applies, lambda lam_min: function_count * [
+        2 * (quad.panels or _panel_degree(lam_min, K, t)) + 1 for t in times])
 
 
 def run_verification(

@@ -4,12 +4,14 @@ Each test pins one promised behavior of the package at its stated
 tolerance: exact curvature values on the two smallest complete graphs,
 solver/oracle agreement at scale, the integral identities, soundness and
 sharpness of every semigroup bound over the fixture corpus, the
-semigroup invariant suite, the Green residual contract, and byte-level
-determinism of CLI reports.
+semigroup invariant suite, the Green residual contract, byte-level
+determinism of CLI reports, and the README's library quick start.
 """
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +218,11 @@ def test_c11_deterministic_reports(tmp_path):
         assert code == 0
         out.append(path.read_bytes())
     assert out[0] == out[1]
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    # the last line printed is the gap between the two propagators
+    assert float(capsys.readouterr().out.split()[-1]) <= 1e-12

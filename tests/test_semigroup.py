@@ -197,6 +197,32 @@ def test_size_mismatch_rejected():
         heat_apply(sd, K2, 1.0, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("propagator", PROPAGATORS)
+def test_every_heat_entry_point_checks_sizes(propagator):
+    g3, g4 = path_graph(3), path_graph(4)
+    sd = propagator(g3)
+    f3, f4 = np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0, -1.0])
+    calls = (
+        # a 3-vertex propagator with a 4-vertex graph
+        lambda: heat_apply(sd, g4, 0.5, f4),
+        lambda: heat_curve(sd, g4, [0.5], f4),
+        lambda: heat_apply_columns(sd, g4, [0.5], f4[:, None]),
+        # a function of the wrong shape
+        lambda: heat_apply(sd, g3, 0.5, f4),
+        lambda: heat_apply(sd, g3, 0.5, np.outer(f3, f3)),
+        lambda: heat_curve(sd, g3, [0.5, 1.0], np.outer(f3, f3)),
+        lambda: heat_apply_columns(sd, g3, [0.5], f3),
+        lambda: heat_apply_columns(sd, g3, [0.5], f4[:, None]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="propagator/function size mismatch with graph"):
+            call()
+    # times that are not a 1-D array
+    for ts in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D array of finite times"):
+            heat_curve(sd, g3, ts, f3)
+
+
 def test_invariant_suite_random_graphs():
     for seed, propagator in itertools.product(range(10), PROPAGATORS):
         g = random_connected_graph(2600 + seed)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphcd.curvature import curvature_at, min_curvature
-from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
+from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
 from graphcd.operators import gamma, gamma2, laplacian_many
 from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply
 from graphcd.verify import (
@@ -33,6 +33,7 @@ from graphcd.verify import (
     variance_identity_residual,
 )
 from conftest import (
+    ExpmPropagator,
     exact_heat_integral,
     ref_eigenpairs,
     ref_form_table,
@@ -393,14 +394,14 @@ def test_sized_panels_resolve_the_fastest_exponential():
     from scipy.special import ive
 
     for a in (0.01, 1.85, 20.0, 1e3, 2e4, 3e6):
-        n = _sized_panels(SimpleNamespace(eigenvalues=np.array([-a, 0.0])), 0.0, 1.0)
+        n = _sized_panels(SimpleNamespace(lam_min=-a), 0.0, 1.0)
         assert n % 2 == 0
         assert ive(n, a) / ive(0, a) <= 1e-17
     # K moves the rates: a = 0.025 max(|lam_min - 2K|, |2 lam_min + 2K|)
-    sd = SimpleNamespace(eigenvalues=np.array([-23.7, 0.0]))
+    sd = SimpleNamespace(lam_min=-23.7)
     assert (_sized_panels(sd, -1.0, 0.05), _sized_panels(sd, -13.3, 0.05)) == (26, 30)
     with pytest.raises(ValueError, match="panel count"):
-        _sized_panels(SimpleNamespace(eigenvalues=np.array([-1e12, 0.0])), 0.0, 1.0)
+        _sized_panels(SimpleNamespace(lam_min=-1e12), 0.0, 1.0)
 
 
 def test_quadrature_spec_validation():
@@ -410,6 +411,30 @@ def test_quadrature_spec_validation():
         QuadratureSpec(panels=7)  # odd
     with pytest.raises(ValueError):
         QuadratureSpec(panels=-4)
+
+
+@pytest.mark.parametrize("name, n", [("gradient_estimate", None), ("variance_bound", None),
+                                     ("cdn_bound", 2.0), ("variance_identity", None),
+                                     ("gamma2_identity", None)])
+def test_run_verification_through_a_third_propagator(name, n):
+    # verify reads a propagator only through the interface semigroup
+    # documents, so one written against it alone gives decompose's records
+    graphs = list(fixture_graphs().values()) + [
+        random_connected_graph(3950 + seed, max_vertices=10, self_loop_prob=0.5)
+        for seed in range(3)]
+    for i, g in enumerate(graphs):
+        functions = function_corpus(g, random_count=3, seed=i)
+        args = (name, "auto", [0.1, 1.0], functions, n)
+        want = run_verification(g, decompose(g), *args)
+        got = run_verification(g, ExpmPropagator(g), *args)
+        # each term of either side is at most max(1, e^{-2Kt}) times the
+        # largest f^2 or Gamma(f): the scale of that (function, t)
+        f_of = dict(functions)
+        scale = np.array([[max(1.0, math.exp(-2.0 * want.K * t))
+                           * max((f * f).max(), gamma(g, f).max()) for t in want.times]
+                          for f in map(f_of.get, want.function_ids)])[:, :, None]
+        for side in ("lhs", "rhs"):
+            assert np.all(np.abs(getattr(got, side) - getattr(want, side)) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
