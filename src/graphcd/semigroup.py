@@ -215,7 +215,6 @@ class ChebyshevPropagator:
 # Seconds per unit of work, measured with one BLAS thread on a 2-core x86
 # machine.  The choice depends only on their ratios.
 _EIGH_S = 5e-10      # the dense eigh, per nv^3
-_GEMV_S = 4e-10      # a product of the dense basis and a vector, per entry
 _GEMM_S = 1e-10      # a product of two dense matrices, per multiply-add
 _STEP_S = 1.5e-5     # one sparse product call with its recurrence step
 _SPARSE_S = 3e-9     # a sparse product, per stored entry and column
@@ -224,23 +223,23 @@ _SETUP_S = 0.05      # importing scipy.special and building X
 
 def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_min: ()):
     """decompose(g) or ChebyshevPropagator(g), whichever is cheaper for a
-    job of `applies` single-function heat applications at times up to
+    job of `applies` heat-applied columns, taken in blocks, at times up to
     t_max and a time integral per node count in integral_nodes(lam_min),
     sized with the Chebyshev side's bound lam_min = -rho.
 
-    A dense application is two products with the nv x nv basis, and a
-    dense integral two nv x nv x nodes products.  A Chebyshev application
-    is m sparse products (m its degree at t_max), each with its own call
-    overhead; an integral is one curve of m single-vector products and m
-    products of a block of its nodes' columns.
+    A dense column is two block products with the nv x nv basis, and a
+    dense integral two nv x nv x nodes products.  A Chebyshev column is m
+    sparse products (m its degree at t_max), whose calls its block shares;
+    an integral is one curve of m single-vector products, each its own
+    call, and m products of a block of its nodes' columns.
     """
     nv, ne = g.vertex_count, len(g._edge_mu)
     rho = _radius(g)
     m = _chebyshev_degree(0.5 * rho * t_max)
     counts = integral_nodes(-rho)
     integrals, nodes = len(counts), sum(counts)
-    dense = _EIGH_S * nv**3 + nv * nv * (2.0 * _GEMV_S * applies + 2.0 * _GEMM_S * nodes)
-    chebyshev = _SETUP_S + m * (_STEP_S * (applies + 2 * integrals)
+    dense = _EIGH_S * nv**3 + 2.0 * _GEMM_S * nv * nv * (applies + nodes)
+    chebyshev = _SETUP_S + m * (2 * _STEP_S * integrals
                                 + _SPARSE_S * (2 * ne + nv) * (applies + integrals + nodes)
                                 + _GEMM_S * nv * nodes)
     return ChebyshevPropagator(g) if chebyshev < dense else decompose(g)

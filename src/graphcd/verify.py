@@ -20,9 +20,9 @@ Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
 the propagator's spectral bound unless it is given.  The sums are taken
 in the propagator's own coordinates (see semigroup), which is all this
-module knows of it.  Each operation returns per-vertex values;
-run_verification sweeps a corpus of functions and a time grid into a
-VerificationReport, with the propagator _sweep_propagator picks.
+module knows of it.  _sides evaluates a block of functions as columns at
+one time; run_verification sweeps a corpus by such blocks over a time
+grid into a VerificationReport, with the propagator _sweep_propagator picks.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import numpy as np
 
 from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
 from .graph import WeightedGraph
-from .operators import _gamma2_parts, gamma, gamma2, gamma_many, laplacian_many
-from .semigroup import _bessel_tail_degree, _propagator_for, heat_apply, heat_curve
+from .operators import _gamma2_parts, gamma2, gamma_many, laplacian_many
+from .semigroup import _bessel_tail_degree, _check_sizes, _propagator_for, heat_apply_columns
+from .semigroup import heat_curve
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -129,6 +130,8 @@ _NODE_BLOCK = 513
 # refused: its integrals would take minutes, and an explicit panel count
 # is the caller's own choice
 _MAX_SIZED_PANELS = 2**20
+# functions run_verification evaluates at once, which bounds its edge x column arrays
+_FUNCTION_BLOCK = 128
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,38 +202,45 @@ def _check_time(t):
 # inequality / identity evaluators (per-vertex)
 # ---------------------------------------------------------------------------
 
-def _sides(g, sd, inequality_name, f, K, n, t, quad):
-    """(lhs, rhs, quadrature error estimate or None) per vertex at one (f, t):
-    rhs is the bound of an inequality, whose slack is rhs - lhs, or the
-    integral side of an identity, whose residual is |rhs - lhs|."""
+def _sides(g, sd, inequality_name, F, K, n, t, quad):
+    """(lhs, rhs, quadrature error estimate or None) per vertex and column of F
+    at one time: rhs is the bound of an inequality, whose slack is rhs - lhs,
+    or the integral side of an identity, whose residual is |rhs - lhs|."""
     t = _check_time(t)
-    f = np.asarray(f, dtype=np.float64)
+    heat = functools.partial(heat_apply_columns, sd, g, np.full(F.shape[1], t))
     if inequality_name in ("variance_bound", "variance_identity"):
-        lhs = heat_apply(sd, g, t, f * f) - heat_apply(sd, g, t, f) ** 2
+        lhs = heat(F * F) - heat(F) ** 2
         if inequality_name == "variance_identity":
-            return (lhs, *_integrate_variance(g, sd, f, t, quad))
-        return lhs, variance_coefficient(K, t) * heat_apply(sd, g, t, gamma(g, f)), None
+            return (lhs, *_integrate_variance(g, sd, F, t, quad))
+        return lhs, variance_coefficient(K, t) * heat(gamma_many(g, F)), None
 
-    gradient = gamma(g, heat_apply(sd, g, t, f))
-    decayed = _decay(K, t) * heat_apply(sd, g, t, gamma(g, f))
+    gradient = gamma_many(g, heat(F))
+    decayed = _decay(K, t) * heat(gamma_many(g, F))
     if inequality_name == "gradient_estimate":
         return gradient, decayed, None
     if inequality_name == "gamma2_identity":
-        return (decayed - gradient, *_integrate_gamma2(g, sd, f, K, t, quad))
+        return (decayed - gradient, *_integrate_gamma2(g, sd, F, K, t, quad))
 
     n = _check_dimension(n)
     if math.isinf(n):
         # the integral's coefficient 2/n is 0
         return gradient, decayed, np.zeros_like(decayed)
 
-    def inner(F):
-        L = laplacian_many(g, F)
+    def inner(X):
+        L = laplacian_many(g, X)
         L *= L
         return L
 
-    integral, err = _heat_integral(g, sd, f, K, t, quad, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, quad, inner)
     coeff = 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
+
+
+def _one_function(g, sd, inequality_name, f, K, n, t, quad):
+    """_sides at the single function f, each array a vector."""
+    F = _check_sizes(sd, g, f, 1)[:, None]
+    return tuple(None if a is None else a[:, 0]
+                 for a in _sides(g, sd, inequality_name, F, K, n, t, quad))
 
 
 def _decay(K, t, exp=math.exp):
@@ -241,43 +251,44 @@ def _decay(K, t, exp=math.exp):
         raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}") from None
 
 
-def _heat_integral(g, sd, f, K, t, quad, inner):
-    """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate, per vertex.
+def _heat_integral(g, sd, F, K, t, quad, inner):
+    """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate per column f of F.
 
     The integrand is sd._decayed(K, s_j, inner(P_{t - s_j} f)) at node s_j, in the
-    propagator's own coordinates; only the two sums go back to the vertices.
+    propagator's own coordinates; only the sums go back to the vertices, in one call.
     """
     # the integrand's largest factor is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
     if quad.panels is None:
         quad = QuadratureSpec(panels=_sized_panels(sd, K, t))
-    fine, coarse = sd._to_functions(_integrate(
-        lambda s: sd._decayed(K, s, inner(heat_curve(sd, g, t - s, f))), t, quad)).T
+    sums = sd._to_functions(np.hstack([_integrate(
+        lambda s: sd._decayed(K, s, inner(heat_curve(sd, g, t - s, f))), t, quad) for f in F.T]))
+    fine, coarse = sums[:, 0::2], sums[:, 1::2]
     return fine, np.abs(fine - coarse)
 
 
-def _integrate_variance(g, sd, f, t, quad):
+def _integrate_variance(g, sd, F, t, quad):
     """2 Int_0^t P_s Gamma(P_{t-s} f) ds and its error estimate."""
-    integral, err = _heat_integral(g, sd, f, 0.0, t, quad, lambda F: gamma_many(g, F))
+    integral, err = _heat_integral(g, sd, F, 0.0, t, quad, lambda X: gamma_many(g, X))
     return 2.0 * integral, 2.0 * err
 
 
-def _integrate_gamma2(g, sd, f, K, t, quad):
+def _integrate_gamma2(g, sd, F, K, t, quad):
     """2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds and its error estimate."""
-    def inner(F):
-        # Gamma2(F) - K Gamma(F), with BF and Gamma(F) formed once
-        G2, G = _gamma2_parts(g, F)
+    def inner(X):
+        # Gamma2(X) - K Gamma(X), with BX and Gamma(X) formed once
+        G2, G = _gamma2_parts(g, X)
         G *= K
         G2 -= G
         return G2
 
-    integral, err = _heat_integral(g, sd, f, K, t, quad, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, quad, inner)
     return 2.0 * integral, 2.0 * err
 
 
 def gradient_estimate(g, sd, f, K, t):
     """slack(x) = e^{-2Kt} P_t Gamma(f)(x) - Gamma(P_t f)(x)."""
-    lhs, rhs, _ = _sides(g, sd, "gradient_estimate", f, K, None, t, None)
+    lhs, rhs, _ = _one_function(g, sd, "gradient_estimate", f, K, None, t, None)
     return rhs - lhs
 
 
@@ -294,7 +305,7 @@ def variance_coefficient(K, t):
 
 def variance_bound(g, sd, f, K, t):
     """slack(x) = ((1-e^{-2Kt})/K) P_t Gamma(f)(x) - [P_t(f^2) - (P_tf)^2](x)."""
-    lhs, rhs, _ = _sides(g, sd, "variance_bound", f, K, None, t, None)
+    lhs, rhs, _ = _one_function(g, sd, "variance_bound", f, K, None, t, None)
     return rhs - lhs
 
 
@@ -303,7 +314,7 @@ def variance_identity_residual(g, sd, f, t, quad=QuadratureSpec()):
 
     Returns (residual, quadrature error estimate), both per vertex.
     """
-    lhs, rhs, err = _sides(g, sd, "variance_identity", f, 0.0, None, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "variance_identity", f, 0.0, None, t, quad)
     return np.abs(rhs - lhs), err
 
 
@@ -316,7 +327,7 @@ def cdn_bound(g, sd, f, K, n, t, quad=QuadratureSpec()):
 
     Returns (slack, quadrature error estimate) per vertex.
     """
-    lhs, rhs, err = _sides(g, sd, "cdn_bound", f, K, n, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "cdn_bound", f, K, n, t, quad)
     return rhs - lhs, err
 
 
@@ -329,7 +340,7 @@ def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
     Holds for every real K; the K-dependence cancels between the two
     sides.  Returns (residual, quadrature error estimate) per vertex.
     """
-    lhs, rhs, err = _sides(g, sd, "gamma2_identity", f, K, None, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "gamma2_identity", f, K, None, t, quad)
     return np.abs(rhs - lhs), err
 
 
@@ -399,8 +410,8 @@ def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=Quad
     """The propagator, dense or Chebyshev, that semigroup._propagator_for
     finds cheaper for run_verification over function_count functions.
 
-    Each (function, time) of _sides applies the heat semigroup to two
-    functions (three for the variance bound) and takes at most one
+    Each function of _sides applies the heat semigroup to two columns
+    (three for the variance bound) at each time and takes at most one
     integral, its nodes sized with the cost model's bound lambda_min.
     """
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
@@ -442,17 +453,20 @@ def run_verification(
     lhs = np.empty((len(functions), len(times), g.vertex_count))
     rhs = np.empty_like(lhs)
     qmax = 0.0
-    for i, (_, f) in enumerate(functions):
+    for i in range(0, len(functions), _FUNCTION_BLOCK):
+        block = slice(i, i + _FUNCTION_BLOCK)
+        F = np.column_stack([_check_sizes(sd, g, f, 1) for _, f in functions[block]])
         for j, t in enumerate(times):
-            lhs[i, j], rhs[i, j], qerr = _sides(g, sd, inequality_name, f, K, n, t, quad)
+            L, R, qerr = _sides(g, sd, inequality_name, F, K, n, t, quad)
+            lhs[block, j], rhs[block, j] = L[v_order].T, R[v_order].T
             if qerr is not None:
-                qmax = max(qmax, float(np.max(qerr)))
-    lhs, rhs = lhs[:, :, v_order], rhs[:, :, v_order]
+                # np.max keeps a NaN, where Python's max would drop it
+                qmax = float(np.max(qerr, initial=qmax))
     slack = rhs - lhs
     if inequality_name not in _IDENTITY_OPS:
         # an inequality reports rhs as lhs + slack, not the bound itself:
         # the two can differ in the last bit, and the report format has the former
-        rhs = lhs + slack
+        np.add(lhs, slack, out=rhs)
     return VerificationReport(
         inequality_name=inequality_name,
         K=K,

@@ -9,7 +9,7 @@ import pytest
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
 from graphcd.operators import gamma, gamma2, laplacian_many
-from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply
+from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply, heat_apply_columns
 from graphcd.verify import (
     _heat_integral,
     _integrate,
@@ -17,6 +17,7 @@ from graphcd.verify import (
     _integrate_variance,
     _sides,
     _sized_panels,
+    QUAD_TOLERANCE_FLOOR,
     QuadratureSpec,
     VerificationReport,
     cdn_bound,
@@ -317,10 +318,12 @@ def test_heat_integrals_match_exact_oracle(K):
                      exact_heat_integral(g, lam, Phi, T_lap2, f, K, t))
             for panels in (None, 4, 8, 16):
                 quad = QuadratureSpec(panels=panels)
-                got = (_integrate_variance(g, sd, f, t, quad),
-                       _integrate_gamma2(g, sd, f, K, t, quad),
-                       _heat_integral(g, sd, f, K, t, quad, lambda F: laplacian_many(g, F) ** 2))
+                got = (_integrate_variance(g, sd, f[:, None], t, quad),
+                       _integrate_gamma2(g, sd, f[:, None], K, t, quad),
+                       _heat_integral(g, sd, f[:, None], K, t, quad,
+                                      lambda F: laplacian_many(g, F) ** 2))
                 for (integral, err), ref in zip(got, exact):
+                    integral, err = integral[:, 0], err[:, 0]
                     true = np.abs(integral - ref).max()
                     if panels is None:
                         assert true <= 1e-12 * sides
@@ -365,11 +368,12 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
                        ("cdn_bound", -1.0, 2.0)):
         dense.clear()
         sparse.clear()
-        got = _sides(g, counted, name, f, K, n, 0.3, quad)
+        got = [a[:, 0] for a in _sides(g, counted, name, f[:, None], K, n, 0.3, quad)]
         assert sum(shapes[1][-1] == nodes for shapes in dense) == 2
         if name == "gamma2_identity":
             assert sum(shape[-1] == nodes for shape in sparse) == 7
-        assert all(np.array_equal(a, b) for a, b in zip(got, _sides(g, sd, name, f, K, n, 0.3, quad)))
+        want = [a[:, 0] for a in _sides(g, sd, name, f[:, None], K, n, 0.3, quad)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_integrate_is_exact_on_exponentials_in_node_blocks():
@@ -413,9 +417,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(panels=-4)
 
 
-@pytest.mark.parametrize("name, n", [("gradient_estimate", None), ("variance_bound", None),
-                                     ("cdn_bound", 2.0), ("variance_identity", None),
-                                     ("gamma2_identity", None)])
+FIVE_CHECKS = [("gradient_estimate", None), ("variance_bound", None), ("cdn_bound", 2.0),
+               ("variance_identity", None), ("gamma2_identity", None)]
+
+
+@pytest.mark.parametrize("name, n", FIVE_CHECKS)
 def test_run_verification_through_a_third_propagator(name, n):
     # verify reads a propagator only through the interface semigroup
     # documents, so one written against it alone gives decompose's records
@@ -427,14 +433,18 @@ def test_run_verification_through_a_third_propagator(name, n):
         args = (name, "auto", [0.1, 1.0], functions, n)
         want = run_verification(g, decompose(g), *args)
         got = run_verification(g, ExpmPropagator(g), *args)
-        # each term of either side is at most max(1, e^{-2Kt}) times the
-        # largest f^2 or Gamma(f): the scale of that (function, t)
-        f_of = dict(functions)
-        scale = np.array([[max(1.0, math.exp(-2.0 * want.K * t))
-                           * max((f * f).max(), gamma(g, f).max()) for t in want.times]
-                          for f in map(f_of.get, want.function_ids)])[:, :, None]
+        scale = _record_scale(g, want, functions)
         for side in ("lhs", "rhs"):
             assert np.all(np.abs(getattr(got, side) - getattr(want, side)) <= 1e-12 * scale)
+
+
+def _record_scale(g, report, functions):
+    """Each term of either side is at most max(1, e^{-2Kt}) times the
+    largest f^2 or Gamma(f): the scale of that (function, t)."""
+    f_of = dict(functions)
+    return np.array([[max(1.0, math.exp(-2.0 * report.K * t))
+                      * max((f * f).max(), gamma(g, f).max()) for t in report.times]
+                     for f in map(f_of.get, report.function_ids)])[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +557,78 @@ def test_min_slack_does_not_depend_on_record_order(ids):
     assert np.isnan(rep.slack).any()
     assert math.isnan(rep.min_slack)
     assert find_violations(rep)
+
+
+@pytest.mark.parametrize("name, n", [("variance_identity", None), ("gamma2_identity", None),
+                                     ("cdn_bound", 2.0)])
+def test_nan_quadrature_estimate_is_reported(name, n):
+    # the second function overflows and its quadrature estimate is NaN: the
+    # report shows it, as min_slack does, and the tolerance stays the floor
+    g = path_graph(3)
+    funcs = [("a", np.array([1.0, 0.0, 2.0])), ("b", np.array([1e300, -1e300, 1e300]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_verification(g, decompose(g), name, 0.0, [0.1], funcs, n=n)
+    assert math.isnan(rep.quadrature_error_estimate) and math.isnan(rep.min_slack)
+    assert record_tolerance(name, rep.quadrature_error_estimate) == QUAD_TOLERANCE_FLOOR
+    assert find_violations(rep)
+
+
+@pytest.mark.parametrize("name, n", FIVE_CHECKS)
+def test_run_verification_of_no_functions(name, n):
+    rep = run_verification(K3, decompose(K3), name, 0.0, [0.1, 0.5], [], n=n)
+    assert rep.slack.shape == rep.lhs.shape == (0, 2, 3)
+    assert rep.min_slack == 0.0 and len(rep.records) == 0
+
+
+def test_run_verification_rejects_a_function_of_the_wrong_length():
+    funcs = [("a", np.ones(3)), ("b", np.ones(4))]
+    with pytest.raises(ValueError, match="propagator/function size mismatch with graph"):
+        run_verification(K3, decompose(K3), "gradient_estimate", 0.0, [0.1], funcs)
+
+
+@pytest.mark.parametrize("name, n", FIVE_CHECKS)
+def test_sweep_applies_heat_to_column_blocks(monkeypatch, name, n):
+    # below the block size each time's sides take the same heat calls
+    # however many functions there are, and no function goes alone
+    # through heat_apply
+    def alone(*args):
+        raise AssertionError("heat_apply was called")
+
+    calls = []
+
+    def counted(sd, g, ts, F):
+        calls.append(F.shape[1])
+        return heat_apply_columns(sd, g, ts, F)
+
+    for target in ("graphcd.verify.heat_apply", "graphcd.semigroup.heat_apply"):
+        monkeypatch.setattr(target, alone, raising=False)
+    monkeypatch.setattr("graphcd.verify.heat_apply_columns", counted, raising=False)
+    g = random_connected_graph(3960, min_vertices=6, max_vertices=6)
+    counts = []
+    for random_count in (1, 20):
+        calls.clear()
+        functions = function_corpus(g, random_count=random_count, seed=1)
+        run_verification(g, decompose(g), name, 0.0, [0.1, 0.5], functions, n=n)
+        assert calls and set(calls) == {len(functions)}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name, n", FIVE_CHECKS)
+def test_sweep_blocks_split_the_corpus(monkeypatch, name, n):
+    # 17 functions in blocks of 4 (the last one short) give the records of
+    # one block up to roundoff, in the same order
+    g = random_connected_graph(3961, min_vertices=6, max_vertices=6)
+    functions = function_corpus(g, random_count=4, seed=2)
+    want = run_verification(g, decompose(g), name, -0.5, [0.1, 0.5], functions, n=n)
+    monkeypatch.setattr("graphcd.verify._FUNCTION_BLOCK", 4)
+    got = run_verification(g, decompose(g), name, -0.5, [0.1, 0.5], functions, n=n)
+    assert len(functions) == 17 and got.function_ids == want.function_ids
+    scale = _record_scale(g, want, functions)
+    for side in ("lhs", "rhs", "slack"):
+        assert np.all(np.abs(getattr(got, side) - getattr(want, side)) <= 1e-12 * scale)
+    assert got.quadrature_error_estimate == pytest.approx(want.quadrature_error_estimate,
+                                                          rel=1e-9, abs=1e-15)
 
 
 def test_records_view_reads_the_arrays():
