@@ -33,6 +33,7 @@ from .graph import (
 from .semigroup import _propagator_for, heat_apply
 from .verify import (
     QuadratureSpec,
+    _dimension_for,
     _sweep_propagator,
     find_violations,
     run_verification,
@@ -356,11 +357,7 @@ def cmd_verify(args) -> int:
         if not math.isfinite(K):
             raise ValueError(f"--K must be finite or 'auto', got {args.K!r}")
 
-    n = None
-    if args.n is not None:
-        n = _parse_dimension(args.n)
-    if name == "cdn_bound" and n is None:
-        raise ValueError("--inequality cdn requires --n")
+    n = _dimension_for(name, None if args.n is None else _parse_dimension(args.n))
 
     try:
         times = [float(tok) for tok in args.times.split(",") if tok.strip()]
@@ -370,8 +367,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--times needs a comma list of positive reals")
 
     quad = QuadratureSpec(panels=args.panels)
-    corpus_dim = n if (name == "cdn_bound" and n is not None) else math.inf
-    functions = _build_corpus(g, args.functions, corpus_dim)
+    functions = _build_corpus(g, args.functions, math.inf if n is None else n)
 
     sd = _sweep_propagator(g, name, K, n, times, len(functions), quad)
     report = run_verification(g, sd, name, K, times, functions, n=n, quad=quad)
@@ -453,7 +449,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--inequality", required=True, choices=sorted(_INEQUALITY_BY_FLAG))
     p.add_argument("--K", default="auto", help="real constant or 'auto' (min curvature)")
-    p.add_argument("--n", default=None, help="dimension for cdn")
+    p.add_argument("--n", default=None, help="dimension, for cdn only")
     p.add_argument("--times", required=True, help="comma list of positive times")
     p.add_argument(
         "--functions",

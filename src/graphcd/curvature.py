@@ -30,7 +30,6 @@ from .operators import form_table, gamma2_many, gamma_many, laplacian_many
 
 _RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to sigma_max
 _PSD_TOL = 1e-10           # allowed negative eigenvalue in the S2 block
-_CD_DECISION_TOL = 1e-10
 _ORACLE_MAX_BALL = 12
 _CERT_TOL = 1e-12          # oracle certificate, relative to |A| + |kappa| |B|
 
@@ -59,15 +58,6 @@ class CurvatureResult:
         w[self.support] = self.values
         w.flags.writeable = False
         return w
-
-
-@dataclass(frozen=True)
-class CdCheck:
-    holds: bool
-    K: float
-    dimension: float
-    min_kappa: float
-    margins: dict  # vertex label -> kappa(x) - K
 
 
 def _check_dimension(n):
@@ -174,20 +164,6 @@ def curvature_all(g: WeightedGraph, n: float = math.inf):
 
 def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:
     return min(r.kappa for r in curvature_all(g, n))
-
-
-def check_cd(g: WeightedGraph, K: float, n: float = math.inf) -> CdCheck:
-    """Does the graph satisfy CD(K, n)?  True iff min_x kappa(x;n) >= K - 1e-10."""
-    results = curvature_all(g, n)
-    margins = {g.labels[r.vertex]: r.kappa - K for r in results}
-    min_kappa = min(r.kappa for r in results)
-    return CdCheck(
-        holds=bool(min_kappa >= K - _CD_DECISION_TOL),
-        K=float(K),
-        dimension=float(n),
-        min_kappa=min_kappa,
-        margins=margins,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ and Gamma has the equivalent local-sum form
 
     Gamma(f,h)(x) = (1/(2 m(x))) sum_y mu_xy (f(y)-f(x)) (h(y)-h(x)).
 
-Self-loop terms vanish identically in all three operators.  form_table
+Self-loop terms vanish identically in all three operators.  Each acts
+on a block of functions as columns, Gamma2 through one kernel that
+forms the edge differences once; laplacian, gamma and gamma2 are column
+0 of that code at a single function.  form_table
 expresses Gamma, Delta, Gamma2 at many vertices x at once as matrices
 over the ball coordinates with f(x) pinned to 0, which is what the
 curvature solver consumes; local_forms is the same at one vertex.
@@ -29,27 +32,26 @@ import numpy as np
 from .graph import Ball, WeightedGraph, vertex_id
 
 
-def _as_function(g, f):
+def _vertex_array(g, f, ndim, sd=None):
+    """f as an ndim-D float64 array with a row per vertex of g, else a
+    ValueError, which a propagator sd on another vertex count also raises."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.vertex_count,):
-        raise ValueError(f"expected function of shape ({g.vertex_count},), got {f.shape}")
+    nv = g.vertex_count
+    on = nv if sd is None else sd.sqrt_m.shape[0]
+    if f.ndim != ndim or f.shape[0] != nv or on != nv:
+        sizes = "" if sd is None else f"a propagator on {on}, "
+        raise ValueError(f"propagator/function size mismatch with graph: {nv} vertices, "
+                         f"{sizes}a {ndim}-D array expected, shape {f.shape} given")
     return f
 
 
-def _as_columns(g, F):
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[0] != g.vertex_count:
-        raise ValueError(f"expected ({g.vertex_count}, k) column block, got {F.shape}")
-    return F
-
-
 # ---------------------------------------------------------------------------
-# operators, single-function and column-block variants
+# operators on column blocks; a single function is a block of one column
 # ---------------------------------------------------------------------------
 
 def laplacian(g: WeightedGraph, f) -> np.ndarray:
-    f = _as_function(g, f)
-    return laplacian_many(g, f[:, None])[:, 0]
+    """Delta f, column 0 of laplacian_many."""
+    return laplacian_many(g, _vertex_array(g, f, 1)[:, None])[:, 0]
 
 
 def laplacian_many(g: WeightedGraph, F) -> np.ndarray:
@@ -59,21 +61,20 @@ def laplacian_many(g: WeightedGraph, F) -> np.ndarray:
     terms mu_xy (f(y) - f(x)) in neighbor order and constants map to an
     exact +0.
     """
-    return _delta(g, g._incidences()[0] @ _as_columns(g, F))
+    return _delta(g, g._incidences()[0] @ _vertex_array(g, F, 2))
 
 
 def gamma(g: WeightedGraph, f, h=None) -> np.ndarray:
-    """Gamma(f,h) via the local edge sum; h defaults to f."""
-    f = _as_function(g, f)
-    H = None if h is None else _as_function(g, h)[:, None]
-    return gamma_many(g, f[:, None], H)[:, 0]
+    """Gamma(f,h), column 0 of gamma_many; h defaults to f."""
+    H = None if h is None else _vertex_array(g, h, 1)[:, None]
+    return gamma_many(g, _vertex_array(g, f, 1)[:, None], H)[:, 0]
 
 
 def gamma_many(g: WeightedGraph, F, H=None) -> np.ndarray:
     """Gamma(F,H) = 1/2 M^{-1} |B|^T (mu * BF * BH) column by column."""
     B = g._incidences()[0]
-    BF = B @ _as_columns(g, F)
-    return _gamma(g, BF, BF if H is None else B @ _as_columns(g, H))
+    BF = B @ _vertex_array(g, F, 2)
+    return _gamma(g, BF, BF if H is None else B @ _vertex_array(g, H, 2))
 
 
 def _delta(g, BF):
@@ -93,25 +94,9 @@ def _gamma(g, BF, BH):
     return out
 
 
-def gamma_composition(g: WeightedGraph, f, h=None) -> np.ndarray:
-    """Gamma(f,h) via 1/2(Delta(fh) - f Delta h - h Delta f).
-
-    Algebraically equal to gamma(); kept as an independent route so the
-    two can be checked against each other.
-    """
-    f = _as_function(g, f)
-    h = f if h is None else _as_function(g, h)
-    return 0.5 * (laplacian(g, f * h) - f * laplacian(g, h) - h * laplacian(g, f))
-
-
-def gamma2(g: WeightedGraph, f, h=None) -> np.ndarray:
-    f = _as_function(g, f)
-    h = f if h is None else _as_function(g, h)
-    return 0.5 * (
-        laplacian(g, gamma(g, f, h))
-        - gamma(g, f, laplacian(g, h))
-        - gamma(g, h, laplacian(g, f))
-    )
+def gamma2(g: WeightedGraph, f) -> np.ndarray:
+    """Gamma2(f), column 0 of gamma2_many."""
+    return gamma2_many(g, _vertex_array(g, f, 1)[:, None])[:, 0]
 
 
 def gamma2_many(g: WeightedGraph, F) -> np.ndarray:
@@ -128,7 +113,7 @@ def _gamma2_parts(g, F):
     are alive at once.
     """
     B = g._incidences()[0]
-    BF = B @ _as_columns(g, F)
+    BF = B @ _vertex_array(g, F, 2)
     cross = _gamma(g, BF, B @ _delta(g, BF.copy()))
     G = _gamma(g, BF, BF)
     del BF
@@ -140,36 +125,7 @@ def _gamma2_parts(g, F):
 
 def dirichlet_energy(g: WeightedGraph, f) -> float:
     """Q(f) = 1/2 sum_{x,y} mu_xy (f(y)-f(x))^2 = sum_x Gamma(f)(x) m(x)."""
-    f = _as_function(g, f)
-    rows = np.repeat(
-        np.arange(g.vertex_count), np.diff(g._csr_indptr)
-    )
-    d = f[g._csr_indices] - f[rows]
-    return float(0.5 * np.sum(g._csr_weights * d * d))
-
-
-def green_identity_residual(g: WeightedGraph, f, h) -> float:
-    """|sum f (Delta h) m + sum Gamma(f,h) m|, zero in exact arithmetic."""
-    f = _as_function(g, f)
-    h = _as_function(g, h)
-    lhs = float(np.sum(f * laplacian(g, h) * g.m))
-    rhs = float(np.sum(gamma(g, f, h) * g.m))
-    return abs(lhs + rhs)
-
-
-# ---------------------------------------------------------------------------
-# dense matrices
-# ---------------------------------------------------------------------------
-
-def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
-    """Dense L with L f = Delta f.  Self-loops never enter L."""
-    nv = g.vertex_count
-    (u, v), w = g._edge_ends.T, g._edge_mu
-    L = np.zeros((nv, nv))
-    L[u, v] = w * g._inv_m[u]
-    L[v, u] = w * g._inv_m[v]
-    L[np.diag_indices(nv)] = -g._degree * g._inv_m
-    return L
+    return float(g.m @ gamma(g, f))
 
 
 # ---------------------------------------------------------------------------

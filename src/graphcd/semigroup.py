@@ -25,8 +25,8 @@ passes through either propagator, and P_t c = c bit for bit.
 
 The heat functions and verify read a propagator only through this:
 - sqrt_m, inv_sqrt_m (M^{1/2}, M^{-1/2}), and lam_min <= min spec(S);
-- _curve(ts, v), column j e^{ts[j] S} v (a vector at a scalar ts);
-  _columns(ts, V), column j e^{ts[j] S} V_j;
+- _curve(ts, v), column j e^{ts[j] S} v; _columns(ts, V), column j
+  e^{ts[j] S} V_j;
 - _decayed(K, s, F), column j e^{-2K s[j]} P_{s[j]} F_j in the
   propagator's own coordinates (F may be overwritten), and
   _to_functions(Z), those coordinates back at the vertices: the
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
+from .operators import _vertex_array
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ class ChebyshevPropagator:
 
     def _curve(self, ts, v):
         C = self._coefficients(ts)
-        Y = np.zeros(np.shape(v) + np.shape(ts))
+        Y = np.zeros((len(v), len(ts)))
         terms = self._terms(v, len(C) - 1)
         for k in range(0, len(C), _TERM_BLOCK):
             block = np.stack(list(itertools.islice(terms, _TERM_BLOCK)), axis=1)
@@ -245,16 +246,6 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_
     return ChebyshevPropagator(g) if chebyshev < dense else decompose(g)
 
 
-def _check_sizes(sd, g, f, ndim):
-    """f as an ndim-D float64 array with a row per vertex of g, else a ValueError."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != ndim or f.shape[0] != g.vertex_count or sd.sqrt_m.shape[0] != g.vertex_count:
-        raise ValueError(f"propagator/function size mismatch with graph: {g.vertex_count} "
-                         f"vertices, a propagator on {sd.sqrt_m.shape[0]}, a {ndim}-D array "
-                         f"expected, shape {f.shape} given")
-    return f
-
-
 def _check_times(ts):
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1 or not np.all((0 <= ts) & (ts < np.inf)):
@@ -263,19 +254,16 @@ def _check_times(ts):
 
 
 def heat_apply(sd, g: WeightedGraph, t: float, f) -> np.ndarray:
-    """P_t f for a single finite time t >= 0."""
-    f = _check_sizes(sd, g, f, 1)
-    if not 0 <= t < np.inf:
-        raise ValueError(f"heat semigroup is defined for finite t >= 0, got {t}")
+    """P_t f for a single finite time t >= 0: column 0 of heat_curve, and
+    a copy of f itself at t = 0."""
     if t == 0:
-        return f.copy()
-    c = f[0]
-    return c + sd.inv_sqrt_m * sd._curve(float(t), sd.sqrt_m * (f - c))
+        return _vertex_array(g, f, 1, sd).copy()
+    return heat_curve(sd, g, [t], f)[:, 0]
 
 
 def heat_curve(sd, g: WeightedGraph, ts, f) -> np.ndarray:
     """Column j is P_{ts[j]} f.  Vectorized over the whole time grid."""
-    f = _check_sizes(sd, g, f, 1)
+    f = _vertex_array(g, f, 1, sd)
     ts = _check_times(ts)
     c = f[0]
     return _to_vertices(sd, sd._curve(ts, sd.sqrt_m * (f - c)), c)
@@ -283,7 +271,7 @@ def heat_curve(sd, g: WeightedGraph, ts, f) -> np.ndarray:
 
 def heat_apply_columns(sd, g: WeightedGraph, ts, F) -> np.ndarray:
     """Apply P_{ts[j]} to column j of F (one time per column)."""
-    F = _check_sizes(sd, g, F, 2)
+    F = _vertex_array(g, F, 2, sd)
     ts = _check_times(ts)
     if ts.shape != (F.shape[1],):
         raise ValueError("need one time per column")

@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _check_dimension, curvature_all, curvature_at, min_curvature
+from .curvature import _check_dimension, curvature_all, min_curvature
 from .graph import WeightedGraph
-from .operators import _gamma2_parts, gamma2, gamma_many, laplacian_many
-from .semigroup import _bessel_tail_degree, _check_sizes, _propagator_for, heat_apply_columns
-from .semigroup import heat_curve
+from .operators import _gamma2_parts, _vertex_array, gamma_many, laplacian_many
+from .semigroup import _bessel_tail_degree, _propagator_for, heat_apply_columns, heat_curve
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -238,7 +237,7 @@ def _sides(g, sd, inequality_name, F, K, n, t, quad):
 
 def _one_function(g, sd, inequality_name, f, K, n, t, quad):
     """_sides at the single function f, each array a vector."""
-    F = _check_sizes(sd, g, f, 1)[:, None]
+    F = _vertex_array(g, f, 1, sd)[:, None]
     return tuple(None if a is None else a[:, 0]
                  for a in _sides(g, sd, inequality_name, F, K, n, t, quad))
 
@@ -344,27 +343,6 @@ def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
     return np.abs(rhs - lhs), err
 
 
-def derivative_recovery(g, sd, x, n=math.inf):
-    """Recover Gamma2 from the short-time expansion of the gradient gap.
-
-    Using the curvature witness f at x, Richardson-extrapolates
-    [P_t Gamma(f)(x) - Gamma(P_t f)(x)] / (2t) down to t -> 0+, whose limit
-    is Gamma2(f)(x), and returns (extrapolated limit) - Gamma2(f)(x).
-    """
-    f = curvature_at(g, x, n).witness
-    levels = 6
-    T = []  # first-order Richardson table in h
-    for k in range(levels):
-        h = 0.05 / 2.0**k
-        # the gap is the slack of the gradient estimate at K = 0
-        T.append(gradient_estimate(g, sd, f, 0.0, h)[x] / (2.0 * h))
-    for m in range(1, levels):
-        fac = 2.0**m
-        for k in range(levels - 1, m - 1, -1):
-            T[k] = (fac * T[k] - T[k - 1]) / (fac - 1.0)
-    return float(T[levels - 1] - gamma2(g, f)[x])
-
-
 # ---------------------------------------------------------------------------
 # corpora, sweeps, reports
 # ---------------------------------------------------------------------------
@@ -406,6 +384,14 @@ def resolve_K(g, K, inequality_name="gradient_estimate", n=math.inf):
     return float(K)
 
 
+def _dimension_for(inequality_name, n):
+    """n, else a ValueError: cdn_bound needs a dimension, and no other check takes one."""
+    if (n is None) == (inequality_name == "cdn_bound"):
+        raise ValueError("cdn_bound needs a dimension n (--n)" if n is None else
+                         f"{inequality_name} takes no dimension n (--n); only cdn_bound does")
+    return n
+
+
 def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=QuadratureSpec()):
     """The propagator, dense or Chebyshev, that semigroup._propagator_for
     finds cheaper for run_verification over function_count functions.
@@ -414,6 +400,7 @@ def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=Quad
     (three for the variance bound) at each time and takes at most one
     integral, its nodes sized with the cost model's bound lambda_min.
     """
+    _dimension_for(inequality_name, n)
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
     applies = (3 if inequality_name == "variance_bound" else 2) * function_count * len(times)
     if inequality_name not in _IDENTITY_OPS and (inequality_name != "cdn_bound"
@@ -440,8 +427,7 @@ def run_verification(
     """
     if inequality_name not in INEQUALITY_NAMES:
         raise ValueError(f"unknown inequality {inequality_name!r}")
-    if inequality_name == "cdn_bound" and n is None:
-        raise ValueError("cdn_bound requires a dimension n")
+    _dimension_for(inequality_name, n)
     times = sorted(_check_time(t) for t in times)
     for a, b in zip(times, times[1:]):
         if a == b:
@@ -455,7 +441,7 @@ def run_verification(
     qmax = 0.0
     for i in range(0, len(functions), _FUNCTION_BLOCK):
         block = slice(i, i + _FUNCTION_BLOCK)
-        F = np.column_stack([_check_sizes(sd, g, f, 1) for _, f in functions[block]])
+        F = np.column_stack([_vertex_array(g, f, 1, sd) for _, f in functions[block]])
         for j, t in enumerate(times):
             L, R, qerr = _sides(g, sd, inequality_name, F, K, n, t, quad)
             lhs[block, j], rhs[block, j] = L[v_order].T, R[v_order].T

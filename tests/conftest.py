@@ -3,7 +3,10 @@
 The reference operators below are deliberately written as plain Python
 loops over the edge dictionary.  They share no code with the package
 operators (sparse edge incidence products) so that agreement between the
-two is evidence, not tautology.
+two is evidence, not tautology.  The cross-checks after them reach the
+same quantities along a second route through the package's own
+operators: Gamma by the product rule, Green's formula, and Gamma2 from
+the short-time behaviour of the heat semigroup.
 """
 
 import math
@@ -12,8 +15,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from graphcd.curvature import curvature_at
 from graphcd.fixtures import fixture_graphs, random_connected_graph
 from graphcd.graph import WeightedGraph
+from graphcd.operators import gamma, gamma2, laplacian
+from graphcd.verify import gradient_estimate
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +66,58 @@ def ref_gamma2(g, f):
     return 0.5 * ref_laplacian(g, ref_gamma(g, f)) - ref_gamma(g, f, lf)
 
 
+def laplacian_matrix(g):
+    """Dense L with L f = Delta f, entry by entry from the edge dictionary.
+    Self-loops never enter L."""
+    L = np.zeros((g.vertex_count, g.vertex_count))
+    for x, nbrs in adjacency(g).items():
+        for y, w in nbrs.items():
+            L[x, y] += w / g.m[x]
+            L[x, x] -= w / g.m[x]
+    return L
+
+
+# ---------------------------------------------------------------------------
+# cross-checks along a second route through the package operators
+# ---------------------------------------------------------------------------
+
+def gamma_composition(g, f, h=None):
+    """Gamma(f,h) via 1/2(Delta(fh) - f Delta h - h Delta f), the product
+    rule, against the local edge sum of graphcd.operators.gamma."""
+    f = np.asarray(f, dtype=np.float64)
+    h = f if h is None else np.asarray(h, dtype=np.float64)
+    return 0.5 * (laplacian(g, f * h) - f * laplacian(g, h) - h * laplacian(g, f))
+
+
+def green_identity_residual(g, f, h):
+    """|sum f (Delta h) m + sum Gamma(f,h) m|, zero in exact arithmetic."""
+    f = np.asarray(f, dtype=np.float64)
+    lhs = float(np.sum(f * laplacian(g, h) * g.m))
+    rhs = float(np.sum(gamma(g, f, h) * g.m))
+    return abs(lhs + rhs)
+
+
+def derivative_recovery(g, sd, x, n=math.inf):
+    """Recover Gamma2 from the short-time expansion of the gradient gap.
+
+    Using the curvature witness f at x, Richardson-extrapolates
+    [P_t Gamma(f)(x) - Gamma(P_t f)(x)] / (2t) down to t -> 0+, whose limit
+    is Gamma2(f)(x), and returns (extrapolated limit) - Gamma2(f)(x).
+    """
+    f = curvature_at(g, x, n).witness
+    levels = 6
+    T = []  # first-order Richardson table in h
+    for k in range(levels):
+        h = 0.05 / 2.0**k
+        # the gap is the slack of the gradient estimate at K = 0
+        T.append(gradient_estimate(g, sd, f, 0.0, h)[x] / (2.0 * h))
+    for m in range(1, levels):
+        fac = 2.0**m
+        for k in range(levels - 1, m - 1, -1):
+            T[k] = (fac * T[k] - T[k - 1]) / (fac - 1.0)
+    return float(T[levels - 1] - gamma2(g, f)[x])
+
+
 def random_graphs(count, seed0=0, **kwargs):
     return [random_connected_graph(seed0 + i, **kwargs) for i in range(count)]
 
@@ -102,8 +160,7 @@ class ExpmPropagator:
         return self._expms[t]
 
     def _curve(self, ts, v):
-        Y = np.stack([self._expm(t) @ v for t in np.ravel(ts)], axis=1)
-        return Y.reshape(np.shape(v) + np.shape(ts))
+        return np.stack([self._expm(t) @ v for t in ts], axis=1)
 
     def _columns(self, ts, V):
         return np.stack([self._expm(t) @ V[:, j] for j, t in enumerate(ts)], axis=1)
@@ -131,7 +188,6 @@ def check_semigroup_invariants(g, sd, rng, times=(0.05, 0.3, 1.0, 4.0)):
     preservation, mass conservation, and the sup-norm embedding bound.
     Raises AssertionError on the first failed property.
     """
-    from graphcd.operators import laplacian
     from graphcd.semigroup import heat_apply
 
     nv = g.vertex_count
@@ -180,14 +236,8 @@ def check_semigroup_invariants(g, sd, rng, times=(0.05, 0.3, 1.0, 4.0)):
 def ref_eigenpairs(g):
     """(lam, Phi) with Delta Phi = Phi diag(lam) and Phi^T M Phi = I, from
     the generator assembled entry by entry from the edge dictionary."""
-    nv = g.vertex_count
-    L = np.zeros((nv, nv))
-    for x, nbrs in adjacency(g).items():
-        for y, w in nbrs.items():
-            L[x, y] += w / g.m[x]
-            L[x, x] -= w / g.m[x]
     r = np.sqrt(g.m)
-    lam, U = np.linalg.eigh(r[:, None] * L / r[None, :])
+    lam, U = np.linalg.eigh(r[:, None] * laplacian_matrix(g) / r[None, :])
     return lam, U / r[:, None]
 
 

@@ -19,7 +19,6 @@ import pytest
 from graphcd.cli import main as cli_main
 from graphcd.curvature import curvature_all, curvature_at, curvature_oracle
 from graphcd.fixtures import complete_graph, fixture_graphs, random_connected_graph
-from graphcd.operators import green_identity_residual
 from graphcd.semigroup import decompose
 from graphcd.verify import (
     QuadratureSpec,
@@ -31,7 +30,7 @@ from graphcd.verify import (
     variance_identity_residual,
 )
 
-from conftest import check_semigroup_invariants
+from conftest import check_semigroup_invariants, green_identity_residual
 
 
 GRID_T = (0.01, 0.1, 0.5, 1.0, 2.0)

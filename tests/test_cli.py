@@ -213,6 +213,16 @@ def test_verify_cdn_requires_n(capsys, k2_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("inequality", ["gradient", "variance", "variance-identity",
+                                        "gamma2-identity"])
+def test_verify_n_only_with_cdn(capsys, k2_path, tmp_path, inequality):
+    # --n would be written into a report that never used it
+    out = tmp_path / "r.json"
+    code, _, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", inequality,
+                            "--K", "0", "--n", "2", "--times", "0.5", "--output", str(out))
+    assert code == 2 and "only cdn_bound" in err and not out.exists()
+
+
 def test_verify_cdn_auto(capsys, k2_path):
     code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "cdn", "--K", "auto", "--n", "2",

@@ -7,11 +7,9 @@ import scipy.linalg
 from graphcd.curvature import (
     CurvatureInternalError,
     IsolatedVertexError,
-    check_cd,
     curvature_all,
     curvature_at,
     curvature_oracle,
-    min_curvature,
 )
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph, star_graph
 from graphcd.graph import WeightedGraph, ball2, load_graph
@@ -162,22 +160,6 @@ def test_curvature_all_solves_once_per_graph_and_dimension():
     n2 = curvature_all(g, 2.0)
     assert [r.dimension for r in n2] == [2.0] * g.vertex_count
     assert all(r.kappa == curvature_at(g, r.vertex, 2.0).kappa for r in n2)
-
-
-def test_check_cd_tightness():
-    for g in (K2, K3, P3, random_connected_graph(1700)):
-        for n in (2.0, INF):
-            kmin = min_curvature(g, n)
-            assert check_cd(g, kmin, n).holds
-            assert not check_cd(g, kmin + 1e-3, n).holds
-            assert check_cd(g, -1e6, n).holds
-            got = check_cd(g, kmin, n)
-            assert min(got.margins.values()) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_check_cd_k2_examples():
-    assert check_cd(K2, 2.0, INF).holds
-    assert not check_cd(K2, 2.001, INF).holds
 
 
 def test_witness_invariants():

@@ -12,17 +12,22 @@ from graphcd.operators import (
     gamma,
     gamma2,
     gamma2_many,
-    gamma_composition,
     gamma_many,
-    green_identity_residual,
     laplacian,
     laplacian_many,
-    laplacian_matrix,
     form_table,
     local_forms,
     _gamma2_parts,
 )
-from conftest import ref_gamma, ref_gamma2, ref_laplacian, rng_for
+from conftest import (
+    gamma_composition,
+    green_identity_residual,
+    laplacian_matrix,
+    ref_gamma,
+    ref_gamma2,
+    ref_laplacian,
+    rng_for,
+)
 
 
 K2 = complete_graph(2)
@@ -239,6 +244,26 @@ def test_gamma2_parts_bitwise_equal_to_composition():
     assert loops > 0
 
 
+def test_single_function_operators_are_one_column_views():
+    # laplacian, gamma and gamma2 run the block code on one column, so a
+    # function gives the bytes it gives as a column, signed zeros included
+    loops = 0
+    for seed in range(40):
+        g = random_connected_graph(3200 + seed, max_vertices=20, self_loop_prob=0.5)
+        loops += any(u == v for u, v in g.edges)
+        rng = rng_for(61, seed)
+        for f in (rng.standard_normal(g.vertex_count), np.zeros(g.vertex_count),
+                  np.full(g.vertex_count, -0.0), np.full(g.vertex_count, 3.0)):
+            h = rng.standard_normal(g.vertex_count)
+            col, hcol = f[:, None], h[:, None]
+            assert gamma2(g, f).tobytes() == gamma2_many(g, col)[:, 0].tobytes()
+            assert gamma(g, f).tobytes() == gamma_many(g, col)[:, 0].tobytes()
+            assert gamma(g, f, h).tobytes() == gamma_many(g, col, hcol)[:, 0].tobytes()
+            assert laplacian(g, f).tobytes() == laplacian_many(g, col)[:, 0].tobytes()
+            assert dirichlet_energy(g, f) == float(g.m @ gamma_many(g, col)[:, 0])
+    assert loops > 0
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         laplacian(K2, [1.0, 2.0, 3.0])
@@ -246,6 +271,13 @@ def test_size_mismatch_rejected():
         gamma(K2, [1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         gamma2(K2, [1.0])
+    with pytest.raises(ValueError):
+        dirichlet_energy(K2, [[1.0, 2.0]])
+    for many in (laplacian_many, gamma_many, gamma2_many):
+        with pytest.raises(ValueError, match="size mismatch with graph"):
+            many(K2, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="size mismatch with graph"):
+            many(K2, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

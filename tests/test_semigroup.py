@@ -7,7 +7,6 @@ import pytest
 
 from graphcd.fixtures import complete_graph, cycle_graph, path_graph, random_connected_graph
 from graphcd.graph import WeightedGraph, load_graph
-from graphcd.operators import laplacian_matrix
 from graphcd.semigroup import (
     ChebyshevPropagator,
     SpectralDecomposition,
@@ -19,7 +18,7 @@ from graphcd.semigroup import (
     heat_curve,
 )
 from graphcd.verify import _sweep_propagator
-from conftest import check_semigroup_invariants, cycle_with_chords, rng_for
+from conftest import check_semigroup_invariants, cycle_with_chords, laplacian_matrix, rng_for
 
 
 K2 = complete_graph(2)
@@ -43,20 +42,18 @@ def test_eigenvalues_self_loop_singleton():
     assert np.allclose(sd.eigenvalues, [0.0], atol=1e-14)
 
 
-def _edge_loop_matrices(g):
-    """L and S = M^{1/2} L M^{-1/2} filled one edge at a time from g.edges:
-    the construction the array fill replaced, kept as its reference."""
+def _edge_loop_matrix(g):
+    """S = M^{1/2} L M^{-1/2} filled one edge at a time from g.edges: the
+    construction the array fill replaced, kept as its reference."""
     nv = g.vertex_count
     inv_sqrt_m = 1.0 / np.sqrt(g.m)
-    L, S = np.zeros((nv, nv)), np.zeros((nv, nv))
+    S = np.zeros((nv, nv))
     for (u, v), w in g.edges.items():
         if u == v:
             continue
-        L[u, v] += w * g._inv_m[u]
-        L[v, u] += w * g._inv_m[v]
         S[u, v] = S[v, u] = w * (inv_sqrt_m[u] * inv_sqrt_m[v])
-    L[np.diag_indices(nv)] = S[np.diag_indices(nv)] = -g._degree * g._inv_m
-    return L, S
+    S[np.diag_indices(nv)] = -g._degree * g._inv_m
+    return S
 
 
 def test_dense_matrices_match_edge_loop_construction():
@@ -64,10 +61,8 @@ def test_dense_matrices_match_edge_loop_construction():
     for seed in range(60):
         g = random_connected_graph(2500 + seed, max_vertices=20, self_loop_prob=0.5)
         loops += any(u == v for u, v in g.edges)
-        L, S = _edge_loop_matrices(g)
-        assert laplacian_matrix(g).tobytes() == L.tobytes()
         # decompose keeps only eigh(S); identical bytes in, identical bytes out
-        lam, U = np.linalg.eigh(S)
+        lam, U = np.linalg.eigh(_edge_loop_matrix(g))
         sd = decompose(g)
         assert sd.eigenvalues.tobytes() == lam.tobytes() and sd.basis.tobytes() == U.tobytes()
     assert loops > 0
@@ -240,6 +235,20 @@ def test_heat_curve_matches_heat_apply():
         assert Y.shape == (g.vertex_count, 3)
         for j, t in enumerate(ts):
             assert np.allclose(Y[:, j], heat_apply(sd, g, t, f), atol=1e-13)
+
+
+@pytest.mark.parametrize("propagator", PROPAGATORS)
+def test_heat_apply_is_one_column_of_heat_curve(propagator):
+    # bit for bit at t > 0, and f itself (a copy) at t = 0
+    for seed in range(20):
+        g = random_connected_graph(2750 + seed, max_vertices=20, self_loop_prob=0.5)
+        sd = propagator(g)
+        f = rng_for(41, seed).standard_normal(g.vertex_count)
+        for t in (1e-3, 0.1, 1.0, 7.5):
+            assert heat_apply(sd, g, t, f).tobytes() == heat_curve(sd, g, [t], f)[:, 0].tobytes()
+        for t in (0.0, -0.0):
+            out = heat_apply(sd, g, t, f)
+            assert out.tobytes() == f.tobytes() and not np.shares_memory(out, f)
 
 
 def test_heat_apply_columns_matches_heat_apply():

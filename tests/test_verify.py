@@ -17,11 +17,11 @@ from graphcd.verify import (
     _integrate_variance,
     _sides,
     _sized_panels,
+    _sweep_propagator,
     QUAD_TOLERANCE_FLOOR,
     QuadratureSpec,
     VerificationReport,
     cdn_bound,
-    derivative_recovery,
     find_violations,
     gamma2_identity_residual,
     gradient_estimate,
@@ -35,6 +35,7 @@ from graphcd.verify import (
 )
 from conftest import (
     ExpmPropagator,
+    derivative_recovery,
     exact_heat_integral,
     ref_eigenpairs,
     ref_form_table,
@@ -527,6 +528,19 @@ def test_run_verification_validation():
         run_verification(K2, SD2, "gradient_estimate", 0.0, [-1.0], funcs)
     with pytest.raises(ValueError, match="time 0.1 is given twice"):
         run_verification(K2, SD2, "gradient_estimate", 0.0, [0.1, 0.5, 0.1], funcs)
+
+
+@pytest.mark.parametrize("name, n", FIVE_CHECKS)
+def test_only_cdn_takes_a_dimension(name, n):
+    # the propagator choice and the sweep apply one rule: cdn_bound needs
+    # n and no other check takes one
+    wrong = None if n is not None else 2.0
+    match = "needs a dimension" if wrong is None else "only cdn_bound"
+    with pytest.raises(ValueError, match=match):
+        _sweep_propagator(K2, name, 0.0, wrong, [0.1], 1)
+    with pytest.raises(ValueError, match=match):
+        run_verification(K2, SD2, name, 0.0, [0.1], [("const", np.ones(2))], n=wrong)
+    assert _sweep_propagator(K2, name, 0.0, n, [0.1], 1) is not None
 
 
 def test_record_tolerance_policy():
