@@ -32,7 +32,6 @@ from .curvature import (
 )
 from .semigroup import SpectralDecomposition, decompose, heat_apply
 from .verify import (
-    QuadratureSpec,
     VerificationRecord,
     VerificationReport,
     cdn_bound,
@@ -52,7 +51,6 @@ __all__ = [
     "GraphFormatError",
     "IsolatedVertexError",
     "LocalForms",
-    "QuadratureSpec",
     "SpectralDecomposition",
     "VerificationRecord",
     "VerificationReport",

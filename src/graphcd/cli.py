@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import CurvatureInternalError, curvature_all
+from .curvature import CurvatureInternalError, _check_dimension, curvature_all
 from .graph import (
     GraphFormatError,
     csv_text,
@@ -32,7 +32,6 @@ from .graph import (
 )
 from .semigroup import _propagator_for, heat_apply
 from .verify import (
-    QuadratureSpec,
     _dimension_for,
     _sweep_propagator,
     find_violations,
@@ -251,16 +250,6 @@ def _graph_name(path):
     return stem or base
 
 
-def _parse_dimension(token):
-    try:  # float() reads inf and infinity too
-        n = float(token)
-    except ValueError:
-        raise ValueError(f"cannot parse dimension {token!r}") from None
-    if not n > 0:
-        raise ValueError(f"dimension must be positive, got {token}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -268,7 +257,7 @@ def _parse_dimension(token):
 def cmd_curvature(args) -> int:
     with open(args.graph) as fh:
         g = load_graph(fh.read())
-    n = _parse_dimension(args.dimension)
+    n = _check_dimension(args.dimension)
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
 
@@ -357,7 +346,7 @@ def cmd_verify(args) -> int:
         if not math.isfinite(K):
             raise ValueError(f"--K must be finite or 'auto', got {args.K!r}")
 
-    n = _dimension_for(name, None if args.n is None else _parse_dimension(args.n))
+    n = _dimension_for(name, None if args.n is None else _check_dimension(args.n))
 
     try:
         times = [float(tok) for tok in args.times.split(",") if tok.strip()]
@@ -366,11 +355,10 @@ def cmd_verify(args) -> int:
     if not times or any(not (t > 0) or not math.isfinite(t) for t in times):
         raise ValueError("--times needs a comma list of positive reals")
 
-    quad = QuadratureSpec(panels=args.panels)
     functions = _build_corpus(g, args.functions, math.inf if n is None else n)
 
-    sd = _sweep_propagator(g, name, K, n, times, len(functions), quad)
-    report = run_verification(g, sd, name, K, times, functions, n=n, quad=quad)
+    sd = _sweep_propagator(g, name, K, n, times, len(functions))
+    report = run_verification(g, sd, name, K, times, functions, n=n)
     # the report object around "records", split at it: the head without its
     # closing "}\n", the tail without its opening "{"
     head = dumps_report({
@@ -456,8 +444,6 @@ def build_parser():
         default=None,
         help="random:<seed>:<count> | file:<path> | witnesses (default: full corpus)",
     )
-    p.add_argument("--panels", type=int, default=None,
-                   help="coarse quadrature degree, even (default: sized from t, lambda_min and K)")
     p.add_argument("--output", default=None)
     p.add_argument("--csv", default=None, help="also write records as CSV")
     p.set_defaults(func=cmd_verify)

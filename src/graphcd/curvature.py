@@ -61,7 +61,10 @@ class CurvatureResult:
 
 
 def _check_dimension(n):
-    n = float(n)
+    try:  # float() reads inf and infinity too
+        n = float(n)
+    except ValueError:
+        raise ValueError(f"cannot parse dimension {n!r}") from None
     if math.isnan(n) or n <= 0.0:
         raise ValueError(f"dimension must be a positive real or inf, got {n}")
     return n

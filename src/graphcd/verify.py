@@ -18,7 +18,7 @@ consequences of the semigroup, independent of curvature):
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
-the propagator's spectral bound unless it is given.  The sums are taken
+the propagator's spectral bound, K and t.  The sums are taken
 in the propagator's own coordinates (see semigroup), which is all this
 module knows of it.  _sides evaluates a block of functions as columns at
 one time; run_verification sweeps a corpus by such blocks over a time
@@ -48,20 +48,8 @@ INEQUALITY_NAMES = (
 )
 _IDENTITY_OPS = frozenset({"variance_identity", "gamma2_identity"})
 
-PLAIN_TOLERANCE = 1e-9      # gradient/variance inequalities
+PLAIN_TOLERANCE = 1e-9      # checks that take no time integral
 QUAD_TOLERANCE_FLOOR = 1e-8  # quadrature-backed checks use max(floor, estimate)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Degree n of the coarse Clenshaw-Curtis rule; the fine rule has
-    degree 2n.  None sizes n from the spectrum, K and t (_sized_panels)."""
-
-    panels: int | None = None
-
-    def __post_init__(self):
-        if self.panels is not None and (self.panels < 2 or self.panels % 2 != 0):
-            raise ValueError("panels must be an even integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -126,8 +114,7 @@ class _Records(Sequence):
 # nv x 513 however many nodes a stiff spectrum needs
 _NODE_BLOCK = 513
 # a larger sized degree (t |lambda_min| above about 1e10 at K = 0) is
-# refused: its integrals would take minutes, and an explicit panel count
-# is the caller's own choice
+# refused: its integrals would take minutes
 _MAX_SIZED_PANELS = 2**20
 # functions run_verification evaluates at once, which bounds its edge x column arrays
 _FUNCTION_BLOCK = 128
@@ -148,6 +135,14 @@ def _cc_weights(n):
         W[:: 2 * n // N, col] = w
     W.flags.writeable = False
     return W
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Degree n of the coarse Clenshaw-Curtis rule; the fine rule has
+    degree 2n.  _heat_integral sizes it (_sized_panels)."""
+
+    panels: int
 
 
 def _integrate(integrand, t, quad):
@@ -178,9 +173,8 @@ def _sized_panels(sd, K, t):
     n = _panel_degree(sd.lam_min, K, t)
     if not n <= _MAX_SIZED_PANELS:
         raise ValueError(
-            f"the time integral at K = {K!r}, t = {t!r} needs more than "
-            f"{_MAX_SIZED_PANELS} panels on this spectrum (lambda_min = {sd.lam_min!r}); "
-            "set the panel count (--panels) explicitly")
+            f"the time integral at K = {K!r}, t = {t!r} needs a panel count above "
+            f"{_MAX_SIZED_PANELS} on this spectrum (lambda_min = {sd.lam_min!r})")
     return n + n % 2
 
 
@@ -201,7 +195,7 @@ def _check_time(t):
 # inequality / identity evaluators (per-vertex)
 # ---------------------------------------------------------------------------
 
-def _sides(g, sd, inequality_name, F, K, n, t, quad):
+def _sides(g, sd, inequality_name, F, K, n, t):
     """(lhs, rhs, quadrature error estimate or None) per vertex and column of F
     at one time: rhs is the bound of an inequality, whose slack is rhs - lhs,
     or the integral side of an identity, whose residual is |rhs - lhs|."""
@@ -210,7 +204,7 @@ def _sides(g, sd, inequality_name, F, K, n, t, quad):
     if inequality_name in ("variance_bound", "variance_identity"):
         lhs = heat(F * F) - heat(F) ** 2
         if inequality_name == "variance_identity":
-            return (lhs, *_integrate_variance(g, sd, F, t, quad))
+            return (lhs, *_integrate_variance(g, sd, F, t))
         return lhs, variance_coefficient(K, t) * heat(gamma_many(g, F)), None
 
     gradient = gamma_many(g, heat(F))
@@ -218,7 +212,7 @@ def _sides(g, sd, inequality_name, F, K, n, t, quad):
     if inequality_name == "gradient_estimate":
         return gradient, decayed, None
     if inequality_name == "gamma2_identity":
-        return (decayed - gradient, *_integrate_gamma2(g, sd, F, K, t, quad))
+        return (decayed - gradient, *_integrate_gamma2(g, sd, F, K, t))
 
     n = _check_dimension(n)
     if math.isinf(n):
@@ -230,16 +224,16 @@ def _sides(g, sd, inequality_name, F, K, n, t, quad):
         L *= L
         return L
 
-    integral, err = _heat_integral(g, sd, F, K, t, quad, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, inner)
     coeff = 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
 
 
-def _one_function(g, sd, inequality_name, f, K, n, t, quad):
+def _one_function(g, sd, inequality_name, f, K, n, t):
     """_sides at the single function f, each array a vector."""
     F = _vertex_array(g, f, 1, sd)[:, None]
     return tuple(None if a is None else a[:, 0]
-                 for a in _sides(g, sd, inequality_name, F, K, n, t, quad))
+                 for a in _sides(g, sd, inequality_name, F, K, n, t))
 
 
 def _decay(K, t, exp=math.exp):
@@ -250,7 +244,7 @@ def _decay(K, t, exp=math.exp):
         raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}") from None
 
 
-def _heat_integral(g, sd, F, K, t, quad, inner):
+def _heat_integral(g, sd, F, K, t, inner):
     """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate per column f of F.
 
     The integrand is sd._decayed(K, s_j, inner(P_{t - s_j} f)) at node s_j, in the
@@ -258,21 +252,20 @@ def _heat_integral(g, sd, F, K, t, quad, inner):
     """
     # the integrand's largest factor is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
-    if quad.panels is None:
-        quad = QuadratureSpec(panels=_sized_panels(sd, K, t))
+    quad = QuadratureSpec(_sized_panels(sd, K, t))
     sums = sd._to_functions(np.hstack([_integrate(
         lambda s: sd._decayed(K, s, inner(heat_curve(sd, g, t - s, f))), t, quad) for f in F.T]))
     fine, coarse = sums[:, 0::2], sums[:, 1::2]
     return fine, np.abs(fine - coarse)
 
 
-def _integrate_variance(g, sd, F, t, quad):
+def _integrate_variance(g, sd, F, t):
     """2 Int_0^t P_s Gamma(P_{t-s} f) ds and its error estimate."""
-    integral, err = _heat_integral(g, sd, F, 0.0, t, quad, lambda X: gamma_many(g, X))
+    integral, err = _heat_integral(g, sd, F, 0.0, t, lambda X: gamma_many(g, X))
     return 2.0 * integral, 2.0 * err
 
 
-def _integrate_gamma2(g, sd, F, K, t, quad):
+def _integrate_gamma2(g, sd, F, K, t):
     """2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds and its error estimate."""
     def inner(X):
         # Gamma2(X) - K Gamma(X), with BX and Gamma(X) formed once
@@ -281,13 +274,13 @@ def _integrate_gamma2(g, sd, F, K, t, quad):
         G2 -= G
         return G2
 
-    integral, err = _heat_integral(g, sd, F, K, t, quad, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, inner)
     return 2.0 * integral, 2.0 * err
 
 
 def gradient_estimate(g, sd, f, K, t):
     """slack(x) = e^{-2Kt} P_t Gamma(f)(x) - Gamma(P_t f)(x)."""
-    lhs, rhs, _ = _one_function(g, sd, "gradient_estimate", f, K, None, t, None)
+    lhs, rhs, _ = _one_function(g, sd, "gradient_estimate", f, K, None, t)
     return rhs - lhs
 
 
@@ -304,20 +297,20 @@ def variance_coefficient(K, t):
 
 def variance_bound(g, sd, f, K, t):
     """slack(x) = ((1-e^{-2Kt})/K) P_t Gamma(f)(x) - [P_t(f^2) - (P_tf)^2](x)."""
-    lhs, rhs, _ = _one_function(g, sd, "variance_bound", f, K, None, t, None)
+    lhs, rhs, _ = _one_function(g, sd, "variance_bound", f, K, None, t)
     return rhs - lhs
 
 
-def variance_identity_residual(g, sd, f, t, quad=QuadratureSpec()):
+def variance_identity_residual(g, sd, f, t):
     """|P_t(f^2) - (P_tf)^2 - 2 Int_0^t P_s Gamma(P_{t-s}f) ds| per vertex.
 
     Returns (residual, quadrature error estimate), both per vertex.
     """
-    lhs, rhs, err = _one_function(g, sd, "variance_identity", f, 0.0, None, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "variance_identity", f, 0.0, None, t)
     return np.abs(rhs - lhs), err
 
 
-def cdn_bound(g, sd, f, K, n, t, quad=QuadratureSpec()):
+def cdn_bound(g, sd, f, K, n, t):
     """Dimensional strengthening of the gradient estimate.
 
     slack(x) = e^{-2Kt} P_t Gamma(f)(x)
@@ -326,11 +319,11 @@ def cdn_bound(g, sd, f, K, n, t, quad=QuadratureSpec()):
 
     Returns (slack, quadrature error estimate) per vertex.
     """
-    lhs, rhs, err = _one_function(g, sd, "cdn_bound", f, K, n, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "cdn_bound", f, K, n, t)
     return rhs - lhs, err
 
 
-def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
+def gamma2_identity_residual(g, sd, f, K, t):
     """Exact identity behind the CD(K, n) semigroup characterization.
 
     residual(x) = |e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
@@ -339,7 +332,7 @@ def gamma2_identity_residual(g, sd, f, K, t, quad=QuadratureSpec()):
     Holds for every real K; the K-dependence cancels between the two
     sides.  Returns (residual, quadrature error estimate) per vertex.
     """
-    lhs, rhs, err = _one_function(g, sd, "gamma2_identity", f, K, None, t, quad)
+    lhs, rhs, err = _one_function(g, sd, "gamma2_identity", f, K, None, t)
     return np.abs(rhs - lhs), err
 
 
@@ -392,7 +385,14 @@ def _dimension_for(inequality_name, n):
     return n
 
 
-def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=QuadratureSpec()):
+def _takes_no_integral(inequality_name, n):
+    """Whether _sides takes no time integral: the gradient and variance
+    bounds never do, cdn_bound does at every finite n."""
+    return inequality_name in ("gradient_estimate", "variance_bound") or (
+        inequality_name == "cdn_bound" and n is not None and math.isinf(n))
+
+
+def _sweep_propagator(g, inequality_name, K, n, times, function_count):
     """The propagator, dense or Chebyshev, that semigroup._propagator_for
     finds cheaper for run_verification over function_count functions.
 
@@ -403,11 +403,10 @@ def _sweep_propagator(g, inequality_name, K, n, times, function_count, quad=Quad
     _dimension_for(inequality_name, n)
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
     applies = (3 if inequality_name == "variance_bound" else 2) * function_count * len(times)
-    if inequality_name not in _IDENTITY_OPS and (inequality_name != "cdn_bound"
-                                                 or math.isinf(n)):
+    if _takes_no_integral(inequality_name, n):
         return _propagator_for(g, max(times), applies)
     return _propagator_for(g, max(times), applies, lambda lam_min: function_count * [
-        2 * (quad.panels or _panel_degree(lam_min, K, t)) + 1 for t in times])
+        2 * _panel_degree(lam_min, K, t) + 1 for t in times])
 
 
 def run_verification(
@@ -418,7 +417,6 @@ def run_verification(
     times,
     functions,
     n=None,
-    quad=QuadratureSpec(),
 ) -> VerificationReport:
     """Evaluate one inequality/identity over functions x times x vertices.
 
@@ -443,7 +441,7 @@ def run_verification(
         block = slice(i, i + _FUNCTION_BLOCK)
         F = np.column_stack([_vertex_array(g, f, 1, sd) for _, f in functions[block]])
         for j, t in enumerate(times):
-            L, R, qerr = _sides(g, sd, inequality_name, F, K, n, t, quad)
+            L, R, qerr = _sides(g, sd, inequality_name, F, K, n, t)
             lhs[block, j], rhs[block, j] = L[v_order].T, R[v_order].T
             if qerr is not None:
                 # np.max keeps a NaN, where Python's max would drop it
@@ -467,17 +465,19 @@ def run_verification(
     )
 
 
-def record_tolerance(inequality_name, quadrature_error_estimate):
+def record_tolerance(inequality_name, quadrature_error_estimate, n=None):
+    """PLAIN_TOLERANCE for a check that takes no integral, else the
+    quadrature-backed max(QUAD_TOLERANCE_FLOOR, 2 x estimate)."""
     # 2x guards against the estimate undershooting the true quadrature
     # error (|fine - coarse| bounds the fine rule's error once converged)
-    if inequality_name in ("gradient_estimate", "variance_bound"):
+    if _takes_no_integral(inequality_name, n):
         return PLAIN_TOLERANCE
     return max(QUAD_TOLERANCE_FLOOR, 2.0 * quadrature_error_estimate)
 
 
 def find_violations(report: VerificationReport):
     """Records that fail the tolerance; a non-finite slack always fails."""
-    tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate)
+    tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate, report.n)
     s = report.slack
     if report.inequality_name in _IDENTITY_OPS:
         ok = np.abs(s) <= tol

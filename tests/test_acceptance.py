@@ -21,7 +21,6 @@ from graphcd.curvature import curvature_all, curvature_at, curvature_oracle
 from graphcd.fixtures import complete_graph, fixture_graphs, random_connected_graph
 from graphcd.semigroup import decompose
 from graphcd.verify import (
-    QuadratureSpec,
     cdn_bound,
     gamma2_identity_residual,
     gradient_estimate,
@@ -105,15 +104,14 @@ def test_c04_exact_identities():
         rng = np.random.default_rng([2026, seed])
         funcs = [rng.standard_normal(g.vertex_count) for _ in range(10)]
         for t in (0.1, 1.0, 5.0):
-            quad = QuadratureSpec(panels=2048 if t > 1 else 512)
             for f in funcs:
-                res, _ = variance_identity_residual(g, sd, f, t, quad)
+                res, _ = variance_identity_residual(g, sd, f, t)
                 worst_var = max(worst_var, float(np.max(res)))
                 # the gamma2 identity is scale-free; small f keeps the
                 # e^{-2Kt} amplification at K=-2, t=5 inside tolerance
                 fs = f * 1e-3
                 for K in (-2.0, 0.0, 1.3):
-                    res, _ = gamma2_identity_residual(g, sd, fs, K, t, quad)
+                    res, _ = gamma2_identity_residual(g, sd, fs, K, t)
                     worst_g2 = max(worst_g2, float(np.max(res)))
     elapsed = time.perf_counter() - start
     assert worst_var <= 1e-6, f"variance identity residual {worst_var:.3e}"
@@ -151,14 +149,13 @@ def test_c06_variance_soundness(fixtures):
 
 
 def test_c07_cdn_soundness_and_sharpness(fixtures):
-    quad = QuadratureSpec(panels=512)
     for name, g in fixtures.items():
         sd = decompose(g)
         for n in (2.0, 5.0):
             K = _min_kappa(g, n)
             for fid, f in function_corpus(g, dimension=n):
                 for t in (0.1, 0.5, 1.0):
-                    slack, err = cdn_bound(g, sd, f, K, n, t, quad)
+                    slack, err = cdn_bound(g, sd, f, K, n, t)
                     tol = max(1e-8, 2.0 * float(np.max(err)))
                     assert float(np.min(slack)) >= -tol, (
                         f"{name} n={n} f={fid} t={t}: slack {np.min(slack):.3e}"
@@ -167,7 +164,7 @@ def test_c07_cdn_soundness_and_sharpness(fixtures):
             violated = False
             for _, f in _witness_corpus(g, n):
                 for t in SHARP_T:
-                    slack, err = cdn_bound(g, sd, f, K + 0.1, n, t, quad)
+                    slack, err = cdn_bound(g, sd, f, K + 0.1, n, t)
                     if float(np.min(slack)) < -max(1e-8, 2.0 * float(np.max(err))):
                         violated = True
                         break

@@ -172,6 +172,16 @@ def test_curvature_bad_dimension(capsys, k2_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("token, message", [("x", "cannot parse dimension 'x'"),
+                                            ("0", "positive"), ("nan", "positive")])
+def test_dimension_tokens_share_one_parser(capsys, k2_path, token, message):
+    # --dimension and --n are read by the same check, with the same errors
+    for argv in (("curvature", "--dimension", token),
+                 ("verify", "--inequality", "cdn", "--n", token, "--times", "0.1")):
+        code, _, err = run_main(capsys, *argv, "--graph", k2_path)
+        assert code == 2 and message in err, (argv, err)
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------------
@@ -251,6 +261,18 @@ def test_verify_cdn_at_infinite_n_is_the_gradient_estimate(capsys, tmp_path, mon
         tails.append(path.read_text().split('"records": ', 1)[1])
     assert tails[0] == tails[1]
     assert json.loads(path.read_text())["quadrature_error"] == 0.0
+
+
+@pytest.mark.parametrize("flags", [("--inequality", "gradient"),
+                                   ("--inequality", "cdn", "--n", "inf")])
+def test_verify_cdn_at_infinite_n_fails_as_the_gradient_estimate(capsys, k2_path, flags):
+    # kappa = 2 on K2, and at K = 2.5, t = 5 a witness slack is -2.05e-9:
+    # cdn takes no integral at n = inf, so it is held to the gradient
+    # estimate's tolerance 1e-9, not to the quadrature floor 1e-8
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, *flags, "--K", "2.5",
+                              "--times", "5", "--functions", "witnesses")
+    assert code == 3, err
+    assert -1e-8 < json.loads(out)["min_slack"] < -1e-9
 
 
 def test_verify_functions_file(capsys, k2_path, f_path):
@@ -578,13 +600,27 @@ def test_verify_identities_hold_on_stiff_4_cycles(capsys, tmp_path, m_b, inequal
     assert rep["quadrature_error"] <= 1e-11 * scale
 
 
-def test_verify_panels_flag(capsys, k2_path):
-    code, out, _ = run_main(capsys, "verify", "--graph", k2_path,
+def test_verify_has_no_panels_flag(capsys, k2_path, tmp_path):
+    # the quadrature degree is always sized from the spectrum, K and t
+    out = tmp_path / "r.json"
+    code, _, err = run_main(capsys, "verify", "--graph", k2_path,
                             "--inequality", "variance-identity", "--K", "0",
                             "--times", "1", "--functions", "random:0:2",
-                            "--panels", "64")
-    assert code == 0
-    assert json.loads(out)["quadrature_error"] >= 0.0
+                            "--panels", "64", "--output", str(out))
+    assert code == 2 and "--panels" in err and not out.exists()
+
+
+def test_verify_cdn_violation_on_a_stiff_4_cycle(capsys, tmp_path):
+    # at the sized degree the estimate is at roundoff, so the violation
+    # (slack -3.04) is not covered by a tolerance widened by a coarse rule
+    path = tmp_path / "c4.graph"
+    path.write_text(STIFF_C4_TEXT.replace("vertex b 1e-4", "vertex b 1e-2"))
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), "--inequality", "cdn",
+                              "--n", "2", "--K", "-79", "--times", "0.01",
+                              "--functions", "witnesses")
+    assert code == 3, err
+    rep = json.loads(out)
+    assert rep["min_slack"] < -3.0 and rep["quadrature_error"] <= 1e-12
 
 
 def test_verify_deterministic_reports(capsys, k2_path, tmp_path):

@@ -10,6 +10,7 @@ from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
 from graphcd.operators import gamma, gamma2, laplacian_many
 from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply, heat_apply_columns
+import graphcd.verify
 from graphcd.verify import (
     _heat_integral,
     _integrate,
@@ -18,6 +19,7 @@ from graphcd.verify import (
     _sides,
     _sized_panels,
     _sweep_propagator,
+    PLAIN_TOLERANCE,
     QUAD_TOLERANCE_FLOOR,
     QuadratureSpec,
     VerificationReport,
@@ -161,8 +163,7 @@ def test_variance_identity_property():
         for _ in range(4):
             f = rng.standard_normal(g.vertex_count)
             for t in (0.1, 1.0, 5.0):
-                quad = QuadratureSpec(panels=2048 if t > 1 else 512)
-                res, err = variance_identity_residual(g, sd, f, t, quad)
+                res, err = variance_identity_residual(g, sd, f, t)
                 assert res.max() <= 1e-6
                 assert res.max() <= max(1e-8, 2.0 * float(np.max(err)))
 
@@ -206,7 +207,7 @@ def test_gamma2_identity_property_random_k():
 def test_cdn_equality_on_k2_at_sharp_constant():
     # kappa(x;2) = 1 on K2 and the n=2 bound is tight for the indicator
     for t in (0.1, 1.0):
-        slack, err = cdn_bound(K2, SD2, F10, 1.0, 2.0, t, QuadratureSpec(panels=256))
+        slack, err = cdn_bound(K2, SD2, F10, 1.0, 2.0, t)
         assert np.abs(slack).max() <= max(1e-8, 2.0 * float(np.max(err)))
         assert slack.min() >= -1e-8
 
@@ -214,7 +215,7 @@ def test_cdn_equality_on_k2_at_sharp_constant():
 def test_cdn_violated_above_sharp_constant():
     found = False
     for t in np.geomspace(1e-3, 0.5, 12):
-        slack, err = cdn_bound(K2, SD2, F10, 1.05, 2.0, float(t), QuadratureSpec(panels=256))
+        slack, err = cdn_bound(K2, SD2, F10, 1.05, 2.0, float(t))
         if slack.min() < -max(1e-8, 2.0 * float(np.max(err))):
             found = True
     assert found
@@ -230,15 +231,15 @@ def test_cdn_sound_on_fixture_sample():
             for _ in range(5):
                 f = rng.standard_normal(g.vertex_count)
                 for t in (0.1, 1.0):
-                    slack, err = cdn_bound(g, sd, f, K, n, t, QuadratureSpec(panels=512))
+                    slack, err = cdn_bound(g, sd, f, K, n, t)
                     assert slack.min() >= -max(1e-8, 2.0 * float(np.max(err)))
 
 
 def test_cdn_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        cdn_bound(K2, SD2, F10, 1.0, 0.0, 1.0, QuadratureSpec())
+        cdn_bound(K2, SD2, F10, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        cdn_bound(K2, SD2, F10, 1.0, -2.0, 1.0, QuadratureSpec())
+        cdn_bound(K2, SD2, F10, 1.0, -2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,12 @@ def test_derivative_recovery_k3_and_random():
         assert abs(derivative_recovery(g, sd, x)) <= 1e-5 * scale
 
 
-def test_quadrature_estimate_shrinks_4x_per_doubling():
+def _fix_panels(monkeypatch, panels):
+    """Make every time integral use the coarse degree panels."""
+    monkeypatch.setattr(graphcd.verify, "_sized_panels", lambda sd, K, t: panels)
+
+
+def test_quadrature_estimate_shrinks_4x_per_doubling(monkeypatch):
     g = mild_graph(3600)
     sd = decompose(g)
     rng = rng_for(46)
@@ -274,26 +280,29 @@ def test_quadrature_estimate_shrinks_4x_per_doubling():
     ests = []
     # the rule converges geometrically and is at roundoff by 16 panels here
     for panels in (2, 4, 8):
-        _, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=panels))
+        _fix_panels(monkeypatch, panels)
+        _, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
         ests.append(float(np.max(err)))
     assert min(ests) > 1e-13  # far from the roundoff floor, ratios meaningful
     assert ests[1] <= ests[0] / 4.0
     assert ests[2] <= ests[1] / 4.0
 
 
-def test_quadrature_estimate_bounds_true_error():
+def test_quadrature_estimate_bounds_true_error(monkeypatch):
     # against a much finer reference integral
     g = mild_graph(3700)
     sd = decompose(g)
     rng = rng_for(47)
     f = rng.standard_normal(g.vertex_count)
-    ref, _ = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=4096))
-    res, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0, QuadratureSpec(panels=64))
+    _fix_panels(monkeypatch, 4096)
+    ref, _ = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
+    _fix_panels(monkeypatch, 64)
+    res, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
     assert res.max() <= max(1e-10, 20.0 * float(np.max(err)) + float(ref.max()))
 
 
 @pytest.mark.parametrize("K", [-1.0, 0.0, 2.0])
-def test_heat_integrals_match_exact_oracle(K):
+def test_heat_integrals_match_exact_oracle(K, monkeypatch):
     # at the sized degree the integrals agree with the closed form to 1e-12
     # of the sides' scale; at that and at fixed low degrees, the reported
     # (largest) estimate is at least the largest true error above roundoff.
@@ -318,10 +327,12 @@ def test_heat_integrals_match_exact_oracle(K):
                      2.0 * exact_heat_integral(g, lam, Phi, T_gamma2 - K * T_gamma, f, K, t),
                      exact_heat_integral(g, lam, Phi, T_lap2, f, K, t))
             for panels in (None, 4, 8, 16):
-                quad = QuadratureSpec(panels=panels)
-                got = (_integrate_variance(g, sd, f[:, None], t, quad),
-                       _integrate_gamma2(g, sd, f[:, None], K, t, quad),
-                       _heat_integral(g, sd, f[:, None], K, t, quad,
+                monkeypatch.undo()
+                if panels is not None:
+                    _fix_panels(monkeypatch, panels)
+                got = (_integrate_variance(g, sd, f[:, None], t),
+                       _integrate_gamma2(g, sd, f[:, None], K, t),
+                       _heat_integral(g, sd, f[:, None], K, t,
                                       lambda F: laplacian_many(g, F) ** 2))
                 for (integral, err), ref in zip(got, exact):
                     integral, err = integral[:, 0], err[:, 0]
@@ -350,8 +361,9 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
     g = random_connected_graph(3900, min_vertices=8, max_vertices=8, self_loop_prob=1.0)
     sd = decompose(g)
     f = rng_for(63).standard_normal(g.vertex_count)
-    quad = QuadratureSpec(panels=8)
-    nodes = 2 * quad.panels + 1
+    panels = 8
+    _fix_panels(monkeypatch, panels)
+    nodes = 2 * panels + 1
     dense = []
 
     class Basis(np.ndarray):
@@ -369,11 +381,11 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
                        ("cdn_bound", -1.0, 2.0)):
         dense.clear()
         sparse.clear()
-        got = [a[:, 0] for a in _sides(g, counted, name, f[:, None], K, n, 0.3, quad)]
+        got = [a[:, 0] for a in _sides(g, counted, name, f[:, None], K, n, 0.3)]
         assert sum(shapes[1][-1] == nodes for shapes in dense) == 2
         if name == "gamma2_identity":
             assert sum(shape[-1] == nodes for shape in sparse) == 7
-        want = [a[:, 0] for a in _sides(g, sd, name, f[:, None], K, n, 0.3, quad)]
+        want = [a[:, 0] for a in _sides(g, sd, name, f[:, None], K, n, 0.3)]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -407,15 +419,6 @@ def test_sized_panels_resolve_the_fastest_exponential():
     assert (_sized_panels(sd, -1.0, 0.05), _sized_panels(sd, -13.3, 0.05)) == (26, 30)
     with pytest.raises(ValueError, match="panel count"):
         _sized_panels(SimpleNamespace(lam_min=-1e12), 0.0, 1.0)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=7)  # odd
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=-4)
 
 
 FIVE_CHECKS = [("gradient_estimate", None), ("variance_bound", None), ("cdn_bound", 2.0),
@@ -548,6 +551,8 @@ def test_record_tolerance_policy():
     assert record_tolerance("variance_bound", 123.0) == 1e-9
     assert record_tolerance("gamma2_identity", 0.0) == 1e-8
     assert record_tolerance("cdn_bound", 3e-7) == 6e-7
+    assert record_tolerance("cdn_bound", 3e-7, 2.0) == 6e-7
+    assert record_tolerance("cdn_bound", 0.0, math.inf) == PLAIN_TOLERANCE
 
 
 def test_nonfinite_slack_is_a_violation():
