@@ -28,8 +28,8 @@ import numpy as np
 from .graph import WeightedGraph, ball2, vertex_id
 from .operators import form_table, gamma2_many, gamma_many, laplacian_many
 
-_RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to sigma_max
-_PSD_TOL = 1e-10           # allowed negative eigenvalue in the S2 block
+_RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to the largest A22 entry or sigma_max
+_PSD_TOL = 1e-10           # allowed negative entry of the diagonal S2 block
 _ORACLE_MAX_BALL = 12
 _CERT_TOL = 1e-12          # oracle certificate, relative to |A| + |kappa| |B|
 
@@ -83,14 +83,14 @@ def _solve(g: WeightedGraph, n: float):
     """The curvature results of (g, n) in vertex order.
 
     Per (k1, k2) group of the form table, with A the Gamma2 form over
-    sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: one
-    eigh of the sphere2 block A22 checks that it is PSD and gives its
-    pseudo-inverse P; the Schur complement A11 - A12 P A12^T less dd^T/n
-    meets the pencil with diag(b) through the congruence by sqrt(b), and
-    a stacked eigh gives its smallest eigenpair.  The witness is that
-    eigenvector on sphere1 and -P A12^T v on sphere2; each result holds
-    read-only views of its ball coordinates and values, rows of one flat
-    array each.
+    sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: the
+    sphere2 block is diag(a22) (see LocalForms), checked PSD and inverted
+    to diag(inv); the Schur complement A11 - A12 diag(inv) A12^T less
+    dd^T/n meets the pencil with diag(b) through the congruence by sqrt(b),
+    and a stacked eigh gives its smallest eigenpair (kappa, v).  The witness
+    is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
+    zero is -0.0, whatever its sign in A12^T v; each result holds read-only
+    views of its ball coordinates and values, rows of one flat array each.
     """
     nv = g.vertex_count
     table = form_table(g, np.arange(nv))
@@ -106,20 +106,18 @@ def _solve(g: WeightedGraph, n: float):
         A = grp.forms
         A11, A12 = A[:, :k1, :k1], A[:, :k1, k1:]
         if grp.k2 > 0:
-            lam22, Q = np.linalg.eigh(A[:, k1:, k1:])
-            norm22 = np.abs(lam22).max(axis=1)   # = |A22|_2
-            bad = lam22[:, 0] < -_PSD_TOL * np.maximum(1.0, norm22)
+            a22 = np.diagonal(A[:, k1:, k1:], axis1=1, axis2=2)
+            top = a22.max(axis=1)
+            bad = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, top)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise CurvatureInternalError(
                     f"sphere2 block of the Gamma2 form is not PSD at "
-                    f"{g.labels[grp.centers[i]]!r} (min eigenvalue {lam22[i, 0]:.3e})"
+                    f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
                 )
-            # the cutoff pinv(rcond=_RANK_TOL) applies to singular values
-            keep = np.abs(lam22) > _RANK_TOL * norm22[:, None]
-            inv = np.divide(1.0, lam22, out=np.zeros_like(lam22), where=keep)
-            P = (Q * inv[:, None, :]) @ Q.transpose(0, 2, 1)
-            Ahat = A11 - A12 @ P @ A12.transpose(0, 2, 1)
+            keep = a22 > _RANK_TOL * top[:, None]
+            inv = np.divide(1.0, a22, out=np.zeros_like(a22), where=keep)
+            Ahat = A11 - (A12 * inv[:, None, :]) @ A12.transpose(0, 2, 1)
             Ahat = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
         else:
             Ahat = A11
@@ -134,7 +132,7 @@ def _solve(g: WeightedGraph, n: float):
         vals = values[grp.balls].reshape(grp.ids.shape)
         vals[:, :k1] = v
         if grp.k2 > 0:
-            vals[:, k1:] = -(P @ (A12.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
+            vals[:, k1:] = -(inv * (A12.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0] + 0.0)
         vals.flags.writeable = False
         for x, kappa, ids, w in zip(grp.centers.tolist(), lam[:, 0].tolist(), grp.ids, vals):
             results[x] = CurvatureResult(x, n, kappa, ids, w, nv)

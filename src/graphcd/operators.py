@@ -140,7 +140,9 @@ class LocalForms:
     pinned to 0 (all three objects are invariant under adding constants,
     so the pinning loses nothing).  gamma_form is diagonal on sphere1
     with entries mu_xy/(2 m(x)); delta_vector has entries mu_xy/m(x);
-    gamma2_form is the full symmetric form; its sphere2 block is PSD.
+    gamma2_form is the full symmetric form.  Its sphere2 block is
+    diag(sum_y mu_xy mu_yw / (4 m(x) m(y))) > 0: a Gamma2 term follows one
+    2-walk x -> y -> w and so holds at most one sphere2 vertex w.
     """
 
     ball: Ball

@@ -351,13 +351,27 @@ def test_local_forms_match_pointwise_operators():
         assert abs(v1 @ lf.delta_vector - lap) <= 1e-10 * max(1.0, abs(lap))
 
 
+def _log_uniform_weights(seed):
+    """A random_connected_graph with weights 10^U(-8, 8) and measures 10^U(-4, 4)."""
+    g = random_connected_graph(2230 + seed, max_vertices=12, self_loop_prob=0.6)
+    rng = rng_for(43, seed)
+    edges = {e: float(10.0 ** rng.uniform(-8.0, 8.0)) for e in g.edges}
+    return WeightedGraph(g.labels, 10.0 ** rng.uniform(-4.0, 4.0, g.vertex_count), edges)
+
+
 def test_form_table_balls_match_ball2():
+    # the curvature solver relies on the sphere2 block being an exact positive diagonal
+    graphs = [random_connected_graph(2200 + seed, max_vertices=12, self_loop_prob=0.6)
+              for seed in range(30)] + [_log_uniform_weights(seed) for seed in range(10)]
     loops = 0
-    for seed in range(30):
-        g = random_connected_graph(2200 + seed, max_vertices=12, self_loop_prob=0.6)
+    for g in graphs:
         loops += any(u == v for u, v in g.edges)
         seen = []
         for grp in form_table(g, np.arange(g.vertex_count)).groups():
+            if grp.k2 > 0:
+                block = grp.forms[:, grp.k1:, grp.k1:]
+                assert (block[:, ~np.eye(grp.k2, dtype=bool)] == 0.0).all()
+                assert (np.diagonal(block, axis1=1, axis2=2) > 0.0).all()
             for x, ids in zip(grp.centers.tolist(), grp.ids.tolist()):
                 ball = ball2(g, x)
                 assert (len(ball.sphere1), len(ball.sphere2)) == (grp.k1, grp.k2)
