@@ -251,7 +251,9 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     walk_key = walk_owner * nv + walk_w
     pos = np.searchsorted(s1_key, walk_key)
     in_s1 = s1_key[np.minimum(pos, len(s1_key) - 1)] == walk_key
-    s2_key = np.unique(walk_key[~at_center & ~in_s1])
+    # np.unique by a sort: numpy 2 hashes integer keys, many times slower
+    s2_key = np.sort(walk_key[~at_center & ~in_s1])
+    s2_key = s2_key[np.diff(s2_key, prepend=-1) != 0]
     s2_owner = s2_key // nv
     k2 = np.bincount(s2_owner, minlength=len(centers))
     s2_start = np.cumsum(k2) - k2

@@ -23,15 +23,15 @@ P_t commutes with adding a constant, so each function is applied as
 f(x_0) + P_t(f - f(x_0)) with x_0 the first vertex.  A constant then never
 passes through either propagator, and P_t c = c bit for bit.
 
-The heat functions and verify read a propagator only through this:
+The heat functions and verify read a propagator only through this, all
+in S's frame:
 - sqrt_m, inv_sqrt_m (M^{1/2}, M^{-1/2}), and lam_min <= min spec(S);
-- _curve(ts, v), column j e^{ts[j] S} v; _columns(ts, V), column j
-  e^{ts[j] S} V_j;
-- _decayed(K, s, F), column j e^{-2K s[j]} P_{s[j]} F_j in the
-  propagator's own coordinates (F may be overwritten), and
-  _to_functions(Z), those coordinates back at the vertices: the
-  eigenbasis on the dense side, where time integrals are summed, and
-  the vertices on the Chebyshev side.
+- _apply(ts, V), the (nv, k, nt) array of e^{ts[j] S} V for every
+  column of V and every time;
+- _time_sum(K, s, W, V), sum_j e^{-2K s[j]} e^{s[j] S} V_j W[j, :]: the
+  weighted sums of a quadrature whose node s[j] has the column V_j.
+The heat functions are views of _heat, and verify's time integrals go
+through _heat_time_sum; both change to S's frame and back.
 _propagator_for picks the propagator a cost model finds cheaper for a job.
 """
 
@@ -59,25 +59,17 @@ class SpectralDecomposition:
     def lam_min(self):
         return float(self.eigenvalues[0])
 
-    def _curve(self, ts, v):
-        W = np.multiply.outer(self.rates, ts)
-        np.exp(W, out=W)
-        np.multiply(W.T, self.basis.T @ v, out=W.T)
-        return self.basis @ W
+    def _apply(self, ts, V):
+        E = np.multiply.outer(self.rates, ts)
+        Y = np.multiply((self.basis.T @ V)[:, :, None], np.exp(E, out=E)[:, None, :])
+        return (self.basis @ Y.reshape(len(Y), -1)).reshape(Y.shape)
 
-    def _columns(self, ts, V):
-        W = self.basis.T @ V
-        W *= np.exp(self.rates[:, None] * ts[None, :])
-        return self.basis @ W
-
-    def _decayed(self, K, s, F):
-        Z = self.basis.T @ np.multiply(F, self.sqrt_m[:, None], out=F)
+    def _time_sum(self, K, s, W, V):
+        # the sums in the eigenbasis, then one product back
+        Z = self.basis.T @ V
         E = np.outer(self.rates - 2.0 * K, s)
         Z *= np.exp(E, out=E)
-        return Z
-
-    def _to_functions(self, Z):
-        return self.inv_sqrt_m[:, None] * (self.basis @ Z)
+        return self.basis @ (Z @ W)
 
 
 def decompose(g: WeightedGraph) -> SpectralDecomposition:
@@ -96,15 +88,13 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
         raise RuntimeError(f"spectral decomposition failed: {exc}") from exc
     rates = lam.copy()
     rates[-1] = 0.0
-    return SpectralDecomposition(
-        eigenvalues=lam, basis=U, sqrt_m=sqrt_m, inv_sqrt_m=inv_sqrt_m, rates=rates
-    )
+    return SpectralDecomposition(lam, U, sqrt_m, inv_sqrt_m, rates)
 
 
 # a degree above _MAX_DEGREE + 16 is refused: each application would take
 # more sparse products, and its coefficient table more rows, than that
 _MAX_DEGREE = 2**16
-# Chebyshev terms gathered into one dense product by _curve
+# floats per vertex in a block of Chebyshev terms gathered into one dense product
 _TERM_BLOCK = 64
 
 
@@ -154,11 +144,8 @@ class ChebyshevPropagator:
         off = (4.0 / rho) * (g._edge_mu * (self.inv_sqrt_m[u] * self.inv_sqrt_m[v]))
         diag = 2.0 - (4.0 / rho) * (g._degree * g._inv_m)
         ids = np.arange(nv)
-        self._twice_x = scipy.sparse.csr_array(
-            (np.concatenate([off, off, diag]),
-             (np.concatenate([u, v, ids]), np.concatenate([v, u, ids]))),
-            shape=(nv, nv),
-        )
+        self._twice_x = scipy.sparse.csr_array((np.concatenate([off, off, diag]), (
+            np.concatenate([u, v, ids]), np.concatenate([v, u, ids]))), shape=(nv, nv))
 
     def _coefficients(self, ts):
         """(m + 1,) + ts.shape: column j the coefficients of e^{ts[j] S} in
@@ -187,30 +174,37 @@ class ChebyshevPropagator:
             prev, cur = cur, nxt
             yield cur
 
-    def _curve(self, ts, v):
+    def _apply(self, ts, V):
         C = self._coefficients(ts)
-        Y = np.zeros((len(v), len(ts)))
-        terms = self._terms(v, len(C) - 1)
-        for k in range(0, len(C), _TERM_BLOCK):
-            block = np.stack(list(itertools.islice(terms, _TERM_BLOCK)), axis=1)
-            Y += block @ C[k:k + _TERM_BLOCK]
-        return Y
+        Y = np.zeros((V.size, len(ts)))
+        per = max(1, _TERM_BLOCK // V.shape[1])
+        terms = self._terms(V, len(C) - 1)
+        for k in range(0, len(C), per):
+            block = list(itertools.islice(terms, per))
+            block = np.stack(block, axis=-1) if per > 1 else block[0][..., None]
+            Y += block.reshape(len(Y), -1) @ C[k:k + per]
+        return Y.reshape(*V.shape, len(ts))
 
-    def _columns(self, ts, V):
-        C = self._coefficients(ts)
-        Y = np.zeros_like(V)
-        scaled = np.empty_like(V)
-        for c, T in zip(C, self._terms(V, len(C) - 1)):
-            Y += np.multiply(T, c, out=scaled)
-        return Y
-
-    def _decayed(self, K, s, F):
-        Z = _columns_at_vertices(self, s, F)
-        Z *= np.exp(-2.0 * K * s)
-        return Z
-
-    def _to_functions(self, Z):
-        return Z
+    def _time_sum(self, K, s, W, V):
+        """sum_k T_k(X) h_k, h_k = V (c_k(s) e^{-2Ks} W), by Clenshaw's
+        recurrence b_k = h_k + 2X b_{k+1} - b_{k+2} from the top term down on
+        an nv x w block; its k = 0 step, with X b_1 for 2X b_1, is the sum.
+        The h_k are formed _TERM_BLOCK / w at a time, by one product with V."""
+        C = self._coefficients(s)
+        D = W * np.exp(-2.0 * K * s)[:, None]
+        per = max(1, _TERM_BLOCK // D.shape[1])
+        b1 = b2 = np.zeros((len(V), D.shape[1]))
+        for top in range(len(C), 0, -per):
+            c = C[max(0, top - per):top][::-1]
+            H = V @ (c.T[:, :, None] * D[:, None, :]).reshape(len(s), -1)
+            for k, h in zip(range(top - 1, -1, -1), H.reshape(len(V), len(c), -1).swapaxes(0, 1)):
+                b = self._twice_x @ b1
+                if k == 0:
+                    b *= 0.5
+                b += h
+                b -= b2
+                b1, b2 = b, b1
+        return b1
 
 
 # Seconds per unit of work, measured with one BLAS thread on a 2-core x86
@@ -230,9 +224,10 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_
 
     A dense column is two block products with the nv x nv basis, and a
     dense integral two nv x nv x nodes products.  A Chebyshev column is m
-    sparse products (m its degree at t_max), whose calls its block shares;
-    an integral is one curve of m single-vector products, each its own
-    call, and m products of a block of its nodes' columns.
+    sparse products (m its degree at t_max), whose calls its block shares.
+    An integral is a curve of m single-vector products, each its own call,
+    whose terms go to its nodes in nv x nodes products, and a Clenshaw sum
+    of m products of an nv x 2 block with m nv x nodes x 2 products.
     """
     nv, ne = g.vertex_count, len(g._edge_mu)
     rho = _radius(g)
@@ -241,8 +236,8 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_
     integrals, nodes = len(counts), sum(counts)
     dense = _EIGH_S * nv**3 + 2.0 * _GEMM_S * nv * nv * (applies + nodes)
     chebyshev = _SETUP_S + m * (2 * _STEP_S * integrals
-                                + _SPARSE_S * (2 * ne + nv) * (applies + integrals + nodes)
-                                + _GEMM_S * nv * nodes)
+                                + _SPARSE_S * (2 * ne + nv) * (applies + 3 * integrals)
+                                + 3 * _GEMM_S * nv * nodes)
     return ChebyshevPropagator(g) if chebyshev < dense else decompose(g)
 
 
@@ -264,28 +259,29 @@ def heat_apply(sd, g: WeightedGraph, t: float, f) -> np.ndarray:
 def heat_curve(sd, g: WeightedGraph, ts, f) -> np.ndarray:
     """Column j is P_{ts[j]} f.  Vectorized over the whole time grid."""
     f = _vertex_array(g, f, 1, sd)
-    ts = _check_times(ts)
-    c = f[0]
-    return _to_vertices(sd, sd._curve(ts, sd.sqrt_m * (f - c)), c)
+    return _heat(sd, _check_times(ts), f[:, None])[:, 0]
 
 
-def heat_apply_columns(sd, g: WeightedGraph, ts, F) -> np.ndarray:
-    """Apply P_{ts[j]} to column j of F (one time per column)."""
+def heat_apply_columns(sd, g: WeightedGraph, t, F) -> np.ndarray:
+    """P_t applied to every column of F, at one finite time t >= 0."""
     F = _vertex_array(g, F, 2, sd)
-    ts = _check_times(ts)
-    if ts.shape != (F.shape[1],):
-        raise ValueError("need one time per column")
-    return _columns_at_vertices(sd, ts, F)
+    return _heat(sd, _check_times([t]), F)[:, :, 0]
 
 
-def _columns_at_vertices(sd, ts, F):
-    """P_{ts[j]} applied to column j of F, through sd._columns."""
+def _heat(sd, ts, F):
+    """The (nv, k, nt) array of P_{ts[j]} applied to every column f of F,
+    as c + M^{-1/2} e^{ts[j] S} M^{1/2} (f - c) with c = f(x_0)."""
     c = F[0]
-    return _to_vertices(sd, sd._columns(ts, sd.sqrt_m[:, None] * (F - c)), c)
-
-
-def _to_vertices(sd, Y, c):
-    """c + M^{-1/2} Y in place: columns of S's frame back at the vertices."""
-    Y *= sd.inv_sqrt_m[:, None]
-    Y += c
+    Y = sd._apply(ts, sd.sqrt_m[:, None] * (F - c))
+    Y *= sd.inv_sqrt_m[:, None, None]
+    Y += c[:, None]
     return Y
+
+
+def _heat_time_sum(sd, K, s, W, G):
+    """sum_j e^{-2K s[j]} P_{s[j]} G_j W[j, :] through sd._time_sum; G is
+    overwritten.  Unlike _heat it does not shift G_j by G_j(x_0): P_s(g - c)
+    + c cancels |c| down to |P_s g|, and the dense side's P_s is exact only
+    to about 1e-16 |lambda_min| of its input."""
+    G *= sd.sqrt_m[:, None]
+    return sd.inv_sqrt_m[:, None] * sd._time_sum(K, s, W, G)

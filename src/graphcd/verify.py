@@ -18,9 +18,9 @@ consequences of the semigroup, independent of curvature):
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
-the propagator's spectral bound, K and t.  The sums are taken
-in the propagator's own coordinates (see semigroup), which is all this
-module knows of it.  _sides evaluates a block of functions as columns at
+the propagator's spectral bound, K and t, and semigroup._heat_time_sum
+sums each block of nodes, which is all this module knows of the
+propagator.  _sides evaluates a block of functions as columns at
 one time; run_verification sweeps a corpus by such blocks over a time
 grid into a VerificationReport, with the propagator _sweep_propagator picks.
 """
@@ -37,7 +37,8 @@ import numpy as np
 from .curvature import _check_dimension, curvature_all, min_curvature
 from .graph import WeightedGraph
 from .operators import _gamma2_parts, _vertex_array, gamma_many, laplacian_many
-from .semigroup import _bessel_tail_degree, _propagator_for, heat_apply_columns, heat_curve
+from .semigroup import (
+    _bessel_tail_degree, _heat_time_sum, _propagator_for, heat_apply_columns, heat_curve)
 
 INEQUALITY_NAMES = (
     "gradient_estimate",
@@ -148,16 +149,16 @@ class QuadratureSpec:
 def _integrate(integrand, t, quad):
     """Vector-valued Clenshaw-Curtis over [0, t] at two degrees.
 
-    integrand(nodes) must return a (k, len(nodes)) array; it is called on
-    blocks of at most _NODE_BLOCK ascending nodes.  Returns the (k, 2) array
-    of the degree-2n and the degree-n sums (n = quad.panels); the error
-    estimate is |fine - coarse|, the coarse rule's error.
+    integrand(nodes, weights) returns the (k, 2) sums of its values at a
+    block of at most _NODE_BLOCK ascending nodes with their weights.  The
+    result is the (k, 2) array of the degree-2n and the degree-n sums (n =
+    quad.panels); the error estimate is |fine - coarse|, the coarse rule's.
     """
     n = quad.panels
     # s_j = t (1 - cos(j pi / 2n)) / 2, written to keep the small nodes exact
     nodes = t * np.sin(np.arange(2 * n + 1) * (np.pi / (4 * n))) ** 2
     W = _cc_weights(n)
-    sums = sum(integrand(nodes[i:i + _NODE_BLOCK]) @ W[i:i + _NODE_BLOCK]
+    sums = sum(integrand(nodes[i:i + _NODE_BLOCK], W[i:i + _NODE_BLOCK])
                for i in range(0, len(nodes), _NODE_BLOCK))
     return sums * (0.5 * t)
 
@@ -200,7 +201,7 @@ def _sides(g, sd, inequality_name, F, K, n, t):
     at one time: rhs is the bound of an inequality, whose slack is rhs - lhs,
     or the integral side of an identity, whose residual is |rhs - lhs|."""
     t = _check_time(t)
-    heat = functools.partial(heat_apply_columns, sd, g, np.full(F.shape[1], t))
+    heat = functools.partial(heat_apply_columns, sd, g, t)
     if inequality_name in ("variance_bound", "variance_identity"):
         lhs = heat(F * F) - heat(F) ** 2
         if inequality_name == "variance_identity":
@@ -247,14 +248,13 @@ def _decay(K, t, exp=math.exp):
 def _heat_integral(g, sd, F, K, t, inner):
     """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate per column f of F.
 
-    The integrand is sd._decayed(K, s_j, inner(P_{t - s_j} f)) at node s_j, in the
-    propagator's own coordinates; only the sums go back to the vertices, in one call.
+    Each block of nodes s_j goes with its weights to semigroup._heat_time_sum.
     """
     # the integrand's largest factor is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
     quad = QuadratureSpec(_sized_panels(sd, K, t))
-    sums = sd._to_functions(np.hstack([_integrate(
-        lambda s: sd._decayed(K, s, inner(heat_curve(sd, g, t - s, f))), t, quad) for f in F.T]))
+    sums = np.hstack([_integrate(lambda s, w: _heat_time_sum(
+        sd, K, s, w, inner(heat_curve(sd, g, t - s, f))), t, quad) for f in F.T])
     fine, coarse = sums[:, 0::2], sums[:, 1::2]
     return fine, np.abs(fine - coarse)
 

@@ -138,8 +138,8 @@ def cycle_with_chords(nv, seed):
 class ExpmPropagator:
     """A third propagator, written only against the private interface that
     graphcd.semigroup documents: scipy's expm of t S at each time, with S
-    assembled entry by entry from the edge dictionary, and time integrals
-    summed at the vertices.  It shares no code with the package's two."""
+    assembled entry by entry from the edge dictionary, and time sums taken
+    node by node.  It shares no code with the package's two."""
 
     def __init__(self, g):
         nv = g.vertex_count
@@ -159,18 +159,12 @@ class ExpmPropagator:
             self._expms[t] = scipy.linalg.expm(t * self._S)
         return self._expms[t]
 
-    def _curve(self, ts, v):
-        return np.stack([self._expm(t) @ v for t in ts], axis=1)
+    def _apply(self, ts, V):
+        return np.stack([self._expm(t) @ V for t in ts], axis=-1)
 
-    def _columns(self, ts, V):
-        return np.stack([self._expm(t) @ V[:, j] for j, t in enumerate(ts)], axis=1)
-
-    def _decayed(self, K, s, F):
-        P = self.inv_sqrt_m[:, None] * self._columns(s, self.sqrt_m[:, None] * F)
-        return P * np.exp(-2.0 * K * s)
-
-    def _to_functions(self, Z):
-        return Z
+    def _time_sum(self, K, s, W, V):
+        P = np.stack([self._expm(t) @ V[:, j] for j, t in enumerate(s)], axis=1)
+        return (P * np.exp(-2.0 * K * s)) @ W
 
 
 def lp_norm(g, f, p):

@@ -7,6 +7,7 @@ import pytest
 
 from graphcd.fixtures import complete_graph, cycle_graph, path_graph, random_connected_graph
 from graphcd.graph import WeightedGraph, load_graph
+from graphcd.operators import gamma
 from graphcd.semigroup import (
     ChebyshevPropagator,
     SpectralDecomposition,
@@ -17,7 +18,7 @@ from graphcd.semigroup import (
     heat_apply_columns,
     heat_curve,
 )
-from graphcd.verify import _sweep_propagator
+from graphcd.verify import _integrate_gamma2, _sweep_propagator
 from conftest import check_semigroup_invariants, cycle_with_chords, laplacian_matrix, rng_for
 
 
@@ -134,7 +135,8 @@ def test_heat_of_a_constant_is_the_constant_bit_for_bit():
             ts = np.array([0.0, 0.1, 10.0])
             assert heat_curve(sd, g, ts, f).tobytes() == np.repeat(f[:, None], 3, axis=1).tobytes()
             F = np.outer(np.ones(g.vertex_count), [c, -c, 2.0 * c])
-            assert heat_apply_columns(sd, g, ts, F).tobytes() == F.tobytes()
+            for t in ts:
+                assert heat_apply_columns(sd, g, t, F).tobytes() == F.tobytes()
     assert loops > 0
 
 
@@ -145,7 +147,7 @@ def test_heat_keeps_the_constant_mode_at_huge_weights():
     sd = decompose(g)
     f = np.array([1.0, 0.0, 2.0])
     for got in (heat_apply(sd, g, 1.0, f), heat_curve(sd, g, [1.0], f)[:, 0],
-                heat_apply_columns(sd, g, [1.0], f[:, None])[:, 0]):
+                heat_apply_columns(sd, g, 1.0, f[:, None])[:, 0]):
         assert np.abs(got - 1.0).max() <= 1e-14
 
 
@@ -183,7 +185,7 @@ def test_heat_apply_columns_rejects_nonfinite_time(t):
     g = path_graph(3)
     F = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
     with pytest.raises(ValueError):
-        heat_apply_columns(decompose(g), g, [0.5, t], F)
+        heat_apply_columns(decompose(g), g, t, F)
 
 
 def test_size_mismatch_rejected():
@@ -201,13 +203,13 @@ def test_every_heat_entry_point_checks_sizes(propagator):
         # a 3-vertex propagator with a 4-vertex graph
         lambda: heat_apply(sd, g4, 0.5, f4),
         lambda: heat_curve(sd, g4, [0.5], f4),
-        lambda: heat_apply_columns(sd, g4, [0.5], f4[:, None]),
+        lambda: heat_apply_columns(sd, g4, 0.5, f4[:, None]),
         # a function of the wrong shape
         lambda: heat_apply(sd, g3, 0.5, f4),
         lambda: heat_apply(sd, g3, 0.5, np.outer(f3, f3)),
         lambda: heat_curve(sd, g3, [0.5, 1.0], np.outer(f3, f3)),
-        lambda: heat_apply_columns(sd, g3, [0.5], f3),
-        lambda: heat_apply_columns(sd, g3, [0.5], f4[:, None]),
+        lambda: heat_apply_columns(sd, g3, 0.5, f3),
+        lambda: heat_apply_columns(sd, g3, 0.5, f4[:, None]),
     )
     for call in calls:
         with pytest.raises(ValueError, match="propagator/function size mismatch with graph"):
@@ -216,6 +218,9 @@ def test_every_heat_entry_point_checks_sizes(propagator):
     for ts in (0.5, [[0.5, 1.0]]):
         with pytest.raises(ValueError, match="1-D array of finite times"):
             heat_curve(sd, g3, ts, f3)
+    # heat_apply_columns takes one time for all columns, not one per column
+    with pytest.raises(ValueError, match="1-D array of finite times"):
+        heat_apply_columns(sd, g3, [0.5, 1.0], np.outer(f3, f3)[:, :2])
 
 
 def test_invariant_suite_random_graphs():
@@ -252,15 +257,16 @@ def test_heat_apply_is_one_column_of_heat_curve(propagator):
 
 
 def test_heat_apply_columns_matches_heat_apply():
+    # 4 columns share a Chebyshev term block, 70 take one each
     g = random_connected_graph(2800)
-    for propagator in PROPAGATORS:
+    for propagator, k in itertools.product(PROPAGATORS, (4, 70)):
         sd = propagator(g)
         rng = rng_for(39)
-        F = rng.standard_normal((g.vertex_count, 4))
-        ts = np.array([0.1, 0.5, 1.0, 2.5])
-        Y = heat_apply_columns(sd, g, ts, F)
-        for j, t in enumerate(ts):
-            assert np.allclose(Y[:, j], heat_apply(sd, g, t, F[:, j]), atol=1e-13)
+        F = rng.standard_normal((g.vertex_count, k))
+        for t in (0.1, 0.5, 1.0, 2.5):
+            Y = heat_apply_columns(sd, g, t, F)
+            for j in range(F.shape[1]):
+                assert np.allclose(Y[:, j], heat_apply(sd, g, t, F[:, j]), atol=1e-13)
 
 
 def _log_uniform_measures(seed, decades):
@@ -284,6 +290,13 @@ def test_propagators_agree(graphs):
         assert np.abs(heat_curve(dense, g, ts, f) - heat_curve(chebyshev, g, ts, f)).max() <= tol
         for t in ts:
             assert np.abs(heat_apply(dense, g, t, f) - heat_apply(chebyshev, g, t, f)).max() <= tol
+        # the gamma2 identity's time integral at K = -1, to 1e-12 of the
+        # sides' scale e^{2t} max(f^2, Gamma(f)); t = 1 takes several term blocks
+        for t in ts[:3]:
+            scale = math.exp(2.0 * t) * max((f * f).max(), gamma(g, f).max())
+            want, got = (_integrate_gamma2(g, sd, f[:, None], -1.0, t)[0]
+                         for sd in (dense, chebyshev))
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_chebyshev_degree_is_closed_form():

@@ -307,7 +307,7 @@ def test_heat_integrals_match_exact_oracle(K, monkeypatch):
     # of the sides' scale; at that and at fixed low degrees, the reported
     # (largest) estimate is at least the largest true error above roundoff.
     # Both propagators: the dense one folds the sums into its eigenbasis,
-    # the Chebyshev one forms the integrand at the vertices
+    # the Chebyshev one sums them by Clenshaw's recurrence
     loops = 0
     for seed in range(12):
         g = random_connected_graph(3800 + seed, max_vertices=12, self_loop_prob=0.5)
@@ -389,13 +389,30 @@ def test_one_quadrature_does_two_basis_products_and_seven_sparse_ones(monkeypatc
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_chebyshev_time_sum_takes_no_product_of_the_node_block(monkeypatch):
+    # Clenshaw's recurrence runs on the nv x 2 block of the fine and coarse
+    # sums: no product with 2X has the node block's width, the heat
+    # curve's and the one-column sides' have one column
+    g = random_connected_graph(3901, min_vertices=8, max_vertices=8, self_loop_prob=1.0)
+    sd = ChebyshevPropagator(g)
+    f = rng_for(64).standard_normal(g.vertex_count)
+    _fix_panels(monkeypatch, 8)
+    widths = []
+    monkeypatch.setattr(sd, "_twice_x", _CountingProducts(sd._twice_x, widths))
+    for name, K, n in (("variance_identity", 0.0, None), ("gamma2_identity", -1.0, None),
+                       ("cdn_bound", -1.0, 2.0)):
+        widths.clear()
+        _sides(g, sd, name, f[:, None], K, n, 0.3)
+        assert {shape[-1] for shape in widths} == {1, 2}
+
+
 def test_integrate_is_exact_on_exponentials_in_node_blocks():
     t, rates = 1.5, np.array([-50.0, -1.0, 0.0, 3.0])
     seen = []
 
-    def integrand(s):
+    def integrand(s, w):
         seen.append(s)
-        return np.exp(np.outer(rates, s))
+        return np.exp(np.outer(rates, s)) @ w
 
     sums = _integrate(integrand, t, QuadratureSpec(panels=600))
     nodes = np.concatenate(seen)
@@ -615,9 +632,9 @@ def test_sweep_applies_heat_to_column_blocks(monkeypatch, name, n):
 
     calls = []
 
-    def counted(sd, g, ts, F):
+    def counted(sd, g, t, F):
         calls.append(F.shape[1])
-        return heat_apply_columns(sd, g, ts, F)
+        return heat_apply_columns(sd, g, t, F)
 
     for target in ("graphcd.verify.heat_apply", "graphcd.semigroup.heat_apply"):
         monkeypatch.setattr(target, alone, raising=False)
