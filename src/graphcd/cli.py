@@ -34,7 +34,7 @@ from .semigroup import _propagator_for, heat_apply
 from .verify import (
     _dimension_for,
     _sweep_propagator,
-    find_violations,
+    _violation_indices,
     run_verification,
     function_corpus,
 )
@@ -53,19 +53,27 @@ _INEQUALITY_BY_FLAG = {
 # ---------------------------------------------------------------------------
 
 def _char_words(*chars):
-    """uint32 words of four ASCII characters each: word i holds chars[0][i],
-    ..., chars[3][i] (arrays of codes, or one code for every word), in that
-    order in memory."""
+    """uint32 words of four bytes each: word i holds chars[0][i], ...,
+    chars[3][i] (arrays of byte values, or one value for every word), in
+    that order in memory."""
     return np.stack(np.broadcast_arrays(*chars), axis=1).astype(np.uint8).view(np.uint32).ravel()
 
+
+# Report text is laid out in byte grids whose rows are padded with _PAD,
+# a byte that no UTF-8 text contains, and written with every _PAD deleted.
+_PAD = b"\xff"
+# bytes of a float's slot: its widest text, -1.000000000000e-100
+_SLOT = 20
+# bytes a block's grid may take (a grid holds one record at least)
+_BLOCK_BYTES = 1 << 20
 
 # %.12e text of a float x with |x| = M * 10**(e - 12), M a 13-digit integer,
 # as five words: sign, first digit, "." and second digit, looked up by the
 # sign and M's first two digits; two 4-digit words; 3 digits and "e"; and the
-# exponent's sign and 2 digits with a space after them.  A space stands for
-# the "+" sign, so that split() separates the texts and drops it.
+# exponent's sign and 2 digits with a _PAD after them.  A _PAD stands for
+# the "+" sign.
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")  # row i: digits of i
-_LEAD = _char_words(np.repeat([ord(" "), ord("-")], 100), np.tile(_DIGITS[:100, 2], 2), ord("."),
+_LEAD = _char_words(np.repeat([_PAD[0], ord("-")], 100), np.tile(_DIGITS[:100, 2], 2), ord("."),
                     np.tile(_DIGITS[:100, 3], 2))
 _QUAD = _char_words(*_DIGITS.T)
 _TRIPLE_E = _char_words(*_DIGITS[:1000, 1:].T, ord("e"))
@@ -73,7 +81,7 @@ _TRIPLE_E = _char_words(*_DIGITS[:1000, 1:].T, ord("e"))
 # most two steps, each by an exact power of ten, 10**0 to 10**22
 _E_MIN, _E_MAX = 12 - 44, 12 + 44
 _e = np.arange(_E_MIN, _E_MAX + 1)
-_EXP = _char_words(np.where(_e < 0, ord("-"), ord("+")), *_DIGITS[abs(_e), 2:].T, ord(" "))
+_EXP = _char_words(np.where(_e < 0, ord("-"), ord("+")), *_DIGITS[abs(_e), 2:].T, _PAD[0])
 # the two steps of 10**(12 - e), for e = _E_MAX, ..., _E_MIN: a factor to
 # multiply by, then one to divide by, each 1 or an exact power of ten
 _k = 12 - _e[::-1]
@@ -115,10 +123,45 @@ def _certain_mantissas(x):
     return np.where(certain, m, 1e12), e, certain
 
 
-def _e12_texts(x):
-    """[f"{v:.12e}" for v in x] of a 1-d float64 array x, formatted in bulk:
-    by table lookups where _certain_mantissas is certain, by Python where
-    it is not."""
+def _padded(texts, width=None):
+    """(len(texts), width) uint8 rows: the UTF-8 bytes of each text padded
+    with _PAD, to the longest text's length if width is None."""
+    data = [t.encode() for t in texts]
+    if width is None:
+        width = max(map(len, data), default=0)
+    rows = b"".join(d.ljust(width, _PAD) for d in data)
+    return np.frombuffer(rows, np.uint8).reshape(len(data), width)
+
+
+def _grid(shape, parts):
+    """The uint8 array of shape (*shape, width) whose rows are the parts side
+    by side: each a uint8 array that broadcasts to (*shape, its width), or
+    bytes, the same in every row."""
+    parts = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in parts]
+    grid = np.empty((*shape, sum(p.shape[-1] for p in parts)), np.uint8)
+    i = 0
+    for p in parts:
+        grid[..., i:i + p.shape[-1]] = p
+        i += p.shape[-1]
+    return grid
+
+
+def _text(grid):
+    """The text of a byte grid: its rows in order, every _PAD deleted."""
+    return grid.tobytes().translate(None, _PAD).decode()
+
+
+def _float_slots(values):
+    """(CSV slots, JSON slots) of a 1-d array or a sequence of floats: one
+    _SLOT-byte row per float, its report text padded with _PAD.
+
+    A finite float is written %.12e in both, and where every float is
+    finite the two are one array.  inf, -inf and nan are those words
+    (Python's own %e text for them): bare in CSV, strings in JSON.  The
+    %.12e text is made by table lookups where _certain_mantissas is
+    certain, by Python where it is not.
+    """
+    x = np.asarray(values, dtype=np.float64)
     m, e, certain = _certain_mantissas(x)
     q, r3 = np.divmod(m.astype(np.int64), 1000)
     q, r2 = np.divmod(q, 10000)
@@ -129,25 +172,28 @@ def _e12_texts(x):
     words[:, 2] = _QUAD[r2]
     words[:, 3] = _TRIPLE_E[r3]
     words[:, 4] = _EXP[e - _E_MIN]
-    texts = words.tobytes().decode("ascii").split()
+    slots = words.view(np.uint8)
     slow = np.flatnonzero(~certain)
-    for j, v in zip(slow.tolist(), x[slow].tolist()):
-        texts[j] = f"{v:.12e}"
-    return texts
+    floats = x[slow].tolist()
+    texts = [f"{v:.12e}" for v in floats]
+    slots[slow] = _padded(texts, _SLOT)
+    special = [j for j, v in enumerate(floats) if not math.isfinite(v)]
+    if not special:
+        return slots, slots
+    json_slots = slots.copy()
+    json_slots[slow[special]] = _padded([json.dumps(texts[j]) for j in special], _SLOT)
+    return slots, json_slots
 
 
 def _float_texts(values):
-    """(CSV texts, JSON texts) of a 1-d array or a sequence of floats.
+    """(CSV texts, JSON texts) of _float_slots(values), as lists of str."""
+    csv_slots, json_slots = _float_slots(values)
 
-    A finite float is written %.12e in both.  inf, -inf and nan are those
-    words (Python's own %e text for them): bare in CSV, strings in JSON.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    texts = _e12_texts(values)
-    finite = np.isfinite(values)
-    if finite.all():
-        return texts, texts
-    return texts, [t if ok else json.dumps(t) for t, ok in zip(texts, finite.tolist())]
+    def split(slots):  # a space after each slot; no text holds one
+        return _text(_grid(slots.shape[:1], (slots, b" "))).split()
+
+    texts = split(csv_slots)
+    return texts, texts if json_slots is csv_slots else split(json_slots)
 
 
 def _emit_json(obj, out):
@@ -185,47 +231,71 @@ def dumps_report(obj) -> str:
     return "".join(out) + "\n"
 
 
-def _percent_escaped(text):
-    """text with each % doubled, to stand for itself in a %-template."""
-    return text.replace("%", "%%")
-
-
 def _csv_field(text):
     """text, not empty, quoted as the csv module quotes a field of a row
     (a row of one empty field would be quoted where a longer row's is not)."""
     return csv_text((text,), ())[:-1]
 
 
+def _blocks(shape, width):
+    """Index tuples of three slices that cut a (functions, times, vertices)
+    array, in report order, into blocks whose grids of width-byte rows stay
+    within _BLOCK_BYTES: whole functions where one fits, else whole times of
+    one function, else runs of one time's vertices (a record at least)."""
+    nf, nt, nv = shape
+    n = max(1, _BLOCK_BYTES // width)  # records a block may hold
+    every = slice(None)
+    if n >= nt * nv:
+        k = n // (nt * nv)
+        yield from ((slice(f, f + k), every, every) for f in range(0, nf, k))
+    elif n >= nv:
+        k = n // nv
+        yield from ((slice(f, f + 1), slice(t, t + k), every)
+                    for f in range(nf) for t in range(0, nt, k))
+    else:
+        yield from ((slice(f, f + 1), slice(t, t + 1), slice(v, v + n))
+                    for f in range(nf) for t in range(nt) for v in range(0, nv, n))
+
+
 def _stream_records(report, json_fh, csv_fh):
     """Write the records of a VerificationReport to json_fh as the members of
     a JSON list and, unless csv_fh is None, to csv_fh as CSV with its header.
 
-    One function's (time x vertex) block is written at a time.  Its floats
-    are formatted once, by _float_texts, and fill one %-template per file
-    that holds the block's keys, each escaped once per function id, time
-    and vertex.
+    The records are written a block at a time (_blocks), each block laid
+    out as one (functions, times, vertices, width) byte grid per file: row
+    (i, j, k) is the text of record (i, j, k), made of parts padded with
+    _PAD that broadcast over the grid (the function's, the time's and the
+    vertex's text, made once for the report, and the record's float
+    slots), and the grid is written with every _PAD deleted.
     """
-    t_csv, t_json = _float_texts(report.times)
-    json_tails = [
-        ', "vertex": %s, "lhs": %%s, "rhs": %%s, "slack": %%s}' % _percent_escaped(json.dumps(v))
-        for v in report.vertices
-    ]
-    csv_tails = ["%s,%%s,%%s,%%s\n" % _percent_escaped(_csv_field(v)) for v in report.vertices]
+    fids, vertices = report.function_ids, report.vertices
+    # a JSON record starts ", " (deleted before the list's first record)
+    f_json = _padded([f', {{"function": {json.dumps(f)}, "t": ' for f in fids])
+    v_json = _padded([f', "vertex": {json.dumps(v)}, "lhs": ' for v in vertices])
+    f_csv = _padded([_csv_field(f) + "," for f in fids])
+    v_csv = _padded(["," + _csv_field(v) + "," for v in vertices])
+    t_csv, t_json = _float_slots(report.times)
+    rhs_key, slack_key, close = b', "rhs": ', b', "slack": ', b"}"
+    # at least the row width of either grid
+    width = (max(f_json.shape[1] + v_json.shape[1], f_csv.shape[1] + v_csv.shape[1])
+             + 4 * _SLOT + len(rhs_key + slack_key + close))
     if csv_fh is not None:
         csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
-    for i, fid in enumerate(report.function_ids):
-        values = np.stack((report.lhs[i], report.rhs[i], report.slack[i]), axis=-1)
-        texts, json_texts = _float_texts(values.ravel())
-        # a record is its head {"function": ..., "t": ... and its vertex's tail
-        f = _percent_escaped(json.dumps(fid))
-        heads = [f'{{"function": {f}, "t": {t}' for t in t_json]
-        template = ", ".join(h + (", " + h).join(json_tails) for h in heads)
-        json_fh.write((", " if i else "") + template % tuple(json_texts))
+    for i, (fs, ts, vs) in enumerate(_blocks(report.slack.shape, width)):
+        values = np.stack([a[fs, ts, vs] for a in (report.lhs, report.rhs, report.slack)], -1)
+        shape = values.shape[:3]
+        csv_slots, json_slots = (s.reshape(*shape, 3, _SLOT) for s in _float_slots(values.ravel()))
+        grid = _grid(shape, (f_json[fs, None, None], t_json[ts, None], v_json[vs],
+                             json_slots[..., 0, :], rhs_key, json_slots[..., 1, :],
+                             slack_key, json_slots[..., 2, :], close))
+        if i == 0:
+            grid[0, 0, 0, :2] = _PAD[0]
+        json_fh.write(_text(grid))
         if csv_fh is not None:
-            f = _percent_escaped(_csv_field(fid))
-            heads = [f"{f},{t}," for t in t_csv]
-            template = "".join(h + h.join(csv_tails) for h in heads)
-            csv_fh.write(template % tuple(texts))
+            grid = _grid(shape, (f_csv[fs, None, None], t_csv[ts, None], v_csv[vs],
+                                 csv_slots[..., 0, :], b",", csv_slots[..., 1, :],
+                                 b",", csv_slots[..., 2, :], b"\n"))
+            csv_fh.write(_text(grid))
 
 
 def _require_finite(labels, values, what):
@@ -384,16 +454,19 @@ def cmd_verify(args) -> int:
             if fh is not None and fh is not sys.stdout:
                 fh.close()
 
-    violations = find_violations(report)
-    if violations:
-        for r in violations[:20]:
+    # the count, and a record for each of the first 20 only
+    violations = _violation_indices(report)
+    if violations.size:
+        records = report.records
+        for i in violations[:20].tolist():
+            r = records[i]
             print(
                 f"violation: function={r.function_id} t={r.t} vertex={r.vertex} "
                 f"slack={r.slack:.6e}",
                 file=sys.stderr,
             )
-        if len(violations) > 20:
-            print(f"... and {len(violations) - 20} more", file=sys.stderr)
+        if violations.size > 20:
+            print(f"... and {violations.size - 20} more", file=sys.stderr)
         return 3
     return 0
 

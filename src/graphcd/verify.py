@@ -475,13 +475,19 @@ def record_tolerance(inequality_name, quadrature_error_estimate, n=None):
     return max(QUAD_TOLERANCE_FLOOR, 2.0 * quadrature_error_estimate)
 
 
-def find_violations(report: VerificationReport):
-    """Records that fail the tolerance; a non-finite slack always fails."""
+def _violation_indices(report: VerificationReport):
+    """Flat indices, in report order, of the records that fail the
+    tolerance; a non-finite slack always fails."""
     tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate, report.n)
     s = report.slack
     if report.inequality_name in _IDENTITY_OPS:
         ok = np.abs(s) <= tol
     else:
         ok = (s >= -tol) & (s < math.inf)
+    return np.flatnonzero(~ok)
+
+
+def find_violations(report: VerificationReport):
+    """Records that fail the tolerance; a non-finite slack always fails."""
     records = report.records
-    return [records[i] for i in np.flatnonzero(~ok)]
+    return [records[i] for i in _violation_indices(report)]

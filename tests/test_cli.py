@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphcd.semigroup
-from graphcd import __version__
+import graphcd.verify
+from graphcd import __version__, cli
 from graphcd.cli import _certain_mantissas, _float_texts, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
-from graphcd.verify import function_corpus, run_verification
+from graphcd.verify import VerificationReport, find_violations, function_corpus, run_verification
 from conftest import cycle_with_chords, rng_for
 
 
@@ -518,6 +520,134 @@ def test_bulk_float_texts_mostly_take_the_fast_path():
     _, _, certain = _certain_mantissas(x)
     assert 1 - certain.mean() <= 0.02
     assert _float_texts(x)[0] == [f"{v:.12e}" for v in x.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the block writer of verify records
+# ---------------------------------------------------------------------------
+
+# characters of 1 to 4 UTF-8 bytes (U+00FF among them, whose code point is
+# the pad byte) and characters that JSON, CSV or a %-template escape
+_labels = st.text(st.sampled_from(list('a\u00e9\u00ff\u20ac\U0001d53e,"%{\\')), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_writer_equals_per_record_writer(data):
+    fids = data.draw(st.lists(_labels, min_size=1, max_size=4, unique=True))
+    times = data.draw(st.lists(_report_floats, min_size=1, max_size=3))
+    vertices = data.draw(st.lists(_labels, min_size=1, max_size=4, unique=True))
+    shape = (len(fids), len(times), len(vertices))
+    size = int(np.prod(shape))
+    lhs, rhs, slack = (
+        np.array(data.draw(st.lists(_report_floats, min_size=size, max_size=size)))
+        .reshape(shape) for _ in range(3))
+    report = VerificationReport("gradient_estimate", 1.0, None, tuple(fids), tuple(times),
+                                tuple(vertices), lhs, rhs, slack, 0.0)
+    json_fh, csv_fh = io.StringIO(), io.StringIO()
+    # from one record a block to the whole report in one
+    with mock.patch.object(cli, "_BLOCK_BYTES", data.draw(st.integers(1, 4000) | st.just(1 << 20))):
+        cli._stream_records(report, json_fh, csv_fh)
+    want_json, want_csv = _per_record_reports(report, "g")
+    want_records = want_json.partition('"records": [')[2].rpartition('], "min_slack": ')[0]
+    assert json_fh.getvalue() == want_records
+    assert csv_fh.getvalue() == want_csv
+
+
+def _awkward_graph(tmp_path):
+    labels = ["a,1", 'b"2', "c%s", "\u20ac{", "e\\f", "\U0001d53e"]
+    graph = tmp_path / "awk.graph"
+    graph.write_text("".join(f"vertex {s} {1 + i / 4}\n" for i, s in enumerate(labels))
+                     + "".join(f"edge {labels[i]} {labels[(i + 1) % 6]} {1 + i / 3}\n"
+                               for i in range(6)))
+    return str(graph)
+
+
+def test_verify_blocks_stay_within_the_budget(capsys, tmp_path, monkeypatch):
+    reports, widths, grids = [], [], []
+
+    def run(*args, **kwargs):
+        reports.append(run_verification(*args, **kwargs))
+        return reports[-1]
+
+    def blocks(shape, width):
+        widths.append(width)
+        return real_blocks(shape, width)
+
+    def grid(shape, parts):
+        g = real_grid(shape, parts)
+        grids.append(g.shape)
+        return g
+
+    real_blocks, real_grid = cli._blocks, cli._grid
+    monkeypatch.setattr(cli, "run_verification", run)
+    monkeypatch.setattr(cli, "_blocks", blocks)
+    monkeypatch.setattr(cli, "_grid", grid)
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["verify", "--graph", _awkward_graph(tmp_path), "--inequality", "gradient",
+            "--K", "auto", "--times", "0.3,0.05", "--output", str(out_json), "--csv", str(out_csv)]
+    assert run_main(capsys, *argv)[0] == 0
+    (report,), (width,) = reports, widths
+    nf, nt, nv = report.slack.shape
+    assert (nf, nt, nv) == (63, 2, 6)
+    # under the default budget, one block: a JSON grid and a CSV grid
+    assert [g[:3] for g in grids] == [(nf, nt, nv)] * 2
+    want_json, want_csv = _per_record_reports(report, "awk")
+    assert out_json.read_text() == want_json
+    assert '"records": [{"function": ' in want_json
+
+    def cuts(n, k):  # the lengths of n items cut into runs of k
+        return [min(k, n - i) for i in range(0, n, k)]
+
+    # a budget of one record, of part of a time's vertices, of one time,
+    # of all but one record of a function, of whole functions, and of 5
+    # functions and a bit (63 is no multiple of 5)
+    for records in (1, nv - 1, nv, nt * nv - 1, nt * nv, 5 * nt * nv + 3):
+        budget = records * width
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", budget)
+        grids.clear()
+        assert run_main(capsys, *argv)[0] == 0
+        assert out_json.read_text() == want_json
+        assert out_csv.read_text() == want_csv
+        assert all(math.prod(g) <= budget for g in grids)
+        # a JSON and a CSV grid a block
+        assert [g[:3] for g in grids[::2]] == [g[:3] for g in grids[1::2]]
+        counts = [math.prod(g[:3]) for g in grids[::2]]
+        if records < nv:  # runs of one time's vertices
+            assert counts == cuts(nv, records) * (nf * nt)
+        elif records < nt * nv:  # whole times of one function
+            assert counts == [c * nv for c in cuts(nt, records // nv)] * nf
+        else:  # whole functions, the last block holding what is left
+            assert counts == [c * nt * nv for c in cuts(nf, records // (nt * nv))]
+
+
+def test_verify_builds_only_the_violation_records_it_prints(capsys, tmp_path, monkeypatch):
+    reports, built = [], []
+    real_record = graphcd.verify.VerificationRecord
+
+    def run(*args, **kwargs):
+        reports.append(run_verification(*args, **kwargs))
+        return reports[-1]
+
+    def record(*args):
+        built.append(args)
+        return real_record(*args)
+
+    monkeypatch.setattr(cli, "run_verification", run)
+    monkeypatch.setattr(graphcd.verify, "VerificationRecord", record)
+    code, _, err = run_main(capsys, "verify", "--graph", _awkward_graph(tmp_path),
+                            "--inequality", "gradient", "--K", "50", "--times", "0.3,0.05")
+    assert code == 3
+    assert len(built) == 20
+    monkeypatch.undo()
+
+    (report,) = reports
+    violations = find_violations(report)
+    assert len(violations) > 100
+    assert err.splitlines() == [
+        f"violation: function={r.function_id} t={r.t} vertex={r.vertex} slack={r.slack:.6e}"
+        for r in violations[:20]
+    ] + [f"... and {len(violations) - 20} more"]
 
 
 def test_verify_output_and_csv_same_file_exit_2(capsys, k2_path, tmp_path):
