@@ -14,6 +14,7 @@ stable key order, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import CurvatureInternalError, _check_dimension, curvature_all
+from .curvature import CurvatureInternalError, _check_dimension, curvature_all, min_curvature
 from .graph import (
     GraphFormatError,
     csv_text,
@@ -185,19 +186,8 @@ def _float_slots(values):
     return slots, json_slots
 
 
-def _float_texts(values):
-    """(CSV texts, JSON texts) of _float_slots(values), as lists of str."""
-    csv_slots, json_slots = _float_slots(values)
-
-    def split(slots):  # a space after each slot; no text holds one
-        return _text(_grid(slots.shape[:1], (slots, b" "))).split()
-
-    texts = split(csv_slots)
-    return texts, texts if json_slots is csv_slots else split(json_slots)
-
-
 def _emit_json(obj, out):
-    """JSON with floats as _float_texts writes them and insertion-order keys."""
+    """JSON with floats as _float_slots writes them and insertion-order keys."""
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
@@ -231,10 +221,30 @@ def dumps_report(obj) -> str:
     return "".join(out) + "\n"
 
 
-def _csv_field(text):
-    """text, not empty, quoted as the csv module quotes a field of a row
-    (a row of one empty field would be quoted where a longer row's is not)."""
-    return csv_text((text,), ())[:-1]
+class _Rows(list):
+    """A file for csv.writer that keeps each row it writes as an item: the
+    writer hands each row to write() whole."""
+
+    write = list.append
+
+
+def _csv_fields(texts):
+    """Each text, not empty, quoted as the csv module quotes a field of a
+    row (a row of one empty field would be quoted where a longer row's is
+    not), through one writer."""
+    rows = _Rows()
+    csv.writer(rows, lineterminator="").writerows((t,) for t in texts)
+    return rows
+
+
+def _write_rows(fh, count, width, parts):
+    """Write the count rows of a byte grid to fh, a block of at most
+    _BLOCK_BYTES (a row at least) at a time: parts(s) gives the parts
+    (see _grid) of the rows in slice s, each no wider than width in all."""
+    n = max(1, _BLOCK_BYTES // width)
+    for lo in range(0, count, n):
+        hi = min(lo + n, count)
+        fh.write(_text(_grid((hi - lo,), parts(slice(lo, hi)))))
 
 
 def _blocks(shape, width):
@@ -272,13 +282,15 @@ def _stream_records(report, json_fh, csv_fh):
     # a JSON record starts ", " (deleted before the list's first record)
     f_json = _padded([f', {{"function": {json.dumps(f)}, "t": ' for f in fids])
     v_json = _padded([f', "vertex": {json.dumps(v)}, "lhs": ' for v in vertices])
-    f_csv = _padded([_csv_field(f) + "," for f in fids])
-    v_csv = _padded(["," + _csv_field(v) + "," for v in vertices])
+    # at least the row width of each grid
+    width = f_json.shape[1] + v_json.shape[1]
+    if csv_fh is not None:
+        f_csv = _padded([f + "," for f in _csv_fields(fids)])
+        v_csv = _padded(["," + v + "," for v in _csv_fields(vertices)])
+        width = max(width, f_csv.shape[1] + v_csv.shape[1])
     t_csv, t_json = _float_slots(report.times)
     rhs_key, slack_key, close = b', "rhs": ', b', "slack": ', b"}"
-    # at least the row width of either grid
-    width = (max(f_json.shape[1] + v_json.shape[1], f_csv.shape[1] + v_csv.shape[1])
-             + 4 * _SLOT + len(rhs_key + slack_key + close))
+    width += 4 * _SLOT + len(rhs_key + slack_key + close)
     if csv_fh is not None:
         csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
     for i, (fs, ts, vs) in enumerate(_blocks(report.slack.shape, width)):
@@ -331,37 +343,85 @@ def cmd_curvature(args) -> int:
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
 
-    results = curvature_all(g, n)
-    rows = sorted((g.labels[r.vertex], r) for r in results)
-    labels = [label for label, _ in rows]
-    kappas = np.array([r.kappa for _, r in rows])
-    _require_finite(labels, kappas, "kappa")
+    columns = curvature_all(g, n).columns
+    rows = sorted(range(g.vertex_count), key=g.labels.__getitem__)  # report order
+    labels = [g.labels[x] for x in rows]
+    kappa = columns.kappa[rows]
+    _require_finite(labels, kappa, "kappa")
+    kappa_slots = _float_slots(kappa)[0]  # finite: the CSV's and the JSON's
     if args.format == "csv":
-        texts, _ = _float_texts(kappas)
-        _write(csv_text(("vertex", "kappa"), zip(labels, texts)), args.output)
-        return 0
+        head, tail = csv_text(("vertex", "kappa"), ()), ""
+        heads = _padded([f + "," for f in _csv_fields(labels)])
+        ends = b"\n"
+    else:
+        # the report object around "rows", split at it as in cmd_verify
+        head = dumps_report({"graph_name": _graph_name(args.graph), "dimension": n})[:-2]
+        tail = dumps_report({"min_kappa": min_curvature(g, n), "tool_version": __version__})[1:]
+        head, tail = head + ', "rows": [', "], " + tail
+        # a row starts ", " (deleted before the list's first row)
+        texts = [f', {{"vertex_label": {json.dumps(x)}, "kappa": ' for x in labels]
+        texts[0] = texts[0][2:]
+        heads = _padded(texts)
+        ends = b"}"
+    if args.witness:
+        count, width, parts = _witness_rows(g, columns, rows, heads, kappa_slots)
+    else:
+        count, width = len(rows), heads.shape[1] + _SLOT + len(ends)
 
-    all_labels = np.array(g.labels, dtype=object)
-    report_rows = []
-    for label, r in rows:
-        row = {"vertex_label": label, "kappa": r.kappa}
-        if args.witness:
-            # the witness on the 2-ball, center (value 0) included, in vertex-id order
-            ball = np.append(r.support, r.vertex)
-            order = np.argsort(ball)
-            ball_labels, values = all_labels[ball[order]], np.append(r.values, 0.0)[order]
-            _require_finite(ball_labels, values, f"witness of {label!r}")
-            row["witness"] = dict(zip(ball_labels, values.tolist()))
-        report_rows.append(row)
-    report = {
-        "graph_name": _graph_name(args.graph),
-        "dimension": n,
-        "rows": report_rows,
-        "min_kappa": min(r.kappa for r in results),
-        "tool_version": __version__,
-    }
-    _write(dumps_report(report), args.output)
+        def parts(s):
+            return heads[s], kappa_slots[s], ends
+
+    fh = sys.stdout if args.output is None else open(args.output, "w")
+    try:
+        fh.write(head)
+        _write_rows(fh, count, width, parts)
+        fh.write(tail)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     return 0
+
+
+def _witness_rows(g, columns, rows, heads, kappa_slots):
+    """(count, width, parts) for _write_rows: the JSON rows of the vertices
+    rows, each row's text up to its kappa given by heads, with witnesses.
+
+    The grid has a row per witness entry: row i's 2-ball, its center (value
+    0) included, in vertex-id order, with row i's head, kappa and
+    '"witness": {' before its first entry and "}}" after its last.  A
+    witness value that is not finite is a ValueError.
+    """
+    size = columns.size[rows] + 1
+    first = np.cumsum(size) - size      # each row's first entry
+    last = first + size - 1
+    # the punctured ball, then the center, of each row; then vertex-id order
+    at = np.repeat(columns.start[rows] - first, size) + np.arange(int(size.sum()))
+    at[last] = 0
+    ids, values = columns.support[at], columns.values[at]
+    ids[last], values[last] = rows, 0.0
+    row = np.repeat(np.arange(len(rows)), size)
+    order = np.lexsort((ids, row))
+    ids, values = ids[order], values[order]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = row[np.argmax(bad)]
+        s = slice(first[i], last[i] + 1)
+        _require_finite([g.labels[x] for x in ids[s]], values[s],
+                        f"witness of {g.labels[rows[i]]!r}")
+
+    leads = _grid((len(rows),), (heads, kappa_slots, b', "witness": {'))
+    leads = np.vstack([leads, _padded([", "], leads.shape[1])])  # the lead of later entries
+    lead = np.full(len(ids), len(rows))
+    lead[first] = np.arange(len(rows))
+    keys = _padded([json.dumps(x) + ": " for x in g.labels])
+    ends = _padded(["", "}}"])
+    end = np.zeros(len(ids), dtype=np.intp)
+    end[last] = 1
+
+    def parts(s):
+        return leads[lead[s]], keys[ids[s]], _float_slots(values[s])[1], ends[end[s]]
+
+    return len(ids), leads.shape[1] + keys.shape[1] + _SLOT + ends.shape[1], parts
 
 
 def _build_corpus(g, spec, dimension):

@@ -10,18 +10,21 @@ restriction lossless).  The solver assembles the local forms at every
 vertex from the adjacency arrays at once, eliminates the 2-sphere
 coordinates by a Schur complement and solves the remaining symmetric
 pencil, one stacked eigensolve per group of vertices with equal sphere
-sizes; curvature_at reads one row of that table.  curvature_oracle
-recomputes the same number at one vertex along an independent route
-(forms assembled by polarization of global operator evaluations, kernel
-deflation, a generalized eigensolver, and a two-sided certificate that
-its eigenvalue is the minimum) so the two can cross-check each other.
+sizes.  The results are columns: kappa per vertex, and each ball's
+coordinates and witness values in flat arrays; curvature_at and
+curvature_all build a CurvatureResult from them when one is read.
+curvature_oracle recomputes the same number at one vertex along an
+independent route (forms assembled by polarization of global operator
+evaluations, kernel deflation, a generalized eigensolver, and a
+two-sided certificate that its eigenvalue is the minimum) so the two
+can cross-check each other.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +57,69 @@ class CurvatureResult:
     @property
     def witness(self) -> np.ndarray:
         """Read-only function on V, zero off the 2-ball; Gamma(witness)(vertex) = 1."""
-        w = np.zeros(self.vertex_count)
-        w[self.support] = self.values
-        w.flags.writeable = False
-        return w
+        return _witness(self.vertex_count, self.support, self.values)
+
+
+def _witness(vertex_count, support, values):
+    w = np.zeros(vertex_count)
+    w[support] = values
+    w.flags.writeable = False
+    return w
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """The curvature of a graph at every vertex for one dimension, as flat
+    read-only arrays: vertex x has kappa[x], and its CurvatureResult's
+    support and values are support[s] and values[s] for s = slice(start[x],
+    start[x] + size[x]).  A CurvatureResult is built when one is read and
+    kept for the next read."""
+
+    dimension: float
+    kappa: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
+    _results: dict = field(default_factory=dict, init=False, repr=False)
+
+    def ball(self, x):
+        """The slice of x's ball coordinates in support and values."""
+        lo = int(self.start[x])
+        return slice(lo, lo + int(self.size[x]))
+
+    def witness(self, x):
+        """CurvatureResult.witness at vertex x."""
+        s = self.ball(x)
+        return _witness(len(self.kappa), self.support[s], self.values[s])
+
+    def result(self, x):
+        r = self._results.get(x)
+        if r is None:
+            s = self.ball(x)
+            r = self._results[x] = CurvatureResult(
+                x, self.dimension, float(self.kappa[x]), self.support[s], self.values[s],
+                len(self.kappa))
+        return r
+
+
+class _Results:
+    """curvature_all's sequence of CurvatureResults in vertex order, a view
+    of the _Columns in its columns attribute."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns.kappa)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.columns.result(x) for x in range(len(self))[i]]
+        return self.columns.result(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self.columns.result, range(len(self)))
 
 
 def _check_dimension(n):
@@ -79,8 +141,8 @@ def _fix_sign(U):
     return np.where((big.any(axis=1) & (first < 0.0))[:, None], -U, U)
 
 
-def _solve(g: WeightedGraph, n: float):
-    """The curvature results of (g, n) in vertex order.
+def _solve(g: WeightedGraph, n: float) -> _Columns:
+    """The curvature of (g, n) at every vertex.
 
     Per (k1, k2) group of the form table, with A the Gamma2 form over
     sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: the
@@ -89,14 +151,15 @@ def _solve(g: WeightedGraph, n: float):
     dd^T/n meets the pencil with diag(b) through the congruence by sqrt(b),
     and a stacked eigh gives its smallest eigenpair (kappa, v).  The witness
     is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
-    zero is -0.0, whatever its sign in A12^T v; each result holds read-only
-    views of its ball coordinates and values, rows of one flat array each.
+    zero is -0.0, whatever its sign in A12^T v.  Support and values are the
+    table's ball coordinates and the witness values, in its group order.
     """
     nv = g.vertex_count
     table = form_table(g, np.arange(nv))
-    table.ids.flags.writeable = False
     values = np.empty(len(table.ids))
-    results = [None] * nv
+    kappa = np.empty(nv)
+    start = np.empty(nv, dtype=np.int64)
+    size = np.empty(nv, dtype=np.int64)
     for grp in table.groups():
         k1 = grp.k1
         if k1 == 0:
@@ -133,18 +196,21 @@ def _solve(g: WeightedGraph, n: float):
         vals[:, :k1] = v
         if grp.k2 > 0:
             vals[:, k1:] = -(inv * (A12.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0] + 0.0)
-        vals.flags.writeable = False
-        for x, kappa, ids, w in zip(grp.centers.tolist(), lam[:, 0].tolist(), grp.ids, vals):
-            results[x] = CurvatureResult(x, n, kappa, ids, w, nv)
-    return tuple(results)
+        kappa[grp.centers] = lam[:, 0]
+        start[grp.centers] = np.arange(grp.balls.start, grp.balls.stop, k1 + grp.k2)
+        size[grp.centers] = k1 + grp.k2
+    for a in (table.ids, values, kappa, start, size):
+        a.flags.writeable = False
+    return _Columns(n, kappa, start, size, table.ids, values)
 
 
-_SOLVED = weakref.WeakKeyDictionary()  # graph -> {dimension: results}
+_SOLVED = weakref.WeakKeyDictionary()  # graph -> {dimension: _Columns}
 
 
-def _table(g: WeightedGraph, n: float):
+def _table(g: WeightedGraph, n: float) -> _Columns:
     """_solve(g, n), once per (graph, dimension): a graph is immutable, so
-    the read-only results are shared between calls."""
+    the read-only columns and the results built from them are shared
+    between calls."""
     solved = _SOLVED.setdefault(g, {})
     if n not in solved:
         solved[n] = _solve(g, n)
@@ -155,16 +221,20 @@ def curvature_at(g: WeightedGraph, x: int, n: float = math.inf) -> CurvatureResu
     """Pointwise curvature kappa(x; n) with an optimizing witness function."""
     n = _check_dimension(n)
     x = vertex_id(g, x)
-    return _table(g, n)[x]
+    return _table(g, n).result(x)
 
 
 def curvature_all(g: WeightedGraph, n: float = math.inf):
-    """curvature_at at every vertex, in vertex order."""
-    return list(_table(g, _check_dimension(n)))
+    """curvature_at at every vertex, in vertex order: a sequence that builds
+    each CurvatureResult when it is read, with the columns it reads them
+    from in its columns attribute."""
+    return _Results(_table(g, _check_dimension(n)))
 
 
 def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:
-    return min(r.kappa for r in curvature_all(g, n))
+    """The least kappa(x; n), the first in vertex order where several are least."""
+    kappa = _table(g, _check_dimension(n)).kappa
+    return float(kappa[np.argmin(kappa)])
 
 
 # ---------------------------------------------------------------------------

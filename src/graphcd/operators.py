@@ -244,11 +244,13 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     walk_s1 = np.repeat(np.arange(len(s1_owner)), row_len[s1_id])
     walk_owner = s1_owner[walk_s1]
     walk_w, mu_yw = indices[step], weights[step]
+    del step
     at_center = walk_w == centers[walk_owner]
 
     # sphere membership by (owner, vertex) keys; sphere1 keys are sorted
     s1_key = s1_owner * nv + s1_id
     walk_key = walk_owner * nv + walk_w
+    del walk_w
     pos = np.searchsorted(s1_key, walk_key)
     in_s1 = s1_key[np.minimum(pos, len(s1_key) - 1)] == walk_key
     # np.unique by a sort: numpy 2 hashes integer keys, many times slower
@@ -260,14 +262,15 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     s2_rank = np.arange(len(s2_key)) - s2_start[s2_owner]
 
     # local coordinates; -1 is the pinned center
-    iy = s1_rank[walk_s1]
     iw = np.where(
         in_s1, pos - s1_start[walk_owner],
         k1[walk_owner] + np.searchsorted(s2_key, walk_key) - s2_start[walk_owner],
     )
+    del walk_key, pos, in_s1
     iw[at_center] = -1
 
-    # group order and storage
+    # group order and storage; the entry after the blocks is a sink for
+    # the terms the blocks do not take
     order = np.lexsort((k2, k1))
     k = k1 + k2
     ball_start = np.empty_like(k)
@@ -280,19 +283,8 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     ids[ball_start[s2_owner] + k1[s2_owner] + s2_rank] = s2_key - s2_owner * nv
     gamma = np.zeros(len(ids))
     delta = np.zeros(len(ids))
-    forms = np.zeros(int((k * k).sum()))
-
-    def accumulate(own, i, j, c):
-        # the term c f_i f_j in the owners' blocks; -1 is the pinned center
-        keep = (i >= 0) & (j >= 0)
-        own, i, j, c = own[keep], i[keep], j[keep], c[keep]
-        at, kk = form_start[own], k[own]
-        diag = i == j
-        np.add.at(forms, at[diag] + i[diag] * (kk[diag] + 1), c[diag])
-        at, kk, i, j = at[~diag], kk[~diag], i[~diag], j[~diag]
-        half = 0.5 * c[~diag]
-        np.add.at(forms, at + i * kk + j, half)
-        np.add.at(forms, at + j * kk + i, half)
+    sink = int((k * k).sum())
+    forms = np.zeros(sink + 1)
 
     m = g.m
     mx = m[centers][s1_owner]
@@ -301,32 +293,68 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     gamma[s1_at] = c0
     delta[s1_at] = mu_xy / mx
 
+    # The Gamma2 form is a sum of terms c f_i f_j; a term adds c to the
+    # block's slot (i, i), or c/2 to each of (i, j) and (j, i).  Float
+    # addition is not associative, so the terms reach each slot in one
+    # fixed order: class by class, in walk or pair order within a class.
+    # A walk x -> y -> w has the slots (y, y), (w, w), (w, y) and (y, w).
+    # Its terms in w go to the sink where w is the center; where w = y (a
+    # loop at y) its (w, y) and (y, w) halves go there too, and the whole
+    # term to (y, y) instead.
+    s1_row = form_start[s1_owner] + s1_rank * k[s1_owner]   # slot (y, 0)
+    at, kk = form_start[walk_owner], k[walk_owner]
+    iy = s1_rank[walk_s1]
+    yy = (s1_row + s1_rank)[walk_s1]
+    ww = np.where(at_center, sink, at + iw * (kk + 1))
+    same = iw == iy
+    loop = np.flatnonzero(same)
+    same |= at_center
+    wy = np.where(same, sink, at + iw * kk + iy)
+    yw = np.where(same, sink, s1_row[walk_s1] + iw)
+    del at, kk, iy, iw, at_center, same, walk_owner
+
     # 1/2 Delta Gamma(f)(x), the Gamma(f)(y) part:
     #   (mu_xy/(2 m_x)) (1/(2 m_y)) sum_w mu_yw (f_w - f_y)^2
     my = m[s1_id][walk_s1]
-    c = c0[walk_s1] * mu_yw / (2.0 * my)
-    accumulate(walk_owner, iw, iw, c)
-    accumulate(walk_owner, iw, iy, -2.0 * c)
-    accumulate(walk_owner, iy, iy, c)
+    c = c0[walk_s1] * mu_yw
+    del mu_yw
+    c1 = c / (2.0 * my)
+    np.add.at(forms, ww, c1)
+    del ww
+    half = 0.5 * (-2.0 * c1)
+    np.add.at(forms, wy, half)
+    np.add.at(forms, yw, half)
+    np.add.at(forms, yy[loop], -2.0 * c1[loop])
+    np.add.at(forms, yy, c1)
+    del c1
 
     # -Gamma(f, Delta f)(x), the -f_y Delta f(y) part
-    c = c0[walk_s1] * mu_yw / my
-    accumulate(walk_owner, iy, iw, -c)
-    accumulate(walk_owner, iy, iy, c)
+    c2 = c / my
+    del c, my
+    half = 0.5 * -c2
+    np.add.at(forms, yw, half)
+    np.add.at(forms, wy, half)
+    del wy, yw, half
+    np.add.at(forms, yy[loop], -c2[loop])
+    np.add.at(forms, yy, c2)
+    del yy, c2, walk_s1
 
     # -Gamma(f, Delta f)(x), the +f_y Delta f(x) part, over sphere1 pairs
+    # (i, j): slot (i, j) takes a half from pair (i, j), then one from (j, i)
     pair = _ranges(s1_start[s1_owner], k1[s1_owner])
     pair_s1 = np.repeat(np.arange(len(s1_owner)), k1[s1_owner])
-    accumulate(
-        s1_owner[pair_s1], s1_rank[pair_s1], s1_rank[pair],
-        c0[pair_s1] * mu_xy[pair] / mx[pair_s1],
-    )
+    c = c0[pair_s1] * mu_xy[pair] / mx[pair_s1]
+    same = pair == pair_s1
+    half = 0.5 * c
+    np.add.at(forms, s1_row[pair_s1] + s1_rank[pair], np.where(same, c, half))
+    np.add.at(forms, np.where(same, sink, s1_row[pair] + s1_rank[pair_s1]), half)
+    del pair, pair_s1, c, same, half
 
     # 1/2 Delta Gamma(f)(x), the -Gamma(f)(x) part
     deg_x = g._degree[centers][s1_owner]
-    accumulate(s1_owner, s1_rank, s1_rank, -(deg_x / two_mx) * mu_xy / two_mx)
+    np.add.at(forms, s1_row + s1_rank, -(deg_x / two_mx) * mu_xy / two_mx)
 
-    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms)
+    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms[:sink])
 
 
 def local_forms(g: WeightedGraph, x: int) -> LocalForms:

@@ -359,8 +359,9 @@ def function_corpus(
             e[x] = 1.0
             funcs.append((f"indicator:{label}", e))
     if include_witnesses:
-        for r in curvature_all(g, dimension):
-            funcs.append((f"witness:{g.labels[r.vertex]}", r.witness))
+        columns = curvature_all(g, dimension).columns
+        for x, label in enumerate(g.labels):
+            funcs.append((f"witness:{label}", columns.witness(x)))
     rng = np.random.default_rng(seed)
     for i in range(random_count):
         funcs.append((f"random:{seed}:{i}", rng.standard_normal(g.vertex_count)))

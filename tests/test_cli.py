@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import graphcd.semigroup
 import graphcd.verify
 from graphcd import __version__, cli
-from graphcd.cli import _certain_mantissas, _float_texts, main
+from graphcd.cli import _certain_mantissas, _float_slots, _grid, _text, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
@@ -464,6 +464,17 @@ def test_verify_streamed_special_floats_match_per_record_writer(capsys, tmp_path
 # ---------------------------------------------------------------------------
 # bulk %.12e text
 # ---------------------------------------------------------------------------
+
+def _float_texts(values):
+    """(CSV texts, JSON texts) of _float_slots(values), as lists of str."""
+    csv_slots, json_slots = _float_slots(values)
+
+    def split(slots):  # a space after each slot; no text holds one
+        return _text(_grid(slots.shape[:1], (slots, b" "))).split()
+
+    texts = split(csv_slots)
+    return texts, texts if json_slots is csv_slots else split(json_slots)
+
 
 _MAX = np.finfo(np.float64).max
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX,
