@@ -14,6 +14,7 @@ stable key order, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import CurvatureInternalError, _check_dimension, curvature_all, min_curvature
+from .curvature import _check_dimension, curvature_all, min_curvature
 from .graph import (
     GraphFormatError,
     csv_text,
@@ -221,6 +222,14 @@ def dumps_report(obj) -> str:
     return "".join(out) + "\n"
 
 
+def _frame(before, key, after):
+    """(head, tail): the text of dumps_report({**before, key: [...], **after})
+    before and after the list's members (before and after are not empty)."""
+    head = dumps_report(before)[:-2]  # without its closing "}\n"
+    tail = dumps_report(after)[1:]    # without its opening "{"
+    return f"{head}, {json.dumps(key)}: [", "], " + tail
+
+
 class _Rows(list):
     """A file for csv.writer that keeps each row it writes as an item: the
     writer hands each row to write() whole."""
@@ -237,49 +246,48 @@ def _csv_fields(texts):
     return rows
 
 
-def _write_rows(fh, count, width, parts):
-    """Write the count rows of a byte grid to fh, a block of at most
-    _BLOCK_BYTES (a row at least) at a time: parts(s) gives the parts
-    (see _grid) of the rows in slice s, each no wider than width in all."""
-    n = max(1, _BLOCK_BYTES // width)
-    for lo in range(0, count, n):
-        hi = min(lo + n, count)
-        fh.write(_text(_grid((hi - lo,), parts(slice(lo, hi)))))
-
-
 def _blocks(shape, width):
-    """Index tuples of three slices that cut a (functions, times, vertices)
-    array, in report order, into blocks whose grids of width-byte rows stay
-    within _BLOCK_BYTES: whole functions where one fits, else whole times of
-    one function, else runs of one time's vertices (a record at least)."""
-    nf, nt, nv = shape
+    """Index tuples of slices that cut an array of the given shape, in
+    report order, into blocks whose grids of width-byte rows stay within
+    _BLOCK_BYTES: runs of whole subarrays along the first axis where one
+    fits, else each subarray's blocks in turn (a record at least)."""
     n = max(1, _BLOCK_BYTES // width)  # records a block may hold
-    every = slice(None)
-    if n >= nt * nv:
-        k = n // (nt * nv)
-        yield from ((slice(f, f + k), every, every) for f in range(0, nf, k))
-    elif n >= nv:
-        k = n // nv
-        yield from ((slice(f, f + 1), slice(t, t + k), every)
-                    for f in range(nf) for t in range(0, nt, k))
+    size = math.prod(shape[1:])        # records of a subarray
+    if n >= size:
+        k = n // size
+        rest = (slice(None),) * (len(shape) - 1)
+        yield from ((slice(i, i + k), *rest) for i in range(0, shape[0], k))
     else:
-        yield from ((slice(f, f + 1), slice(t, t + 1), slice(v, v + n))
-                    for f in range(nf) for t in range(nt) for v in range(0, nv, n))
+        yield from ((slice(i, i + 1), *index)
+                    for i in range(shape[0]) for index in _blocks(shape[1:], width))
+
+
+def _write_blocks(shape, width, grids, lists):
+    """Write the records of an array of the given shape a block at a time
+    (_blocks), a byte grid per file and block: grids(index) yields (file,
+    parts) for each file, parts (see _grid) of the records of block index in
+    rows no wider than width.  A record of a file in lists is a JSON list's
+    member, which starts ", ": the writer deletes it from the first."""
+    for i, index in enumerate(_blocks(shape, width)):
+        block = tuple(len(range(n)[s]) for n, s in zip(shape, index))
+        for fh, parts in grids(index):
+            grid = _grid(block, parts)
+            if i == 0 and fh in lists:
+                grid.flat[:2] = _PAD[0]
+            fh.write(_text(grid))
 
 
 def _stream_records(report, json_fh, csv_fh):
     """Write the records of a VerificationReport to json_fh as the members of
     a JSON list and, unless csv_fh is None, to csv_fh as CSV with its header.
 
-    The records are written a block at a time (_blocks), each block laid
-    out as one (functions, times, vertices, width) byte grid per file: row
-    (i, j, k) is the text of record (i, j, k), made of parts padded with
-    _PAD that broadcast over the grid (the function's, the time's and the
-    vertex's text, made once for the report, and the record's float
-    slots), and the grid is written with every _PAD deleted.
+    The records are written by _write_blocks, each block laid out as one
+    (functions, times, vertices, width) byte grid per file: row (i, j, k)
+    is the text of record (i, j, k), made of parts padded with _PAD that
+    broadcast over the grid (the function's, the time's and the vertex's
+    text, made once for the report, and the record's float slots).
     """
     fids, vertices = report.function_ids, report.vertices
-    # a JSON record starts ", " (deleted before the list's first record)
     f_json = _padded([f', {{"function": {json.dumps(f)}, "t": ' for f in fids])
     v_json = _padded([f', "vertex": {json.dumps(v)}, "lhs": ' for v in vertices])
     # at least the row width of each grid
@@ -288,26 +296,26 @@ def _stream_records(report, json_fh, csv_fh):
         f_csv = _padded([f + "," for f in _csv_fields(fids)])
         v_csv = _padded(["," + v + "," for v in _csv_fields(vertices)])
         width = max(width, f_csv.shape[1] + v_csv.shape[1])
+        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
     t_csv, t_json = _float_slots(report.times)
     rhs_key, slack_key, close = b', "rhs": ', b', "slack": ', b"}"
     width += 4 * _SLOT + len(rhs_key + slack_key + close)
-    if csv_fh is not None:
-        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
-    for i, (fs, ts, vs) in enumerate(_blocks(report.slack.shape, width)):
-        values = np.stack([a[fs, ts, vs] for a in (report.lhs, report.rhs, report.slack)], -1)
+
+    def grids(index):
+        fs, ts, vs = index
+        values = np.stack([a[index] for a in (report.lhs, report.rhs, report.slack)], -1)
         shape = values.shape[:3]
+        # one _float_slots call for both files: formatting is the writer's main cost
         csv_slots, json_slots = (s.reshape(*shape, 3, _SLOT) for s in _float_slots(values.ravel()))
-        grid = _grid(shape, (f_json[fs, None, None], t_json[ts, None], v_json[vs],
-                             json_slots[..., 0, :], rhs_key, json_slots[..., 1, :],
-                             slack_key, json_slots[..., 2, :], close))
-        if i == 0:
-            grid[0, 0, 0, :2] = _PAD[0]
-        json_fh.write(_text(grid))
+        yield json_fh, (f_json[fs, None, None], t_json[ts, None], v_json[vs],
+                        json_slots[..., 0, :], rhs_key, json_slots[..., 1, :],
+                        slack_key, json_slots[..., 2, :], close)
         if csv_fh is not None:
-            grid = _grid(shape, (f_csv[fs, None, None], t_csv[ts, None], v_csv[vs],
-                                 csv_slots[..., 0, :], b",", csv_slots[..., 1, :],
-                                 b",", csv_slots[..., 2, :], b"\n"))
-            csv_fh.write(_text(grid))
+            yield csv_fh, (f_csv[fs, None, None], t_csv[ts, None], v_csv[vs],
+                           csv_slots[..., 0, :], b",", csv_slots[..., 1, :],
+                           b",", csv_slots[..., 2, :], b"\n")
+
+    _write_blocks(report.slack.shape, width, grids, (json_fh,))
 
 
 def _require_finite(labels, values, what):
@@ -318,12 +326,15 @@ def _require_finite(labels, values, what):
         raise ValueError(f"{what} at vertex {labels[bad[0]]!r} not finite: {values[bad[0]]}")
 
 
+def _output(path):
+    """A context manager of stdout if path is None, else of the file path
+    opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def _write(text, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _graph_name(path):
@@ -343,7 +354,7 @@ def cmd_curvature(args) -> int:
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
 
-    columns = curvature_all(g, n).columns
+    columns = curvature_all(g, n)
     rows = sorted(range(g.vertex_count), key=g.labels.__getitem__)  # report order
     labels = [g.labels[x] for x in rows]
     kappa = columns.kappa[rows]
@@ -354,14 +365,9 @@ def cmd_curvature(args) -> int:
         heads = _padded([f + "," for f in _csv_fields(labels)])
         ends = b"\n"
     else:
-        # the report object around "rows", split at it as in cmd_verify
-        head = dumps_report({"graph_name": _graph_name(args.graph), "dimension": n})[:-2]
-        tail = dumps_report({"min_kappa": min_curvature(g, n), "tool_version": __version__})[1:]
-        head, tail = head + ', "rows": [', "], " + tail
-        # a row starts ", " (deleted before the list's first row)
-        texts = [f', {{"vertex_label": {json.dumps(x)}, "kappa": ' for x in labels]
-        texts[0] = texts[0][2:]
-        heads = _padded(texts)
+        head, tail = _frame({"graph_name": _graph_name(args.graph), "dimension": n}, "rows",
+                            {"min_kappa": min_curvature(g, n), "tool_version": __version__})
+        heads = _padded([f', {{"vertex_label": {json.dumps(x)}, "kappa": ' for x in labels])
         ends = b"}"
     if args.witness:
         count, width, parts = _witness_rows(g, columns, rows, heads, kappa_slots)
@@ -371,25 +377,22 @@ def cmd_curvature(args) -> int:
         def parts(s):
             return heads[s], kappa_slots[s], ends
 
-    fh = sys.stdout if args.output is None else open(args.output, "w")
-    try:
+    with _output(args.output) as fh:
         fh.write(head)
-        _write_rows(fh, count, width, parts)
+        _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
+                      (fh,) if args.format == "json" else ())
         fh.write(tail)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def _witness_rows(g, columns, rows, heads, kappa_slots):
-    """(count, width, parts) for _write_rows: the JSON rows of the vertices
-    rows, each row's text up to its kappa given by heads, with witnesses.
+    """(count, width, parts) for _write_blocks, parts(s) giving the parts of
+    the grid rows s: the JSON rows of the vertices rows, with witnesses.
 
     The grid has a row per witness entry: row i's 2-ball, its center (value
-    0) included, in vertex-id order, with row i's head, kappa and
-    '"witness": {' before its first entry and "}}" after its last.  A
-    witness value that is not finite is a ValueError.
+    0) included, in vertex-id order, with row i's head (its text up to its
+    kappa), kappa and '"witness": {' before its first entry and "}}" after
+    its last.  A witness value that is not finite is a ValueError.
     """
     size = columns.size[rows] + 1
     first = np.cumsum(size) - size      # each row's first entry
@@ -489,30 +492,16 @@ def cmd_verify(args) -> int:
 
     sd = _sweep_propagator(g, name, K, n, times, len(functions))
     report = run_verification(g, sd, name, K, times, functions, n=n)
-    # the report object around "records", split at it: the head without its
-    # closing "}\n", the tail without its opening "{"
-    head = dumps_report({
-        "inequality": report.inequality_name,
-        "K": report.K,
-        "n": report.n,
-        "graph": _graph_name(args.graph),
-    })[:-2]
-    tail = dumps_report({
-        "min_slack": report.min_slack,
-        "quadrature_error": report.quadrature_error_estimate,
-        "tool_version": __version__,
-    })[1:]
-    json_fh = csv_fh = None
-    try:
-        json_fh = sys.stdout if args.output is None else open(args.output, "w")
-        csv_fh = None if args.csv is None else open(args.csv, "w")
-        json_fh.write(head + ', "records": [')
+    head, tail = _frame({"inequality": report.inequality_name, "K": report.K, "n": report.n,
+                         "graph": _graph_name(args.graph)}, "records",
+                        {"min_slack": report.min_slack,
+                         "quadrature_error": report.quadrature_error_estimate,
+                         "tool_version": __version__})
+    with (_output(args.output) as json_fh,
+          contextlib.nullcontext() if args.csv is None else _output(args.csv) as csv_fh):
+        json_fh.write(head)
         _stream_records(report, json_fh, csv_fh)
-        json_fh.write("], " + tail)
-    finally:
-        for fh in (json_fh, csv_fh):
-            if fh is not None and fh is not sys.stdout:
-                fh.close()
+        json_fh.write(tail)
 
     # the count, and a record for each of the first 20 only
     violations = _violation_indices(report)
@@ -536,7 +525,10 @@ def cmd_heat(args) -> int:
         g = load_graph(fh.read())
     with open(args.f) as fh:
         f = load_vertex_function(fh.read(), g)
-    t = float(args.t)
+    try:
+        t = float(args.t)
+    except ValueError:
+        raise ValueError(f"cannot parse --t {args.t!r}") from None
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be finite and >= 0, got {t}")
     sd = _propagator_for(g, t, 1)
@@ -598,10 +590,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except CurvatureInternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # ahead of ValueError, its base class
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except (GraphFormatError, ValueError, OSError) as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,12 +69,12 @@ def _witness(vertex_count, support, values):
 
 
 @dataclass(frozen=True, eq=False)
-class _Columns:
+class _Columns(Sequence):
     """The curvature of a graph at every vertex for one dimension, as flat
     read-only arrays: vertex x has kappa[x], and its CurvatureResult's
     support and values are support[s] and values[s] for s = slice(start[x],
-    start[x] + size[x]).  A CurvatureResult is built when one is read and
-    kept for the next read."""
+    start[x] + size[x]).  It is the sequence of those CurvatureResults in
+    vertex order: one is built when it is read and kept for the next read."""
 
     dimension: float
     kappa: np.ndarray
@@ -102,24 +103,13 @@ class _Columns:
                 len(self.kappa))
         return r
 
-
-class _Results:
-    """curvature_all's sequence of CurvatureResults in vertex order, a view
-    of the _Columns in its columns attribute."""
-
-    def __init__(self, columns):
-        self.columns = columns
-
     def __len__(self):
-        return len(self.columns.kappa)
+        return len(self.kappa)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self.columns.result(x) for x in range(len(self))[i]]
-        return self.columns.result(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self.columns.result, range(len(self)))
+            return [self.result(x) for x in range(len(self))[i]]
+        return self.result(range(len(self))[i])
 
 
 def _check_dimension(n):
@@ -225,10 +215,10 @@ def curvature_at(g: WeightedGraph, x: int, n: float = math.inf) -> CurvatureResu
 
 
 def curvature_all(g: WeightedGraph, n: float = math.inf):
-    """curvature_at at every vertex, in vertex order: a sequence that builds
-    each CurvatureResult when it is read, with the columns it reads them
-    from in its columns attribute."""
-    return _Results(_table(g, _check_dimension(n)))
+    """curvature_at at every vertex, in vertex order: the graph's table of
+    curvature columns for n (one per graph and dimension), a sequence that
+    builds each CurvatureResult when it is read."""
+    return _table(g, _check_dimension(n))
 
 
 def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:

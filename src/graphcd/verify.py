@@ -359,7 +359,7 @@ def function_corpus(
             e[x] = 1.0
             funcs.append((f"indicator:{label}", e))
     if include_witnesses:
-        columns = curvature_all(g, dimension).columns
+        columns = curvature_all(g, dimension)
         for x, label in enumerate(g.labels):
             funcs.append((f"witness:{label}", columns.witness(x)))
     rng = np.random.default_rng(seed)

@@ -132,6 +132,43 @@ def test_nonfinite_report_exit_2(capsys, tmp_path, monkeypatch):
     assert "vertex 'b'" in err
 
 
+def test_curvature_internal_error_exit_1(capsys, tmp_path, monkeypatch):
+    # a CurvatureInternalError is a RuntimeError: main's last clause takes it
+    build = graphcd.curvature.form_table
+
+    def indefinite(g, centers):
+        table = build(g, centers)
+        for grp in table.groups():
+            if grp.k2 > 0:
+                grp.forms[:, -1, -1] = -1.0
+        return table
+
+    monkeypatch.setattr(graphcd.curvature, "form_table", indefinite)
+    p = tmp_path / "p3.graph"
+    p.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1\nedge b c 1\n")
+    code, out, err = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "inf")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: sphere2 block of the Gamma2 form is not PSD at 'a'")
+
+
+def test_curvature_linalg_error_exit_1(capsys, k2_path, monkeypatch):
+    # a LinAlgError is a ValueError, yet an internal failure, not an input error
+    def eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code, out, err = run_main(capsys, "curvature", "--graph", k2_path, "--dimension", "inf")
+    assert (code, out, err) == (1, "", "internal error: Eigenvalues did not converge\n")
+
+
+def test_isolated_vertex_exit_2(capsys, tmp_path):
+    p = tmp_path / "lone.graph"
+    p.write_text("vertex a 1\n")
+    code, out, err = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 'a' has no neighbors; curvature undefined\n"
+
+
 def test_unrepresentable_graph_exit_2(capsys, tmp_path):
     f = tmp_path / "f.csv"
     f.write_text("vertex,value\na,1\nb,0\nc,2\n")
@@ -825,6 +862,11 @@ def test_heat_nonfinite_time_exit_2(capsys, k2_path, f_path, t):
     assert code == 2
     assert out == ""
     assert "--t" in err
+
+
+def test_heat_unparsable_time_exit_2(capsys, k2_path, f_path):
+    code, out, err = run_main(capsys, "heat", "--graph", k2_path, "--f", f_path, "--t", "abc")
+    assert (code, out, err) == (2, "", "error: cannot parse --t 'abc'\n")
 
 
 def test_heat_missing_rows_exit_2(capsys, k2_path, tmp_path):

@@ -155,7 +155,7 @@ def test_oracle_certificate_rejects_wrong_minimum(monkeypatch):
 def test_curvature_all_solves_once_per_graph_and_dimension():
     g = random_connected_graph(1800)
     a, b = curvature_all(g, INF), curvature_all(g, INF)
-    assert a is not b and all(x is y for x, y in zip(a, b))
+    assert a is b and all(x is y for x, y in zip(a, b))
     assert not any(r.witness.flags.writeable for r in a)
     n2 = curvature_all(g, 2.0)
     assert [r.dimension for r in n2] == [2.0] * g.vertex_count

@@ -167,7 +167,7 @@ def test_witness_report_names_the_first_non_finite_value(tmp_path, capsys, monke
     path = tmp_path / "gold.graph"
     path.write_text(GOLD_GRAPH, encoding="utf-8")
     g = load_graph(GOLD_GRAPH)
-    columns = curvature_all(g, math.inf).columns
+    columns = curvature_all(g, math.inf)
     # spoil the witness of z (the fifth row) at y, and of a,1 (the second
     # row) at a\b and at é: the error names a,1's first, in vertex-id order
     values = columns.values.copy()
@@ -188,7 +188,7 @@ def test_min_kappa_is_the_first_least_in_vertex_order(tmp_path, monkeypatch):
     path = tmp_path / "k4.graph"
     path.write_text(K4_GRAPH, encoding="utf-8")
     g = load_graph(K4_GRAPH)
-    columns = curvature_all(g, 2.0).columns
+    columns = curvature_all(g, 2.0)
     for kappa, sign in (([0.0, -0.0, 1.0, 2.0], "0.0"), ([2.0, -0.0, 1.0, 0.0], "-0.0")):
         tied = dataclasses.replace(columns, kappa=np.array(kappa))
         monkeypatch.setattr(graphcd.curvature, "_table", lambda g, n: tied)
