@@ -135,6 +135,10 @@ def _padded(texts, width=None):
     return np.frombuffer(rows, np.uint8).reshape(len(data), width)
 
 
+# the slots of 0.0 and -0.0
+_ZEROS = _padded([f"{z:.12e}" for z in (0.0, -0.0)], _SLOT)
+
+
 def _grid(shape, parts):
     """The uint8 array of shape (*shape, width) whose rows are the parts side
     by side: each a uint8 array that broadcasts to (*shape, its width), or
@@ -161,7 +165,8 @@ def _float_slots(values):
     finite the two are one array.  inf, -inf and nan are those words
     (Python's own %e text for them): bare in CSV, strings in JSON.  The
     %.12e text is made by table lookups where _certain_mantissas is
-    certain, by Python where it is not.
+    certain, copied from _ZEROS for 0.0 and -0.0, and made by Python for
+    the rest.
     """
     x = np.asarray(values, dtype=np.float64)
     m, e, certain = _certain_mantissas(x)
@@ -175,7 +180,9 @@ def _float_slots(values):
     words[:, 3] = _TRIPLE_E[r3]
     words[:, 4] = _EXP[e - _E_MIN]
     slots = words.view(np.uint8)
-    slow = np.flatnonzero(~certain)
+    zero = x == 0.0
+    slots[zero] = _ZEROS[np.signbit(x[zero]).astype(np.intp)]
+    slow = np.flatnonzero(~(certain | zero))
     floats = x[slow].tolist()
     texts = [f"{v:.12e}" for v in floats]
     slots[slow] = _padded(texts, _SLOT)

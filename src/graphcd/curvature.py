@@ -7,11 +7,12 @@ The pointwise curvature is the best constant in Gamma2 >= (1/n)(Delta f)^2
 
 over functions with f(x) = 0 supported on the 2-ball (locality makes the
 restriction lossless).  The solver assembles the local forms at every
-vertex from the adjacency arrays at once, eliminates the 2-sphere
-coordinates by a Schur complement and solves the remaining symmetric
-pencil, one stacked eigensolve per group of vertices with equal sphere
-sizes.  The results are columns: kappa per vertex, and each ball's
-coordinates and witness values in flat arrays; curvature_at and
+vertex from the adjacency arrays at once (the sphere1 rows of the Gamma2
+form and its diagonal 2-sphere block), eliminates the 2-sphere
+coordinates by a Schur complement through that diagonal and solves the
+remaining symmetric pencil, one stacked eigensolve per group of vertices
+with equal sphere sizes.  The results are columns: kappa per vertex, and
+each ball's coordinates and witness values in flat arrays; curvature_at and
 curvature_all build a CurvatureResult from them when one is read.
 curvature_oracle recomputes the same number at one vertex along an
 independent route (forms assembled by polarization of global operator
@@ -32,7 +33,7 @@ import numpy as np
 from .graph import WeightedGraph, ball2, vertex_id
 from .operators import form_table, gamma2_many, gamma_many, laplacian_many
 
-_RANK_TOL = 1e-12          # pseudo-inverse cutoff, relative to the largest A22 entry or sigma_max
+_RANK_TOL = 1e-12          # the oracle's kernel and pinv cutoff, relative to the largest
 _PSD_TOL = 1e-10           # allowed negative entry of the diagonal S2 block
 _ORACLE_MAX_BALL = 12
 _CERT_TOL = 1e-12          # oracle certificate, relative to |A| + |kappa| |B|
@@ -136,8 +137,12 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
 
     Per (k1, k2) group of the form table, with A the Gamma2 form over
     sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: the
-    sphere2 block is diag(a22) (see LocalForms), checked PSD and inverted
-    to diag(inv); the Schur complement A11 - A12 diag(inv) A12^T less
+    table's rows hold A11 and A12, and the sphere2 block is diag(a22) (see
+    LocalForms), checked PSD and inverted to diag(inv) entry by entry.  No
+    entry is dropped, however small next to the others: each is an exact
+    sum of positive terms, not roundoff.  An entry whose inverse overflows
+    (it underflowed to 0 or nearly) raises ValueError, the input being out
+    of float range.  The Schur complement A11 - A12 diag(inv) A12^T less
     dd^T/n meets the pencil with diag(b) through the congruence by sqrt(b),
     and a stacked eigh gives its smallest eigenpair (kappa, v).  The witness
     is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
@@ -156,10 +161,9 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
             raise IsolatedVertexError(
                 f"vertex {g.labels[grp.centers[0]]!r} has no neighbors; curvature undefined"
             )
-        A = grp.forms
-        A11, A12 = A[:, :k1, :k1], A[:, :k1, k1:]
+        A11, A12 = grp.rows[:, :, :k1], grp.rows[:, :, k1:]
         if grp.k2 > 0:
-            a22 = np.diagonal(A[:, k1:, k1:], axis1=1, axis2=2)
+            a22 = grp.a22
             top = a22.max(axis=1)
             bad = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, top)
             if bad.any():
@@ -168,8 +172,15 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
                     f"sphere2 block of the Gamma2 form is not PSD at "
                     f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
                 )
-            keep = a22 > _RANK_TOL * top[:, None]
-            inv = np.divide(1.0, a22, out=np.zeros_like(a22), where=keep)
+            with np.errstate(divide="ignore", over="ignore"):
+                inv = 1.0 / a22
+            lost = np.isinf(inv).any(axis=1)
+            if lost.any():
+                i = int(np.argmax(lost))
+                raise ValueError(
+                    f"the Gamma2 form underflows at {g.labels[grp.centers[i]]!r}: a sphere2 "
+                    f"diagonal entry is {a22[i].min():.3e}, which has no finite inverse"
+                )
             Ahat = A11 - (A12 * inv[:, None, :]) @ A12.transpose(0, 2, 1)
             Ahat = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
         else:

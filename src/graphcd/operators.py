@@ -19,7 +19,9 @@ forms the edge differences once; laplacian, gamma and gamma2 are column
 0 of that code at a single function.  form_table
 expresses Gamma, Delta, Gamma2 at many vertices x at once as matrices
 over the ball coordinates with f(x) pinned to 0, which is what the
-curvature solver consumes; local_forms is the same at one vertex.
+curvature solver consumes: of the Gamma2 form it keeps the sphere1 rows
+and the diagonal sphere2 block.  local_forms is the full form at one
+vertex.
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ class LocalForms:
     with entries mu_xy/(2 m(x)); delta_vector has entries mu_xy/m(x);
     gamma2_form is the full symmetric form.  Its sphere2 block is
     diag(sum_y mu_xy mu_yw / (4 m(x) m(y))) > 0: a Gamma2 term follows one
-    2-walk x -> y -> w and so holds at most one sphere2 vertex w.
+    2-walk x -> y -> w and so holds at most one sphere2 vertex w.  The form
+    table stores only the sphere1 rows and that diagonal; local_forms
+    rebuilds the rest by symmetry and with zeros.
     """
 
     ball: Ball
@@ -157,8 +161,10 @@ class _Group(NamedTuple):
     Arrays are views into the table, one row per center: ids holds the
     ball coordinates (sphere1 then sphere2, each ascending), gamma and
     delta the sphere1 entries of the Gamma form's diagonal and of the
-    Delta vector, forms the k x k Gamma2 forms.  balls is the slice of
-    the table's flat per-coordinate arrays that ids covers.
+    Delta vector, rows the k1 x k sphere1 rows [A11 A12] of the Gamma2
+    form and a22 the k2 entries of its diagonal sphere2 block (see
+    LocalForms).  balls is the slice of the table's flat per-coordinate
+    arrays that ids covers.
     """
 
     k1: int
@@ -167,7 +173,8 @@ class _Group(NamedTuple):
     ids: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
-    forms: np.ndarray
+    rows: np.ndarray
+    a22: np.ndarray
     balls: slice
 
 
@@ -177,8 +184,11 @@ class _FormTable:
 
     Centers are stored in group order: sorted by (k1, k2), ascending
     vertex id within a group.  Each center owns k consecutive entries of
-    the flat ids/gamma/delta arrays and a k x k block of the flat forms
-    buffer, so every group is one contiguous run of each.
+    the flat ids/gamma/delta arrays and k1 k + k2 consecutive floats of
+    the flat forms buffer: its Gamma2 form's k1 sphere1 rows, slot (i, j)
+    at i k + j, then the k2 entries of the sphere2 diagonal.  The rest of
+    the symmetric form is the transpose of the rows' A12 block and zeros.
+    Every group is one contiguous run of each array.
     """
 
     centers: np.ndarray
@@ -192,19 +202,22 @@ class _FormTable:
     def groups(self):
         k = self.k1 + self.k2
         ball_at = np.cumsum(k) - k
-        form_at = np.cumsum(k * k) - k * k
+        size = self.k1 * k + self.k2
+        form_at = np.cumsum(size) - size
         cuts = np.flatnonzero((np.diff(self.k1) != 0) | (np.diff(self.k2) != 0)) + 1
         for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(k)]):
             k1, k2 = int(self.k1[lo]), int(self.k2[lo])
-            size, kk = hi - lo, k1 + k2
-            balls = slice(int(ball_at[lo]), int(ball_at[lo]) + size * kk)
+            n, kk = hi - lo, k1 + k2
+            balls = slice(int(ball_at[lo]), int(ball_at[lo]) + n * kk)
             f0 = int(form_at[lo])
+            forms = self.forms[f0:f0 + n * int(size[lo])].reshape(n, int(size[lo]))
             yield _Group(
                 k1, k2, self.centers[lo:hi],
-                self.ids[balls].reshape(size, kk),
-                self.gamma[balls].reshape(size, kk)[:, :k1],
-                self.delta[balls].reshape(size, kk)[:, :k1],
-                self.forms[f0:f0 + size * kk * kk].reshape(size, kk, kk),
+                self.ids[balls].reshape(n, kk),
+                self.gamma[balls].reshape(n, kk)[:, :k1],
+                self.delta[balls].reshape(n, kk)[:, :k1],
+                forms[:, :k1 * kk].reshape(n, k1, kk),
+                forms[:, k1 * kk:],
                 balls,
             )
 
@@ -222,7 +235,8 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     The 2-walks x -> y -> w (y a sphere1 vertex, w any neighbor of y, self-
     loops included) give sphere2 and, through the four contribution
     classes of 1/2 Delta Gamma(f)(x) - Gamma(f, Delta f)(x), the Gamma2
-    form.  Each class is accumulated straight into the blocks.
+    form.  Each class is accumulated straight into the table's sphere1
+    rows and sphere2 diagonals.
     """
     indptr, indices, weights = g._csr_indptr, g._csr_indices, g._csr_weights
     nv = g.vertex_count
@@ -245,47 +259,76 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     walk_owner = s1_owner[walk_s1]
     walk_w, mu_yw = indices[step], weights[step]
     del step
-    at_center = walk_w == centers[walk_owner]
 
-    # sphere membership by (owner, vertex) keys; sphere1 keys are sorted
+    # where each walk ends, by (owner, vertex) keys: the center, a sphere1
+    # entry pos (sphere1 keys are sorted) or sphere2
     s1_key = s1_owner * nv + s1_id
     walk_key = walk_owner * nv + walk_w
-    del walk_w
+    to_s2 = walk_w != centers[walk_owner]
+    del walk_w, walk_owner
     pos = np.searchsorted(s1_key, walk_key)
     in_s1 = s1_key[np.minimum(pos, len(s1_key) - 1)] == walk_key
-    # np.unique by a sort: numpy 2 hashes integer keys, many times slower
-    s2_key = np.sort(walk_key[~at_center & ~in_s1])
-    s2_key = s2_key[np.diff(s2_key, prepend=-1) != 0]
+    to_s2 &= ~in_s1
+    # sphere2 entries by a sort (numpy 2's np.unique hashes integer keys,
+    # many times slower); s2 is the entry of each walk that ends there
+    walk_key = walk_key[to_s2]
+    by_key = np.argsort(walk_key)
+    s2_key = walk_key[by_key]
+    del walk_key
+    first = np.diff(s2_key, prepend=-1) != 0
+    s2 = np.empty_like(by_key)
+    s2[by_key] = np.cumsum(first) - 1
+    s2_key = s2_key[first]
+    del by_key, first
     s2_owner = s2_key // nv
     k2 = np.bincount(s2_owner, minlength=len(centers))
     s2_start = np.cumsum(k2) - k2
     s2_rank = np.arange(len(s2_key)) - s2_start[s2_owner]
 
-    # local coordinates; -1 is the pinned center
-    iw = np.where(
-        in_s1, pos - s1_start[walk_owner],
-        k1[walk_owner] + np.searchsorted(s2_key, walk_key) - s2_start[walk_owner],
-    )
-    del walk_key, pos, in_s1
-    iw[at_center] = -1
-
-    # group order and storage; the entry after the blocks is a sink for
-    # the terms the blocks do not take
+    # group order and storage: each center's k1 sphere1 rows of width k,
+    # then its k2 sphere2 diagonal entries
     order = np.lexsort((k2, k1))
     k = k1 + k2
     ball_start = np.empty_like(k)
     ball_start[order] = np.cumsum(k[order]) - k[order]
+    size = k1 * k + k2
     form_start = np.empty_like(k)
-    form_start[order] = np.cumsum(k[order] ** 2) - k[order] ** 2
+    form_start[order] = np.cumsum(size[order]) - size[order]
     s1_at = ball_start[s1_owner] + s1_rank
     ids = np.empty(int(k.sum()), dtype=np.int64)
     ids[s1_at] = s1_id
-    ids[ball_start[s2_owner] + k1[s2_owner] + s2_rank] = s2_key - s2_owner * nv
+    s2_col = k1[s2_owner] + s2_rank
+    ids[ball_start[s2_owner] + s2_col] = s2_key - s2_owner * nv
+
+    # The Gamma2 form is a sum of terms c f_i f_j; a term adds c to the
+    # form's slot (i, i), or c/2 to each of (i, j) and (j, i).  Float
+    # addition is not associative, so the terms reach each slot in one
+    # fixed order: class by class, in walk or pair order within a class.
+    # A walk x -> y -> w has the slots (y, y), (w, w), (w, y) and (y, w).
+    # Its terms in w are dropped where w is the center; where w = y (a loop
+    # at y) its (w, y) and (y, w) halves are too, and the whole term goes
+    # to (y, y) instead.  A w in sphere2 has no (w, y) slot: that half of
+    # A21 is the transpose of A12, which takes the same terms in the same
+    # order.  Each slot array below covers the walks of one kind of w, and
+    # the kinds' slots are disjoint.
+    s1_row = form_start[s1_owner] + s1_rank * k[s1_owner]   # slot (y, 0)
+    s1_diag = s1_row + s1_rank
+    yy = s1_diag[walk_s1]
+    loop = in_s1 & (pos == walk_s1)
+    tri = in_s1 & ~loop   # w another sphere1 vertex: a triangle x, y, w
+    ww1 = s1_diag[pos[in_s1]]
+    wy = s1_row[pos[tri]] + s1_rank[walk_s1[tri]]
+    yw1 = s1_row[walk_s1[tri]] + s1_rank[pos[tri]]
+    del pos
+    ww2 = (form_start[s2_owner] + k1[s2_owner] * k[s2_owner] + s2_rank)[s2]
+    yw2 = s1_row[walk_s1[to_s2]] + s2_col[s2]
+    del s2, s2_key, s2_owner, s2_rank, s2_col
+
+    # the table, allocated after the slot arrays: fewer walk arrays are
+    # alive beside it, which lowers the peak
     gamma = np.zeros(len(ids))
     delta = np.zeros(len(ids))
-    sink = int((k * k).sum())
-    forms = np.zeros(sink + 1)
-
+    forms = np.zeros(int(size.sum()))
     m = g.m
     mx = m[centers][s1_owner]
     two_mx = 2.0 * mx
@@ -293,37 +336,19 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     gamma[s1_at] = c0
     delta[s1_at] = mu_xy / mx
 
-    # The Gamma2 form is a sum of terms c f_i f_j; a term adds c to the
-    # block's slot (i, i), or c/2 to each of (i, j) and (j, i).  Float
-    # addition is not associative, so the terms reach each slot in one
-    # fixed order: class by class, in walk or pair order within a class.
-    # A walk x -> y -> w has the slots (y, y), (w, w), (w, y) and (y, w).
-    # Its terms in w go to the sink where w is the center; where w = y (a
-    # loop at y) its (w, y) and (y, w) halves go there too, and the whole
-    # term to (y, y) instead.
-    s1_row = form_start[s1_owner] + s1_rank * k[s1_owner]   # slot (y, 0)
-    at, kk = form_start[walk_owner], k[walk_owner]
-    iy = s1_rank[walk_s1]
-    yy = (s1_row + s1_rank)[walk_s1]
-    ww = np.where(at_center, sink, at + iw * (kk + 1))
-    same = iw == iy
-    loop = np.flatnonzero(same)
-    same |= at_center
-    wy = np.where(same, sink, at + iw * kk + iy)
-    yw = np.where(same, sink, s1_row[walk_s1] + iw)
-    del at, kk, iy, iw, at_center, same, walk_owner
-
     # 1/2 Delta Gamma(f)(x), the Gamma(f)(y) part:
     #   (mu_xy/(2 m_x)) (1/(2 m_y)) sum_w mu_yw (f_w - f_y)^2
     my = m[s1_id][walk_s1]
     c = c0[walk_s1] * mu_yw
-    del mu_yw
+    del mu_yw, walk_s1
     c1 = c / (2.0 * my)
-    np.add.at(forms, ww, c1)
-    del ww
+    np.add.at(forms, ww1, c1[in_s1])
+    np.add.at(forms, ww2, c1[to_s2])
+    del ww1, ww2, in_s1
     half = 0.5 * (-2.0 * c1)
-    np.add.at(forms, wy, half)
-    np.add.at(forms, yw, half)
+    np.add.at(forms, wy, half[tri])
+    np.add.at(forms, yw1, half[tri])
+    np.add.at(forms, yw2, half[to_s2])
     np.add.at(forms, yy[loop], -2.0 * c1[loop])
     np.add.at(forms, yy, c1)
     del c1
@@ -332,12 +357,13 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     c2 = c / my
     del c, my
     half = 0.5 * -c2
-    np.add.at(forms, yw, half)
-    np.add.at(forms, wy, half)
-    del wy, yw, half
+    np.add.at(forms, yw1, half[tri])
+    np.add.at(forms, yw2, half[to_s2])
+    np.add.at(forms, wy, half[tri])
+    del wy, yw1, yw2, half, tri, to_s2
     np.add.at(forms, yy[loop], -c2[loop])
     np.add.at(forms, yy, c2)
-    del yy, c2, walk_s1
+    del yy, c2, loop
 
     # -Gamma(f, Delta f)(x), the +f_y Delta f(x) part, over sphere1 pairs
     # (i, j): slot (i, j) takes a half from pair (i, j), then one from (j, i)
@@ -347,26 +373,30 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     same = pair == pair_s1
     half = 0.5 * c
     np.add.at(forms, s1_row[pair_s1] + s1_rank[pair], np.where(same, c, half))
-    np.add.at(forms, np.where(same, sink, s1_row[pair] + s1_rank[pair_s1]), half)
+    np.add.at(forms, (s1_row[pair] + s1_rank[pair_s1])[~same], half[~same])
     del pair, pair_s1, c, same, half
 
     # 1/2 Delta Gamma(f)(x), the -Gamma(f)(x) part
     deg_x = g._degree[centers][s1_owner]
-    np.add.at(forms, s1_row + s1_rank, -(deg_x / two_mx) * mu_xy / two_mx)
+    np.add.at(forms, s1_diag, -(deg_x / two_mx) * mu_xy / two_mx)
 
-    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms[:sink])
+    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms)
 
 
 def local_forms(g: WeightedGraph, x: int) -> LocalForms:
     x = vertex_id(g, x)
     (grp,) = form_table(g, [x]).groups()
-    s1 = tuple(grp.ids[0, :grp.k1].tolist())
-    s2 = tuple(grp.ids[0, grp.k1:].tolist())
+    k1 = grp.k1
+    s1 = tuple(grp.ids[0, :k1].tolist())
+    s2 = tuple(grp.ids[0, k1:].tolist())
     ball = Ball(center=x, sphere1=s1, sphere2=s2,
                 index_map={v: i for i, v in enumerate(s1 + s2)})
+    form = np.diag(np.concatenate([np.zeros(k1), grp.a22[0]]))
+    form[:k1] = grp.rows[0]
+    form[k1:, :k1] = grp.rows[0, :, k1:].T
     return LocalForms(
         ball=ball,
         gamma_form=np.diag(grp.gamma[0]),
-        gamma2_form=grp.forms[0],
+        gamma2_form=form,
         delta_vector=grp.delta[0],
     )

@@ -140,7 +140,7 @@ def test_curvature_internal_error_exit_1(capsys, tmp_path, monkeypatch):
         table = build(g, centers)
         for grp in table.groups():
             if grp.k2 > 0:
-                grp.forms[:, -1, -1] = -1.0
+                grp.a22[:, -1] = -1.0
         return table
 
     monkeypatch.setattr(graphcd.curvature, "form_table", indefinite)
@@ -149,6 +149,16 @@ def test_curvature_internal_error_exit_1(capsys, tmp_path, monkeypatch):
     code, out, err = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "inf")
     assert code == 1 and out == ""
     assert err.startswith("internal error: sphere2 block of the Gamma2 form is not PSD at 'a'")
+
+
+def test_underflowing_gamma2_form_exit_2(capsys, tmp_path):
+    # the sphere2 diagonal entry at a, 1e-340 / 4, underflows to 0: an input
+    # out of range, never a nan kappa with exit 0
+    p = tmp_path / "tiny.graph"
+    p.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1e-170\nedge b c 1e-170\n")
+    code, out, err = run_main(capsys, "curvature", "--graph", str(p), "--dimension", "inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the Gamma2 form underflows at 'a'")
 
 
 def test_curvature_linalg_error_exit_1(capsys, k2_path, monkeypatch):
@@ -568,6 +578,23 @@ def test_bulk_float_texts_mostly_take_the_fast_path():
     _, _, certain = _certain_mantissas(x)
     assert 1 - certain.mean() <= 0.02
     assert _float_texts(x)[0] == [f"{v:.12e}" for v in x.tolist()]
+
+
+def test_bulk_float_texts_write_zeros_without_python(monkeypatch):
+    # exact zeros are most of a large default verify report (P_t of an
+    # indicator beyond the Chebyshev polynomial's reach): none goes to Python
+    x = np.zeros(1000)
+    x[::3] = -0.0
+    x[1::7] = 1.5
+    padded, sizes = graphcd.cli._padded, []
+
+    def spy(texts, width=None):
+        sizes.append(len(texts))
+        return padded(texts, width)
+
+    monkeypatch.setattr(graphcd.cli, "_padded", spy)
+    assert _float_texts(x)[0] == [f"{v:.12e}" for v in x.tolist()]
+    assert sizes == [0]
 
 
 # ---------------------------------------------------------------------------

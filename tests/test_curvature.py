@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,12 +211,70 @@ def test_indefinite_sphere2_block_raises(monkeypatch):
         table = build(g, centers)
         for grp in table.groups():
             if grp.k2 > 0:
-                grp.forms[:, -1, -1] = -1.0
+                grp.a22[:, -1] = -1.0
         return table
 
     monkeypatch.setattr(curvature, "form_table", indefinite)
     g = path_graph(3)
     with pytest.raises(CurvatureInternalError, match="not PSD at 'a'"):
+        curvature_all(g, INF)
+
+
+# ROADMAP item 13's wide(62): random_connected_graph(1062, 4, 8) with its
+# weights redrawn as 10^U(-8, 8) and its measures as 10^U(-4, 4).  At d,
+# three of the five sphere2 diagonal entries are 8.6e-24, 3.6e-17 and
+# 7.4e-26 of the largest; a 1e-12 cutoff that dropped them gave
+# kappa(d; inf) = -0.3692.
+WIDE_M = [0.0010451823772606294, 4257.932633830629, 23.995200216835606, 6967.173232036773,
+          3003.640371158203, 0.0004800777000246148, 6.720252013105728, 0.7910078234602713]
+WIDE_EDGES = {
+    (0, 1): 5.507843575793399e-05, (0, 2): 115.59768583221282, (0, 6): 5209.078673928144,
+    (1, 2): 230.77970401455715, (1, 3): 1.4293920861726104e-07, (1, 4): 9.75761207366972e-08,
+    (1, 6): 3.7005393221623356e-05, (1, 7): 4.7313565956711e-07, (2, 7): 0.5695312891196259,
+    (3, 5): 6277.05233725287, (4, 5): 16.49582123373117, (4, 7): 3124666.0853871126,
+    (5, 6): 0.7023438410422868, (6, 7): 0.1542664424905758,
+}
+# a witness at d without the cutoff; its exact quotient is -0.4775733581080174
+WIDE_WITNESS = [624449.9157333509, 312224.95786667545, 624449.915733351, 0.0,
+                -6.538131925355694e-13, -3.269066010096104e-13, -6.537287283756216e-13,
+                624449.9157333509]
+
+
+def exact_quotient(g, f, x):
+    """Gamma2(f)(x) / Gamma(f)(x) in exact rational arithmetic on the float
+    inputs, from the operator definitions."""
+    f = [Fraction(float(v)) for v in f]
+    m = [Fraction(float(v)) for v in g.m]
+    nbrs = {z: {} for z in range(g.vertex_count)}
+    for (u, v), w in g.edges.items():
+        if u != v:
+            nbrs[u][v] = nbrs[v][u] = Fraction(w)
+
+    def lap(h, z):
+        return sum(w * (h[y] - h[z]) for y, w in nbrs[z].items()) / m[z]
+
+    def gam(h, k, z):
+        return sum(w * (h[y] - h[z]) * (k[y] - k[z]) for y, w in nbrs[z].items()) / (2 * m[z])
+
+    G = [gam(f, f, z) for z in range(g.vertex_count)]
+    L = [lap(f, z) for z in range(g.vertex_count)]
+    return (lap(G, x) / 2 - gam(f, L, x)) / G[x]
+
+
+def test_kappa_is_at_most_the_exact_quotient_of_a_witness():
+    # kappa is an infimum, so no function's exact quotient lies below it
+    g = WeightedGraph(list("abcdefgh"), WIDE_M, WIDE_EDGES)
+    r = curvature_at(g, 3, INF)
+    slack = 1e-10 * max(1.0, abs(r.kappa))
+    assert r.kappa <= exact_quotient(g, WIDE_WITNESS, 3) + slack
+    assert r.kappa <= exact_quotient(g, r.witness, 3) + slack
+
+
+@pytest.mark.parametrize("weight", [1e-160, 1e-170])
+def test_underflowing_sphere2_entry_raises(weight):
+    # a22 at a is weight^2 / 4: 2.5e-321, whose inverse overflows, or 0
+    g = WeightedGraph(["a", "b", "c"], [1.0, 1.0, 1.0], {(0, 1): weight, (1, 2): weight})
+    with pytest.raises(ValueError, match="Gamma2 form underflows at 'a'"):
         curvature_all(g, INF)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,39 @@ def test_self_loop_only_vertex_is_valid():
 def test_disconnected_rejected():
     with pytest.raises(GraphFormatError, match="connected"):
         load_graph("vertex a 1\nvertex b 2\n")
+
+
+def test_disconnected_names_the_first_five_unreachable_in_id_order():
+    text = "".join(f"vertex {x} 1\n" for x in "azbyxcwvu")
+    text += "edge a b 1\nedge b c 1\nedge z y 1\nedge x w 1\n"
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(text)
+    assert str(info.value) == "graph is not connected (unreachable: ['z', 'y', 'x', 'w', 'v'])"
+
+
+def test_connectivity_matches_a_search_from_vertex_0():
+    # paths with shuffled ids, and graphs of several components
+    rng = rng_for(44)
+    for trial in range(60):
+        nv = int(rng.integers(2, 40))
+        ids = rng.permutation(nv)
+        edges = {tuple(sorted((int(ids[i]), int(ids[i + 1])))): 1.0
+                 for i in range(nv - 1) if trial % 3 or rng.random() < 0.9}
+        labels = [f"v{i}" for i in range(nv)]
+        reached, stack = {0}, [0]
+        while stack:
+            x = stack.pop()
+            for a, b in edges:
+                for y in ((b,) if a == x else (a,) if b == x else ()):
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        missing = [labels[x] for x in range(nv) if x not in reached][:5]
+        if missing:
+            with pytest.raises(GraphFormatError, match=re.escape(f"(unreachable: {missing})")):
+                WeightedGraph(labels, np.ones(nv), edges)
+        else:
+            WeightedGraph(labels, np.ones(nv), edges)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -359,6 +359,21 @@ def _log_uniform_weights(seed):
     return WeightedGraph(g.labels, 10.0 ** rng.uniform(-4.0, 4.0, g.vertex_count), edges)
 
 
+def test_form_table_holds_the_sphere1_rows_and_the_sphere2_diagonal():
+    for seed in range(10):
+        g = random_connected_graph(2300 + seed, max_vertices=12, self_loop_prob=0.6)
+        table = form_table(g, np.arange(g.vertex_count))
+        balls = [ball2(g, x) for x in range(g.vertex_count)]
+        k1 = np.array([len(b.sphere1) for b in balls])
+        k2 = np.array([len(b.sphere2) for b in balls])
+        assert table.forms.size == int((k1 * (k1 + k2) + k2).sum())
+        for grp in table.groups():
+            assert grp.rows.shape == (len(grp.centers), grp.k1, grp.k1 + grp.k2)
+            assert grp.a22.shape == (len(grp.centers), grp.k2)
+            assert grp.rows.base is table.forms or grp.rows.size == 0
+            assert grp.a22.base is table.forms or grp.a22.size == 0
+
+
 def test_form_table_balls_match_ball2():
     # the curvature solver relies on the sphere2 block being an exact positive diagonal
     graphs = [random_connected_graph(2200 + seed, max_vertices=12, self_loop_prob=0.6)
@@ -368,14 +383,13 @@ def test_form_table_balls_match_ball2():
         loops += any(u == v for u, v in g.edges)
         seen = []
         for grp in form_table(g, np.arange(g.vertex_count)).groups():
-            if grp.k2 > 0:
-                block = grp.forms[:, grp.k1:, grp.k1:]
-                assert (block[:, ~np.eye(grp.k2, dtype=bool)] == 0.0).all()
-                assert (np.diagonal(block, axis1=1, axis2=2) > 0.0).all()
-            for x, ids in zip(grp.centers.tolist(), grp.ids.tolist()):
+            assert (grp.a22 > 0.0).all()
+            for x, ids, a22 in zip(grp.centers.tolist(), grp.ids.tolist(), grp.a22):
                 ball = ball2(g, x)
                 assert (len(ball.sphere1), len(ball.sphere2)) == (grp.k1, grp.k2)
                 assert ids == list(ball.sphere1 + ball.sphere2)
+                block = local_forms(g, x).gamma2_form[grp.k1:, grp.k1:]
+                assert np.array_equal(block, np.diag(a22))
                 seen.append(x)
         assert sorted(seen) == list(range(g.vertex_count))
     assert loops > 0
