@@ -125,6 +125,29 @@ def _gamma2_parts(g, F):
     return G2, G
 
 
+# bytes of one edge x column array of a kernel's column block: 256 KiB,
+# which keeps a block's few such arrays in a core's L2 cache
+_CACHE_BYTES = 2**18
+
+
+def _column_blocks(g, kernel, F):
+    """kernel(F), with kernel run on blocks of at most _CACHE_BYTES / (8 ne)
+    columns of F (one at least) and each block's (nv, w) result written
+    into one (nv, k) output array.
+
+    A kernel's edge x column arrays are then reused from cache instead of
+    being allocated, and page-faulted, afresh at full width.  kernel must
+    compute each column on its own, so the blocks change no bit.
+    """
+    width = max(1, _CACHE_BYTES // (8 * max(1, len(g._edge_mu))))
+    if F.shape[1] <= width:
+        return kernel(F)
+    out = np.empty_like(F)
+    for i in range(0, F.shape[1], width):
+        out[:, i:i + width] = kernel(F[:, i:i + width])
+    return out
+
+
 def dirichlet_energy(g: WeightedGraph, f) -> float:
     """Q(f) = 1/2 sum_{x,y} mu_xy (f(y)-f(x))^2 = sum_x Gamma(f)(x) m(x)."""
     return float(g.m @ gamma(g, f))
@@ -160,11 +183,11 @@ class _Group(NamedTuple):
 
     Arrays are views into the table, one row per center: ids holds the
     ball coordinates (sphere1 then sphere2, each ascending), gamma and
-    delta the sphere1 entries of the Gamma form's diagonal and of the
+    delta the k1 sphere1 entries of the Gamma form's diagonal and of the
     Delta vector, rows the k1 x k sphere1 rows [A11 A12] of the Gamma2
     form and a22 the k2 entries of its diagonal sphere2 block (see
-    LocalForms).  balls is the slice of the table's flat per-coordinate
-    arrays that ids covers.
+    LocalForms).  balls is the slice of the table's flat ids array, and
+    of any per-coordinate array laid out like it, that ids covers.
     """
 
     k1: int
@@ -184,8 +207,9 @@ class _FormTable:
 
     Centers are stored in group order: sorted by (k1, k2), ascending
     vertex id within a group.  Each center owns k consecutive entries of
-    the flat ids/gamma/delta arrays and k1 k + k2 consecutive floats of
-    the flat forms buffer: its Gamma2 form's k1 sphere1 rows, slot (i, j)
+    the flat ids array, k1 of the flat gamma and delta arrays (their
+    sphere2 entries are 0 and not stored) and k1 k + k2 consecutive floats
+    of the flat forms buffer: its Gamma2 form's k1 sphere1 rows, slot (i, j)
     at i k + j, then the k2 entries of the sphere2 diagonal.  The rest of
     the symmetric form is the transpose of the rows' A12 block and zeros.
     Every group is one contiguous run of each array.
@@ -202,6 +226,7 @@ class _FormTable:
     def groups(self):
         k = self.k1 + self.k2
         ball_at = np.cumsum(k) - k
+        s1_at = np.cumsum(self.k1) - self.k1
         size = self.k1 * k + self.k2
         form_at = np.cumsum(size) - size
         cuts = np.flatnonzero((np.diff(self.k1) != 0) | (np.diff(self.k2) != 0)) + 1
@@ -209,13 +234,14 @@ class _FormTable:
             k1, k2 = int(self.k1[lo]), int(self.k2[lo])
             n, kk = hi - lo, k1 + k2
             balls = slice(int(ball_at[lo]), int(ball_at[lo]) + n * kk)
+            s1 = slice(int(s1_at[lo]), int(s1_at[lo]) + n * k1)
             f0 = int(form_at[lo])
             forms = self.forms[f0:f0 + n * int(size[lo])].reshape(n, int(size[lo]))
             yield _Group(
                 k1, k2, self.centers[lo:hi],
                 self.ids[balls].reshape(n, kk),
-                self.gamma[balls].reshape(n, kk)[:, :k1],
-                self.delta[balls].reshape(n, kk)[:, :k1],
+                self.gamma[s1].reshape(n, k1),
+                self.delta[s1].reshape(n, k1),
                 forms[:, :k1 * kk].reshape(n, k1, kk),
                 forms[:, k1 * kk:],
                 balls,
@@ -294,9 +320,10 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     size = k1 * k + k2
     form_start = np.empty_like(k)
     form_start[order] = np.cumsum(size[order]) - size[order]
-    s1_at = ball_start[s1_owner] + s1_rank
+    s1_group_start = np.empty_like(k)
+    s1_group_start[order] = np.cumsum(k1[order]) - k1[order]
     ids = np.empty(int(k.sum()), dtype=np.int64)
-    ids[s1_at] = s1_id
+    ids[ball_start[s1_owner] + s1_rank] = s1_id
     s2_col = k1[s2_owner] + s2_rank
     ids[ball_start[s2_owner] + s2_col] = s2_key - s2_owner * nv
 
@@ -326,8 +353,9 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
 
     # the table, allocated after the slot arrays: fewer walk arrays are
     # alive beside it, which lowers the peak
-    gamma = np.zeros(len(ids))
-    delta = np.zeros(len(ids))
+    s1_at = s1_group_start[s1_owner] + s1_rank
+    gamma = np.empty(len(s1_owner))
+    delta = np.empty(len(s1_owner))
     forms = np.zeros(int(size.sum()))
     m = g.m
     mx = m[centers][s1_owner]

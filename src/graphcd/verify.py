@@ -36,7 +36,7 @@ import numpy as np
 
 from .curvature import _check_dimension, curvature_all, min_curvature
 from .graph import WeightedGraph
-from .operators import _gamma2_parts, _vertex_array, gamma_many, laplacian_many
+from .operators import _column_blocks, _gamma2_parts, _vertex_array, gamma_many, laplacian_many
 from .semigroup import (
     _bessel_tail_degree, _heat_time_sum, _propagator_for, heat_apply_columns, heat_curve)
 
@@ -219,13 +219,7 @@ def _sides(g, sd, inequality_name, F, K, n, t):
     if math.isinf(n):
         # the integral's coefficient 2/n is 0
         return gradient, decayed, np.zeros_like(decayed)
-
-    def inner(X):
-        L = laplacian_many(g, X)
-        L *= L
-        return L
-
-    integral, err = _heat_integral(g, sd, F, K, t, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, functools.partial(_laplacian_squared, g))
     coeff = 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
 
@@ -248,15 +242,35 @@ def _decay(K, t, exp=math.exp):
 def _heat_integral(g, sd, F, K, t, inner):
     """Int_0^t e^{-2Ks} P_s[inner(P_{t-s} f)] ds and its error estimate per column f of F.
 
-    Each block of nodes s_j goes with its weights to semigroup._heat_time_sum.
+    At each block of nodes s_j, inner runs on the heat curve of f at the
+    times t - s_j in column blocks (operators._column_blocks: inner
+    computes each column on its own), and its values go with the weights
+    to semigroup._heat_time_sum.
     """
     # the integrand's largest factor is e^{-2Kt}: its top rate is 0 and s <= t
     _decay(K, t)
     quad = QuadratureSpec(_sized_panels(sd, K, t))
     sums = np.hstack([_integrate(lambda s, w: _heat_time_sum(
-        sd, K, s, w, inner(heat_curve(sd, g, t - s, f))), t, quad) for f in F.T])
+        sd, K, s, w, _column_blocks(g, inner, heat_curve(sd, g, t - s, f))), t, quad)
+        for f in F.T])
     fine, coarse = sums[:, 0::2], sums[:, 1::2]
     return fine, np.abs(fine - coarse)
+
+
+def _laplacian_squared(g, X):
+    """(Delta X)^2, the cdn integrand."""
+    L = laplacian_many(g, X)
+    L *= L
+    return L
+
+
+def _gamma2_minus_gamma(g, K, X):
+    """Gamma2(X) - K Gamma(X), with BX and Gamma(X) formed once: the
+    gamma2_identity integrand."""
+    G2, G = _gamma2_parts(g, X)
+    G *= K
+    G2 -= G
+    return G2
 
 
 def _integrate_variance(g, sd, F, t):
@@ -267,14 +281,7 @@ def _integrate_variance(g, sd, F, t):
 
 def _integrate_gamma2(g, sd, F, K, t):
     """2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds and its error estimate."""
-    def inner(X):
-        # Gamma2(X) - K Gamma(X), with BX and Gamma(X) formed once
-        G2, G = _gamma2_parts(g, X)
-        G *= K
-        G2 -= G
-        return G2
-
-    integral, err = _heat_integral(g, sd, F, K, t, inner)
+    integral, err = _heat_integral(g, sd, F, K, t, functools.partial(_gamma2_minus_gamma, g, K))
     return 2.0 * integral, 2.0 * err
 
 

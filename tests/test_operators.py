@@ -367,9 +367,12 @@ def test_form_table_holds_the_sphere1_rows_and_the_sphere2_diagonal():
         k1 = np.array([len(b.sphere1) for b in balls])
         k2 = np.array([len(b.sphere2) for b in balls])
         assert table.forms.size == int((k1 * (k1 + k2) + k2).sum())
+        assert table.gamma.size == table.delta.size == int(k1.sum())
         for grp in table.groups():
             assert grp.rows.shape == (len(grp.centers), grp.k1, grp.k1 + grp.k2)
             assert grp.a22.shape == (len(grp.centers), grp.k2)
+            assert grp.gamma.shape == grp.delta.shape == (len(grp.centers), grp.k1)
+            assert grp.gamma.base is table.gamma and grp.delta.base is table.delta
             assert grp.rows.base is table.forms or grp.rows.size == 0
             assert grp.a22.base is table.forms or grp.a22.size == 0
 

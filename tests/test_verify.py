@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 from types import SimpleNamespace
@@ -8,11 +9,14 @@ import pytest
 
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
-from graphcd.operators import gamma, gamma2, laplacian_many
+from graphcd.operators import _column_blocks, gamma, gamma2, gamma_many, laplacian_many
 from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply, heat_apply_columns
+import graphcd.operators
 import graphcd.verify
 from graphcd.verify import (
+    _gamma2_minus_gamma,
     _heat_integral,
+    _laplacian_squared,
     _integrate,
     _integrate_gamma2,
     _integrate_variance,
@@ -404,6 +408,69 @@ def test_chebyshev_time_sum_takes_no_product_of_the_node_block(monkeypatch):
         widths.clear()
         _sides(g, sd, name, f[:, None], K, n, 0.3)
         assert {shape[-1] for shape in widths} == {1, 2}
+
+
+def column_block_counts(width):
+    """Column counts that cut blocks of `width` every way: one column, one
+    block short, exactly one block, one past it, and a ragged third block."""
+    return sorted({1, max(1, width - 1), width, width + 1, 3 * width + 2})
+
+
+def cache_columns(monkeypatch, g, width):
+    """Shrink the kernels' cache budget to `width` columns of g's edges."""
+    monkeypatch.setattr(graphcd.operators, "_CACHE_BYTES", 8 * max(1, len(g._edge_mu)) * width)
+
+
+def integrand_kernels(g, K):
+    """The three time-integral integrands, each a column-wise kernel."""
+    return [functools.partial(_gamma2_minus_gamma, g, K), functools.partial(gamma_many, g),
+            functools.partial(_laplacian_squared, g)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_integrand_kernels_in_column_blocks_are_one_call_bit_for_bit(width, monkeypatch):
+    # Gamma2 - K Gamma (formed per block), Gamma and (Delta X)^2 on blocks
+    # of at most `width` columns give the bytes of one call on all of them,
+    # on the fixtures and on seeded random graphs with and without loops
+    graphs = list(fixture_graphs().values()) + [
+        random_connected_graph(3160 + seed, max_vertices=20, self_loop_prob=0.5)
+        for seed in range(20)]
+    for i, g in enumerate(graphs):
+        X = rng_for(66, i).standard_normal((g.vertex_count, 3 * width + 2))
+        X[:, 0], X[:, 1] = -0.0, 2.0
+        wants = [kernel(X) for kernel in integrand_kernels(g, -1.5)]
+        cache_columns(monkeypatch, g, width)
+        for cols, (kernel, want) in itertools.product(
+                column_block_counts(width), zip(integrand_kernels(g, -1.5), wants)):
+            seen = []
+            got = _column_blocks(g, lambda Y: (seen.append(Y.shape[1]), kernel(Y))[1], X[:, :cols])
+            assert max(seen) <= width and sum(seen) == cols
+            assert got.tobytes() == want[:, :cols].tobytes()
+        monkeypatch.undo()
+
+
+def test_heat_integral_hands_inner_column_blocks(monkeypatch):
+    # 128 functions at 601 nodes, two node blocks (513 + 88), under a cache
+    # budget of 100 columns: inner sees at most 100 columns a call, sees
+    # every function at every node once, and the integrals keep their bytes
+    g = random_connected_graph(3970, min_vertices=12, max_vertices=12)
+    nv = g.vertex_count
+    sd = decompose(g)
+    F = rng_for(68).standard_normal((nv, 128))
+    _fix_panels(monkeypatch, 300)
+    cache_columns(monkeypatch, g, 601)
+    want = _heat_integral(g, sd, F, 0.0, 0.3, functools.partial(gamma_many, g))
+    cache_columns(monkeypatch, g, 100)
+    columns = []
+
+    def inner(X):
+        columns.append(X.shape[1])
+        return gamma_many(g, X)
+
+    got = _heat_integral(g, sd, F, 0.0, 0.3, inner)
+    assert max(columns) == 100 and sum(columns) == 128 * 601
+    assert len(columns) == 128 * (6 + 1)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_integrate_is_exact_on_exponentials_in_node_blocks():
