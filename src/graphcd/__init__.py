@@ -27,7 +27,6 @@ from .curvature import (
     IsolatedVertexError,
     curvature_all,
     curvature_at,
-    curvature_oracle,
     min_curvature,
 )
 from .semigroup import SpectralDecomposition, decompose, heat_apply
@@ -59,7 +58,6 @@ __all__ = [
     "cdn_bound",
     "curvature_all",
     "curvature_at",
-    "curvature_oracle",
     "degree",
     "dirichlet_energy",
     "find_violations",

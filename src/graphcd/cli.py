@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -365,8 +366,7 @@ def cmd_curvature(args) -> int:
     rows = sorted(range(g.vertex_count), key=g.labels.__getitem__)  # report order
     labels = [g.labels[x] for x in rows]
     kappa = columns.kappa[rows]
-    _require_finite(labels, kappa, "kappa")
-    kappa_slots = _float_slots(kappa)[0]  # finite: the CSV's and the JSON's
+    kappa_slots = _float_slots(kappa)[0]  # finite (_solve): the CSV's and the JSON's
     if args.format == "csv":
         head, tail = csv_text(("vertex", "kappa"), ()), ""
         heads = _padded([f + "," for f in _csv_fields(labels)])
@@ -569,6 +569,9 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--inequality", required=True, choices=sorted(_INEQUALITY_BY_FLAG))
     p.add_argument("--K", default="auto", help="real constant or 'auto' (min curvature)")
+    # before Python 3.13 argparse takes -1e-3 or -2.5E1 for an option: read what starts
+    # like a negative number as a value (-inf does not, so --K still refuses it)
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--n", default=None, help="dimension, for cdn only")
     p.add_argument("--times", required=True, help="comma list of positive times")
     p.add_argument(

@@ -13,12 +13,9 @@ coordinates by a Schur complement through that diagonal and solves the
 remaining symmetric pencil, one stacked eigensolve per group of vertices
 with equal sphere sizes.  The results are columns: kappa per vertex, and
 each ball's coordinates and witness values in flat arrays; curvature_at and
-curvature_all build a CurvatureResult from them when one is read.
-curvature_oracle recomputes the same number at one vertex along an
-independent route (forms assembled by polarization of global operator
-evaluations, kernel deflation, a generalized eigensolver, and a
-two-sided certificate that its eigenvalue is the minimum) so the two
-can cross-check each other.
+curvature_all build a CurvatureResult from them when one is read.  A kappa
+that is not finite (the input out of float range) raises ValueError, so
+none is handed out.
 """
 
 from __future__ import annotations
@@ -30,13 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph, ball2, vertex_id
-from .operators import form_table, gamma2_many, gamma_many, laplacian_many
+from .graph import WeightedGraph, vertex_id
+from .operators import form_table
 
-_RANK_TOL = 1e-12          # the oracle's kernel and pinv cutoff, relative to the largest
 _PSD_TOL = 1e-10           # allowed negative entry of the diagonal S2 block
-_ORACLE_MAX_BALL = 12
-_CERT_TOL = 1e-12          # oracle certificate, relative to |A| + |kappa| |B|
 
 
 class CurvatureInternalError(RuntimeError):
@@ -147,7 +141,9 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     and a stacked eigh gives its smallest eigenpair (kappa, v).  The witness
     is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
     zero is -0.0, whatever its sign in A12^T v.  Support and values are the
-    table's ball coordinates and the witness values, in its group order.
+    table's ball coordinates and the witness values, in its group order.  A
+    kappa that is not finite raises ValueError naming the first such vertex
+    in vertex order.
     """
     nv = g.vertex_count
     table = form_table(g, np.arange(nv))
@@ -187,11 +183,12 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
             Ahat = A11
 
         d = grp.delta
-        M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
-
-        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
+        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b));
+        # a form out of float range overflows here, and its kappa raises below
         c = np.sqrt(grp.gamma)
-        lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
+            lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
         v = _fix_sign(vecs[:, :, 0]) / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
         vals = values[grp.balls].reshape(grp.ids.shape)
         vals[:, :k1] = v
@@ -200,6 +197,10 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
         kappa[grp.centers] = lam[:, 0]
         start[grp.centers] = np.arange(grp.balls.start, grp.balls.stop, k1 + grp.k2)
         size[grp.centers] = k1 + grp.k2
+    bad = np.flatnonzero(~np.isfinite(kappa))
+    if bad.size:
+        x = bad[0]
+        raise ValueError(f"kappa at vertex {g.labels[x]!r} not finite: {kappa[x]}")
     for a in (table.ids, values, kappa, start, size):
         a.flags.writeable = False
     return _Columns(n, kappa, start, size, table.ids, values)
@@ -236,108 +237,3 @@ def min_curvature(g: WeightedGraph, n: float = math.inf) -> float:
     """The least kappa(x; n), the first in vertex order where several are least."""
     kappa = _table(g, _check_dimension(n)).kappa
     return float(kappa[np.argmin(kappa)])
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-# ---------------------------------------------------------------------------
-
-def _polarized_forms(g, x, coords):
-    """Assemble the Gamma2/Gamma forms over ball coordinates by evaluating
-    the global operators on basis functions and polarizing.  Shares no code
-    with the analytic assembly in operators.local_forms."""
-    k = len(coords)
-    nv = g.vertex_count
-    pair_list = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    F = np.zeros((nv, k + len(pair_list)))
-    for i, vtx in enumerate(coords):
-        F[vtx, i] = 1.0
-    for col, (i, j) in enumerate(pair_list, start=k):
-        F[coords[i], col] = 1.0
-        F[coords[j], col] = 1.0
-
-    q2 = gamma2_many(g, F)[x]
-    q1 = gamma_many(g, F)[x]
-    dvals = laplacian_many(g, F[:, :k])[x]
-
-    A = np.diag(q2[:k])
-    B = np.diag(q1[:k])
-    for col, (i, j) in enumerate(pair_list, start=k):
-        A[i, j] = A[j, i] = 0.5 * (q2[col] - q2[i] - q2[j])
-        B[i, j] = B[j, i] = 0.5 * (q1[col] - q1[i] - q1[j])
-    return A, B, dvals
-
-
-def curvature_oracle(g: WeightedGraph, x: int, n: float = math.inf) -> float:
-    """kappa(x; n) by direct minimization over the full 2-ball coordinates.
-
-    The Rayleigh quotient [f'Af - (1/n)(d.f)^2] / (f'Bf) is minimized with
-    B extended by zeros on the 2-sphere: the kernel of B is deflated (the
-    minimum over kernel directions is taken analytically, the Gamma2 form
-    restricted there being PSD), and the rest is a generalized eigensolve.
-    The result is certified on both sides in the raw coordinates: the
-    eigenvector, lifted back through the deflation, has quotient kappa
-    (so the minimum is at most kappa), and A - kappa B is PSD (so no
-    direction has a smaller quotient).  Either failing raises
-    CurvatureInternalError.
-    """
-    # imported here: the CLI never runs this cross-check, and scipy.linalg
-    # is about a sixth of the package's import time
-    import scipy.linalg
-
-    n = _check_dimension(n)
-    x = vertex_id(g, x)
-    ball = ball2(g, x)
-    k1 = len(ball.sphere1)
-    k2 = len(ball.sphere2)
-    if 1 + k1 + k2 > _ORACLE_MAX_BALL:
-        raise ValueError(
-            f"2-ball at {g.labels[x]!r} has {1 + k1 + k2} vertices; "
-            f"oracle requires at most {_ORACLE_MAX_BALL}"
-        )
-    if k1 == 0:
-        raise IsolatedVertexError(
-            f"vertex {g.labels[x]!r} has no neighbors; curvature undefined"
-        )
-
-    coords = list(ball.sphere1) + list(ball.sphere2)
-    A, B, d = _polarized_forms(g, x, coords)
-    Atil = A if math.isinf(n) else A - np.outer(d, d) / n
-
-    w, V = np.linalg.eigh(B)
-    pos = w > _RANK_TOL * max(1.0, float(w.max()))
-    Y = V[:, pos]
-    Z = V[:, ~pos]
-    Bpos = Y.T @ B @ Y
-    AYY = Y.T @ Atil @ Y
-    AZY = Z.T @ Atil @ Y
-    if Z.shape[1] > 0:
-        AZZ_pinv = np.linalg.pinv(Z.T @ Atil @ Z, rcond=_RANK_TOL)
-        E = AYY - AZY.T @ AZZ_pinv @ AZY
-        E = 0.5 * (E + E.T)
-    else:
-        AZZ_pinv = np.zeros((0, 0))
-        E = AYY
-    lam, U = scipy.linalg.eigh(E, Bpos)
-    kappa = float(lam[0])
-
-    # certificate, at roundoff of the residual form R = A - kappa B
-    tol = _CERT_TOL * (
-        float(np.linalg.norm(Atil, 2)) + abs(kappa) * float(np.linalg.norm(B, 2))
-    )
-    u = U[:, 0]
-    v = Y @ u - Z @ (AZZ_pinv @ (AZY @ u))
-    vBv = float(v @ B @ v)
-    quotient = float(v @ Atil @ v) / vBv
-    if not abs(quotient - kappa) * vBv <= tol * float(v @ v):
-        raise CurvatureInternalError(
-            f"eigenvector quotient {quotient!r} does not attain eigenvalue {kappa!r} "
-            f"at vertex {g.labels[x]!r}"
-        )
-    margin = float(np.linalg.eigvalsh(Atil - kappa * B)[0])
-    if not margin >= -tol:
-        raise CurvatureInternalError(
-            f"A - kappa B has eigenvalue {margin!r} < 0 for kappa {kappa!r} "
-            f"at vertex {g.labels[x]!r}: kappa is not the minimum"
-        )
-    return kappa

@@ -475,11 +475,14 @@ def run_verification(
 
 def record_tolerance(inequality_name, quadrature_error_estimate, n=None):
     """PLAIN_TOLERANCE for a check that takes no integral, else the
-    quadrature-backed max(QUAD_TOLERANCE_FLOOR, 2 x estimate)."""
+    quadrature-backed max(QUAD_TOLERANCE_FLOOR, 2 x estimate); an estimate
+    that is inf or nan bounds nothing, and gives the floor."""
     # 2x guards against the estimate undershooting the true quadrature
     # error (|fine - coarse| bounds the fine rule's error once converged)
     if _takes_no_integral(inequality_name, n):
         return PLAIN_TOLERANCE
+    if not math.isfinite(quadrature_error_estimate):
+        return QUAD_TOLERANCE_FLOOR
     return max(QUAD_TOLERANCE_FLOOR, 2.0 * quadrature_error_estimate)
 
 

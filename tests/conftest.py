@@ -3,20 +3,24 @@
 The reference operators below are deliberately written as plain Python
 loops over the edge dictionary.  They share no code with the package
 operators (sparse edge incidence products) so that agreement between the
-two is evidence, not tautology.  The cross-checks after them reach the
-same quantities along a second route through the package's own
-operators: Gamma by the product rule, Green's formula, and Gamma2 from
+two is evidence, not tautology.  Their exact twins in rational arithmetic
+certify the package's curvature from both sides.  The cross-checks after
+them reach the same quantities along a second route through the package's
+own operators: Gamma by the product rule, Green's formula, and Gamma2 from
 the short-time behaviour of the heat semigroup.
 """
 
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from graphcd.curvature import curvature_at
-from graphcd.fixtures import fixture_graphs, random_connected_graph
+from graphcd.fixtures import fixture_graphs
 from graphcd.graph import WeightedGraph
 from graphcd.operators import gamma, gamma2, laplacian
 from graphcd.verify import gradient_estimate
@@ -78,6 +82,96 @@ def laplacian_matrix(g):
 
 
 # ---------------------------------------------------------------------------
+# exact operators and the curvature certificate
+# ---------------------------------------------------------------------------
+
+def exact_operators(g):
+    """(nbrs, lap, gam): the neighbors of each vertex with their weights, and
+    lap(h, z) = Delta h(z) and gam(h, k, z) = Gamma(h, k)(z) in exact
+    rational arithmetic on the float inputs, from the operator definitions
+    over g.edges and g.m.  h and k map vertex ids to ints or Fractions."""
+    m = [Fraction(float(v)) for v in g.m]
+    nbrs = {z: {y: Fraction(w) for y, w in ys.items()} for z, ys in adjacency(g).items()}
+
+    # terms with a zero difference are left out: e_i is 0 almost everywhere
+    def lap(h, z):
+        return sum(w * dh for y, w in nbrs[z].items() if (dh := h[y] - h[z])) / m[z]
+
+    def gam(h, k, z):
+        return sum(w * dh * dk for y, w in nbrs[z].items()
+                   if (dh := h[y] - h[z]) and (dk := k[y] - k[z])) / (2 * m[z])
+
+    return nbrs, lap, gam
+
+
+@functools.cache
+def exact_forms(g, x):
+    """(coords, A, B, d) at x, exact: coords is the punctured 2-ball found
+    from g.edges (sphere1, then sphere2), and over the indicators e_i of
+    coords, A[i][j] = Gamma2(e_i, e_j)(x), B[i][j] = Gamma(e_i, e_j)(x) and
+    d[i] = Delta e_i(x), by the bilinear definition Gamma2(f, h) =
+    [Delta Gamma(f, h) - Gamma(f, Delta h) - Gamma(h, Delta f)] / 2.  Built
+    once per (graph, vertex) for the session: callers share the lists and
+    must not change them."""
+    nbrs, lap, gam = exact_operators(g)
+    s1 = sorted(nbrs[x])
+    s2 = sorted({z for y in s1 for z in nbrs[y]} - {x, *s1})
+    coords, ball1 = s1 + s2, [x, *s1]
+    e = [[int(z == c) for z in range(g.vertex_count)] for c in coords]
+    L = [{z: lap(ei, z) for z in ball1} for ei in e]  # Delta e_i on the 1-ball
+    A = [[None] * len(coords) for _ in coords]
+    B = [row[:] for row in A]
+    for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
+        G = {z: gam(e[i], e[j], z) for z in ball1}  # Gamma(e_i, e_j) on the 1-ball
+        A[i][j] = A[j][i] = (lap(G, x) - gam(e[i], L[j], x) - gam(e[j], L[i], x)) / 2
+        B[i][j] = B[j][i] = G[x]
+    return coords, A, B, [Li[x] for Li in L]
+
+
+def is_psd(P):
+    """Whether the symmetric Fraction matrix P is positive semidefinite, by
+    an exact LDL^T without pivoting, in place: every pivot is positive, or
+    zero with a zero row."""
+    for k, row in enumerate(P):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        if row[k] > 0:
+            for below in P[k + 1:]:
+                f = below[k] / row[k]
+                for j in range(k + 1, len(P)):
+                    below[j] -= f * row[j]
+    return True
+
+
+def certify(g, x, n, kappa, witness, delta):
+    """Whether kappa(x; n) provably lies in [kappa - delta, kappa + delta],
+    witnessed by the vertex function witness, in exact arithmetic on the
+    float inputs.  With M = A - dd^T/n over exact_forms(g, x):
+    upper side, the witness w (its values less w(x), over the coords) has
+    Gamma(w)(x) = w^T B w > 0 and w^T M w <= (kappa + delta) w^T B w, so its
+    quotient is at most kappa + delta; lower side, M - (kappa - delta) B is
+    PSD, so no function has a smaller quotient."""
+    coords, A, B, d = exact_forms(g, x)
+    inv_n = 0 if math.isinf(n) else 1 / Fraction(n)
+    M = [[a - inv_n * di * dj for a, dj in zip(row, d)] for row, di in zip(A, d)]
+    w = [Fraction(float(witness[c])) - Fraction(float(witness[x])) for c in coords]
+
+    def form(P):
+        return sum(wi * pij * wj for wi, row in zip(w, P) for pij, wj in zip(row, w))
+
+    lo, hi = Fraction(kappa) - Fraction(delta), Fraction(kappa) + Fraction(delta)
+    if not form(B) > 0 or form(M) > hi * form(B):
+        return False
+    return is_psd([[mij - lo * bij for mij, bij in zip(mi, bi)] for mi, bi in zip(M, B)])
+
+
+def certified(g, x, n):
+    """Whether certify proves curvature_at(g, x, n) to 1e-12 max(1, |kappa|)."""
+    r = curvature_at(g, x, n)
+    return certify(g, x, n, r.kappa, r.witness, 1e-12 * max(1.0, abs(r.kappa)))
+
+
+# ---------------------------------------------------------------------------
 # cross-checks along a second route through the package operators
 # ---------------------------------------------------------------------------
 
@@ -116,10 +210,6 @@ def derivative_recovery(g, sd, x, n=math.inf):
         for k in range(levels - 1, m - 1, -1):
             T[k] = (fac * T[k] - T[k - 1]) / (fac - 1.0)
     return float(T[levels - 1] - gamma2(g, f)[x])
-
-
-def random_graphs(count, seed0=0, **kwargs):
-    return [random_connected_graph(seed0 + i, **kwargs) for i in range(count)]
 
 
 def rng_for(*key):

@@ -767,6 +767,32 @@ def test_verify_nonfinite_K_exit_2(capsys, k2_path, K):
     assert "--K" in err
 
 
+@pytest.mark.parametrize("K", ["-1e-3", "-2.5E1", "-.5e1"])
+def test_verify_negative_K_with_an_exponent(capsys, k2_path, K):
+    # argparse before 3.13 takes these for options unless the parser is told
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path,
+                              "--inequality", "gradient", "--K", K, "--times", "0.1")
+    assert code == 0, err
+    assert json.loads(out)["K"] == float(K)
+
+
+def test_verify_cdn_at_a_dimension_out_of_float_range(capsys, tmp_path):
+    # 2/n overflows: every slack is -inf and the quadrature estimate inf, an
+    # estimate that widens no tolerance; under --K auto kappa is not finite
+    path = tmp_path / "p3.graph"
+    path.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1\nedge b c 1\n")
+    argv = ["verify", "--graph", str(path), "--inequality", "cdn", "--n", "6e-309",
+            "--times", "0.1", "--functions", "random:0:1"]
+    code, out, err = run_main(capsys, *argv, "--K", "0")
+    assert code == 3, err
+    rep = json.loads(out)
+    assert rep["quadrature_error"] == "inf"
+    assert [r["slack"] for r in rep["records"]] == ["-inf"] * 3
+    code, out, err = run_main(capsys, *argv, "--K", "auto")
+    assert code == 2 and out == ""
+    assert "kappa at vertex 'a' not finite: -inf" in err
+
+
 # a 4-cycle whose vertex b has measure 1e-4: min kappa(.;2) is -9999
 STIFF_C4_TEXT = ("vertex a 1\nvertex b 1e-4\nvertex c 1\nvertex d 1\n"
                  "edge a b 1\nedge b c 1\nedge c d 1\nedge d a 1\n")

@@ -10,12 +10,12 @@ from graphcd.curvature import (
     IsolatedVertexError,
     curvature_all,
     curvature_at,
-    curvature_oracle,
+    min_curvature,
 )
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph, star_graph
 from graphcd.graph import WeightedGraph, ball2, load_graph
 from graphcd.operators import gamma, gamma2, laplacian
-from conftest import rng_for
+from conftest import certified, certify, exact_forms, exact_operators, rng_for
 
 
 K2 = complete_graph(2)
@@ -47,13 +47,7 @@ def test_p3_curvature():
     assert abs(curvature_at(P3, 0, INF).kappa - 1.5) <= 1e-9
     assert abs(curvature_at(P3, 1, INF).kappa - 0.5) <= 1e-9
     assert abs(curvature_at(P3, 2, INF).kappa - 1.5) <= 1e-9
-
-
-def test_oracle_frozen_values():
-    assert abs(curvature_oracle(K2, 0, INF) - 2.0) <= 1e-9
-    assert abs(curvature_oracle(K3, 0, INF) - 2.5) <= 1e-9
-    # path midpoint: value not pinned a priori, only solver agreement
-    assert abs(curvature_oracle(P3, 1, INF) - curvature_at(P3, 1, INF).kappa) <= 1e-6
+    assert all(certified(P3, x, INF) for x in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -99,58 +93,46 @@ def test_scaling_laws():
 
 
 def test_solver_vs_oracle_spot():
+    # the exact certificate of conftest is the oracle
     for seed in range(15):
         g = random_connected_graph(1600 + seed)
         for n in (2.0, INF):
             for x in range(g.vertex_count):
-                assert abs(curvature_at(g, x, n).kappa - curvature_oracle(g, x, n)) <= 1e-6
+                assert certified(g, x, n), (seed, x, n)
 
 
-def _route_pencil(monkeypatch, change):
-    """Pass the oracle's generalized eigensolve through change(lam, U)."""
-    eigh = scipy.linalg.eigh
-
-    def patched(*args, **kwargs):
-        lam, U = eigh(*args, **kwargs)
-        return change(lam.copy(), U.copy())
-
-    monkeypatch.setattr(scipy.linalg, "eigh", patched)
-
-
-def test_oracle_certificate_rejects_wrong_minimum(monkeypatch):
-    graphs = [random_connected_graph(seed) for seed in range(5)]
-
-    # lambda_0 shifted by a relative 1e-6, eigenvector kept: shifted down
-    # it is not attained, shifted up some direction undercuts it
-    for rel in (1e-6, -1e-6):
-        def shift(lam, U, rel=rel):
-            lam[0] *= 1.0 + rel
-            return lam, U
-
-        with monkeypatch.context() as m:
-            _route_pencil(m, shift)
-            for g in graphs:
-                for n in (2.0, INF):
-                    for x in range(g.vertex_count):
-                        with pytest.raises(CurvatureInternalError):
-                            curvature_oracle(g, x, n)
-
-    # the top eigenpair is attained but is not the minimum
-    def top_first(lam, U):
-        return lam[::-1], U[:, ::-1]
-
-    checked = 0
-    with monkeypatch.context() as m:
-        _route_pencil(m, top_first)
-        for g in graphs:
-            for n in (2.0, INF):
-                for x in range(g.vertex_count):
-                    if len(ball2(g, x).sphere1) < 2:
-                        continue
-                    with pytest.raises(CurvatureInternalError):
-                        curvature_oracle(g, x, n)
-                    checked += 1
-    assert checked > 0
+def test_certificate_rejects_a_wrong_minimum():
+    rejected = {"shifted": [], "not a minimizer": [], "over sphere1 alone": []}
+    for seed in range(5):
+        g = random_connected_graph(1600 + seed)
+        for n in (2.0, INF):
+            for x in range(g.vertex_count):
+                r = curvature_at(g, x, n)
+                wrong = []  # (kind, kappa, witness), none of them kappa(x; n)
+                # kappa shifted by a relative 1e-6: shifted down the witness does
+                # not attain it, shifted up some function undercuts it
+                for rel in (1e-6, -1e-6):
+                    wrong.append(("shifted", r.kappa + rel * max(1.0, abs(r.kappa)), r.witness))
+                w = r.witness.copy()
+                w[list(ball2(g, x).sphere2)] = 0.0
+                if not np.array_equal(w, r.witness):
+                    wrong.append(("not a minimizer", r.kappa, w))
+                # the minimum over sphere1 alone, with its witness, where a
+                # function reaching into sphere2 undercuts it: the certificate
+                # takes its ball from the graph, not from the witness
+                coords, A, B, d = exact_forms(g, x)
+                k1 = len(ball2(g, x).sphere1)
+                A, B, d = (np.array(a, dtype=float) for a in (A, B, d))
+                M = A if math.isinf(n) else A - np.outer(d, d) / n
+                lam, V = scipy.linalg.eigh(M[:k1, :k1], B[:k1, :k1])
+                if lam[0] - r.kappa > 1e-6 * max(1.0, abs(lam[0])):
+                    w = np.zeros(g.vertex_count)
+                    w[coords[:k1]] = V[:, 0]
+                    wrong.append(("over sphere1 alone", lam[0], w))
+                for kind, kappa, w in wrong:
+                    delta = 1e-9 * max(1.0, abs(kappa))
+                    rejected[kind].append(not certify(g, x, n, kappa, w, delta))
+    assert all(len(r) > 10 and all(r) for r in rejected.values()), rejected
 
 
 def test_curvature_all_solves_once_per_graph_and_dimension():
@@ -244,18 +226,7 @@ def exact_quotient(g, f, x):
     """Gamma2(f)(x) / Gamma(f)(x) in exact rational arithmetic on the float
     inputs, from the operator definitions."""
     f = [Fraction(float(v)) for v in f]
-    m = [Fraction(float(v)) for v in g.m]
-    nbrs = {z: {} for z in range(g.vertex_count)}
-    for (u, v), w in g.edges.items():
-        if u != v:
-            nbrs[u][v] = nbrs[v][u] = Fraction(w)
-
-    def lap(h, z):
-        return sum(w * (h[y] - h[z]) for y, w in nbrs[z].items()) / m[z]
-
-    def gam(h, k, z):
-        return sum(w * (h[y] - h[z]) * (k[y] - k[z]) for y, w in nbrs[z].items()) / (2 * m[z])
-
+    _, lap, gam = exact_operators(g)
     G = [gam(f, f, z) for z in range(g.vertex_count)]
     L = [lap(f, z) for z in range(g.vertex_count)]
     return (lap(G, x) / 2 - gam(f, L, x)) / G[x]
@@ -276,6 +247,16 @@ def test_underflowing_sphere2_entry_raises(weight):
     g = WeightedGraph(["a", "b", "c"], [1.0, 1.0, 1.0], {(0, 1): weight, (1, 2): weight})
     with pytest.raises(ValueError, match="Gamma2 form underflows at 'a'"):
         curvature_all(g, INF)
+
+
+def test_kappa_out_of_float_range_raises():
+    # 1/n overflows the pencil at every vertex: no kappa is handed out, and
+    # no RuntimeWarning is raised on the way (pytest makes it an error)
+    g = path_graph(3)
+    for call in (lambda: curvature_at(g, 1, 6e-309), lambda: curvature_all(g, 6e-309),
+                 lambda: min_curvature(g, 6e-309)):
+        with pytest.raises(ValueError, match="kappa at vertex 'a' not finite: -inf"):
+            call()
 
 
 def test_witness_is_a_true_minimizer_over_random_functions():
@@ -312,12 +293,6 @@ def test_bad_dimension_rejected():
     for n in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             curvature_at(K2, 0, n)
-
-
-def test_oracle_ball_size_limit():
-    g = complete_graph(14)  # ball has 14 vertices > 12
-    with pytest.raises(ValueError):
-        curvature_oracle(g, 0, INF)
 
 
 def test_self_loop_does_not_change_curvature():

@@ -16,7 +16,7 @@ from graphcd.graph import (
     save_graph,
     save_vertex_function,
 )
-from graphcd.curvature import curvature_at, curvature_oracle
+from graphcd.curvature import curvature_at
 from graphcd.operators import local_forms
 from conftest import rng_for
 from graphcd.fixtures import path_graph, random_connected_graph
@@ -319,7 +319,7 @@ def test_adjacency_arrays_match_python_construction():
 def test_vertex_ids_outside_range_rejected():
     g = path_graph(3)
     for x in (-1, 3):
-        for fn in (ball2, local_forms, curvature_at, curvature_oracle):
+        for fn in (ball2, local_forms, curvature_at):
             with pytest.raises(ValueError, match=f"vertex id {x} is not in range\\(3\\)"):
                 fn(g, x)
 

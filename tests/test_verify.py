@@ -637,6 +637,10 @@ def test_record_tolerance_policy():
     assert record_tolerance("cdn_bound", 3e-7) == 6e-7
     assert record_tolerance("cdn_bound", 3e-7, 2.0) == 6e-7
     assert record_tolerance("cdn_bound", 0.0, math.inf) == PLAIN_TOLERANCE
+    # an estimate that is not finite bounds nothing: the floor, as for nan
+    for est in (math.inf, -math.inf, math.nan):
+        assert record_tolerance("cdn_bound", est) == QUAD_TOLERANCE_FLOOR
+        assert record_tolerance("gamma2_identity", est) == QUAD_TOLERANCE_FLOOR
 
 
 def test_nonfinite_slack_is_a_violation():
