@@ -7,7 +7,6 @@ from .graph import (
     GraphFormatError,
     WeightedGraph,
     ball2,
-    degree,
     load_graph,
     load_vertex_function,
     save_graph,
@@ -15,7 +14,6 @@ from .graph import (
 )
 from .operators import (
     LocalForms,
-    dirichlet_energy,
     gamma,
     gamma2,
     laplacian,
@@ -34,13 +32,9 @@ from .verify import (
     VerificationRecord,
     VerificationReport,
     cdn_bound,
-    find_violations,
-    gamma2_identity_residual,
     gradient_estimate,
     run_verification,
     function_corpus,
-    variance_bound,
-    variance_identity_residual,
 )
 
 __all__ = [
@@ -58,12 +52,8 @@ __all__ = [
     "cdn_bound",
     "curvature_all",
     "curvature_at",
-    "degree",
-    "dirichlet_energy",
-    "find_violations",
     "gamma",
     "gamma2",
-    "gamma2_identity_residual",
     "gradient_estimate",
     "heat_apply",
     "laplacian",
@@ -75,7 +65,5 @@ __all__ = [
     "save_graph",
     "save_vertex_function",
     "function_corpus",
-    "variance_bound",
-    "variance_identity_residual",
     "decompose",
 ]

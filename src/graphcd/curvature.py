@@ -126,6 +126,9 @@ def _fix_sign(U):
     return np.where((big.any(axis=1) & (first < 0.0))[:, None], -U, U)
 
 
+# a form out of float range overflows to inf or nan in the forms or the pencil,
+# and the check of kappa below raises on it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(g: WeightedGraph, n: float) -> _Columns:
     """The curvature of (g, n) at every vertex.
 
@@ -168,8 +171,7 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
                     f"sphere2 block of the Gamma2 form is not PSD at "
                     f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
                 )
-            with np.errstate(divide="ignore", over="ignore"):
-                inv = 1.0 / a22
+            inv = 1.0 / a22
             lost = np.isinf(inv).any(axis=1)
             if lost.any():
                 i = int(np.argmax(lost))
@@ -183,12 +185,10 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
             Ahat = A11
 
         d = grp.delta
-        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b));
-        # a form out of float range overflows here, and its kappa raises below
+        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
         c = np.sqrt(grp.gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
-            lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
+        M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
+        lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
         v = _fix_sign(vecs[:, :, 0]) / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
         vals = values[grp.balls].reshape(grp.ids.shape)
         vals[:, :k1] = v

@@ -197,11 +197,6 @@ class WeightedGraph:
         return len(self.labels)
 
     @property
-    def delta_min(self):
-        """Nondegeneracy constant: the minimum vertex measure."""
-        return float(self.m.min())
-
-    @property
     def edges(self):
         """Read-only {(u, v): mu}, u <= v ascending, self-loops included;
         built from the edge arrays when first read."""
@@ -220,15 +215,6 @@ class WeightedGraph:
         """(ids, weights) of the adjacency row of x, self-loop included."""
         lo, hi = self._csr_indptr[x], self._csr_indptr[x + 1]
         return self._csr_indices[lo:hi], self._csr_weights[lo:hi]
-
-    def weight(self, u, v):
-        key = (u, v) if u <= v else (v, u)
-        return self.edges.get(key, 0.0)
-
-
-def degree(g: WeightedGraph, x: int) -> float:
-    """Weighted degree sum_{y != x} mu_xy; self-loops do not count."""
-    return float(g._degree[x])
 
 
 def vertex_id(g: WeightedGraph, x) -> int:

@@ -148,11 +148,6 @@ def _column_blocks(g, kernel, F):
     return out
 
 
-def dirichlet_energy(g: WeightedGraph, f) -> float:
-    """Q(f) = 1/2 sum_{x,y} mu_xy (f(y)-f(x))^2 = sum_x Gamma(f)(x) m(x)."""
-    return float(g.m @ gamma(g, f))
-
-
 # ---------------------------------------------------------------------------
 # local quadratic forms
 # ---------------------------------------------------------------------------

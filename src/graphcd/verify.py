@@ -1,20 +1,21 @@
 """Numerical verification of semigroup-level curvature characterizations.
 
 For the heat semigroup P_t of a graph satisfying CD(K, infinity) resp.
-CD(K, n), the following hold for all f and t > 0:
+CD(K, n), the following hold for all f and t > 0; each check is named by
+its string in INEQUALITY_NAMES:
 
-    gradient_estimate   Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
-    variance_bound      P_t(f^2) - (P_t f)^2 <= ((1-e^{-2Kt})/K) P_t Gamma(f)
-    cdn_bound           Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
-                          - (2/n) Int_0^t e^{-2Ks} P_s((Delta P_{t-s} f)^2) ds
+    "gradient_estimate"   Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
+    "variance_bound"      P_t(f^2) - (P_t f)^2 <= ((1-e^{-2Kt})/K) P_t Gamma(f)
+    "cdn_bound"           Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
+                            - (2/n) Int_0^t e^{-2Ks} P_s((Delta P_{t-s} f)^2) ds
 
 while two integral identities hold unconditionally (they are exact
 consequences of the semigroup, independent of curvature):
 
-    variance_identity   P_t(f^2) - (P_t f)^2 = 2 Int_0^t P_s Gamma(P_{t-s} f) ds
-    gamma2_identity     e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
-                          = 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds
-                        for every real K
+    "variance_identity"   P_t(f^2) - (P_t f)^2 = 2 Int_0^t P_s Gamma(P_{t-s} f) ds
+    "gamma2_identity"     e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
+                            = 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds
+                          for every real K
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
@@ -224,13 +225,6 @@ def _sides(g, sd, inequality_name, F, K, n, t):
     return gradient, decayed - coeff * integral, coeff * err
 
 
-def _one_function(g, sd, inequality_name, f, K, n, t):
-    """_sides at the single function f, each array a vector."""
-    F = _vertex_array(g, f, 1, sd)[:, None]
-    return tuple(None if a is None else a[:, 0]
-                 for a in _sides(g, sd, inequality_name, F, K, n, t))
-
-
 def _decay(K, t, exp=math.exp):
     """exp(-2Kt), or a ValueError naming K and t where it overflows."""
     try:
@@ -287,8 +281,9 @@ def _integrate_gamma2(g, sd, F, K, t):
 
 def gradient_estimate(g, sd, f, K, t):
     """slack(x) = e^{-2Kt} P_t Gamma(f)(x) - Gamma(P_t f)(x)."""
-    lhs, rhs, _ = _one_function(g, sd, "gradient_estimate", f, K, None, t)
-    return rhs - lhs
+    F = _vertex_array(g, f, 1, sd)[:, None]
+    lhs, rhs, _ = _sides(g, sd, "gradient_estimate", F, K, None, t)
+    return (rhs - lhs)[:, 0]
 
 
 def variance_coefficient(K, t):
@@ -302,21 +297,6 @@ def variance_coefficient(K, t):
     return -_decay(K, t, math.expm1) / K
 
 
-def variance_bound(g, sd, f, K, t):
-    """slack(x) = ((1-e^{-2Kt})/K) P_t Gamma(f)(x) - [P_t(f^2) - (P_tf)^2](x)."""
-    lhs, rhs, _ = _one_function(g, sd, "variance_bound", f, K, None, t)
-    return rhs - lhs
-
-
-def variance_identity_residual(g, sd, f, t):
-    """|P_t(f^2) - (P_tf)^2 - 2 Int_0^t P_s Gamma(P_{t-s}f) ds| per vertex.
-
-    Returns (residual, quadrature error estimate), both per vertex.
-    """
-    lhs, rhs, err = _one_function(g, sd, "variance_identity", f, 0.0, None, t)
-    return np.abs(rhs - lhs), err
-
-
 def cdn_bound(g, sd, f, K, n, t):
     """Dimensional strengthening of the gradient estimate.
 
@@ -326,21 +306,9 @@ def cdn_bound(g, sd, f, K, n, t):
 
     Returns (slack, quadrature error estimate) per vertex.
     """
-    lhs, rhs, err = _one_function(g, sd, "cdn_bound", f, K, n, t)
-    return rhs - lhs, err
-
-
-def gamma2_identity_residual(g, sd, f, K, t):
-    """Exact identity behind the CD(K, n) semigroup characterization.
-
-    residual(x) = |e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
-                   - 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s}f)] ds|(x)
-
-    Holds for every real K; the K-dependence cancels between the two
-    sides.  Returns (residual, quadrature error estimate) per vertex.
-    """
-    lhs, rhs, err = _one_function(g, sd, "gamma2_identity", f, K, None, t)
-    return np.abs(rhs - lhs), err
+    F = _vertex_array(g, f, 1, sd)[:, None]
+    lhs, rhs, err = _sides(g, sd, "cdn_bound", F, K, n, t)
+    return (rhs - lhs)[:, 0], err[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +464,3 @@ def _violation_indices(report: VerificationReport):
     else:
         ok = (s >= -tol) & (s < math.inf)
     return np.flatnonzero(~ok)
-
-
-def find_violations(report: VerificationReport):
-    """Records that fail the tolerance; a non-finite slack always fails."""
-    records = report.records
-    return [records[i] for i in _violation_indices(report)]

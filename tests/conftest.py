@@ -23,7 +23,7 @@ from graphcd.curvature import curvature_at
 from graphcd.fixtures import fixture_graphs
 from graphcd.graph import WeightedGraph
 from graphcd.operators import gamma, gamma2, laplacian
-from graphcd.verify import gradient_estimate
+from graphcd.verify import _sides, gradient_estimate
 
 
 @pytest.fixture(scope="session")
@@ -212,6 +212,14 @@ def derivative_recovery(g, sd, x, n=math.inf):
     return float(T[levels - 1] - gamma2(g, f)[x])
 
 
+def slack_of(g, sd, name, f, K, t, n=None):
+    """(slack rhs - lhs, quadrature error estimate or None) per vertex of
+    the check `name` at the single function f: column 0 of verify._sides.
+    An identity's residual is |slack|."""
+    lhs, rhs, err = _sides(g, sd, name, np.asarray(f, dtype=np.float64)[:, None], K, n, t)
+    return (rhs - lhs)[:, 0], None if err is None else err[:, 0]
+
+
 def rng_for(*key):
     return np.random.default_rng(list(key))
 
@@ -309,7 +317,7 @@ def check_semigroup_invariants(g, sd, rng, times=(0.05, 0.3, 1.0, 4.0)):
 
         # nondegenerate-measure embedding: sup norm against l^p(m) norms
         for p in (1.0, 2.0):
-            bound = g.delta_min ** (-1.0 / p) * lp_norm(g, pt_f, p)
+            bound = g.m.min() ** (-1.0 / p) * lp_norm(g, pt_f, p)
             assert lp_norm(g, pt_f, math.inf) <= bound * (1 + 1e-12)
 
 

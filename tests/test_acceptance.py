@@ -5,9 +5,12 @@ tolerance: exact curvature values on the two smallest complete graphs,
 exact curvature certificates at scale, the integral identities, soundness and
 sharpness of every semigroup bound over the fixture corpus, the
 semigroup invariant suite, the Green residual contract, byte-level
-determinism of CLI reports, and the README's library quick start.
+determinism of CLI reports, the README's library quick start, and the
+names the package exports and perfbench traces.
 """
 
+import importlib
+import importlib.util
 import math
 import re
 import time
@@ -16,20 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphcd
 from graphcd.cli import main as cli_main
 from graphcd.curvature import curvature_all, curvature_at
 from graphcd.fixtures import complete_graph, fixture_graphs, random_connected_graph
 from graphcd.semigroup import decompose
-from graphcd.verify import (
-    cdn_bound,
-    gamma2_identity_residual,
-    gradient_estimate,
-    function_corpus,
-    variance_bound,
-    variance_identity_residual,
-)
+from graphcd.verify import cdn_bound, gradient_estimate, function_corpus
 
-from conftest import certified, check_semigroup_invariants, green_identity_residual
+from conftest import certified, check_semigroup_invariants, green_identity_residual, slack_of
 
 
 GRID_T = (0.01, 0.1, 0.5, 1.0, 2.0)
@@ -106,14 +103,14 @@ def test_c04_exact_identities():
         funcs = [rng.standard_normal(g.vertex_count) for _ in range(10)]
         for t in (0.1, 1.0, 5.0):
             for f in funcs:
-                res, _ = variance_identity_residual(g, sd, f, t)
-                worst_var = max(worst_var, float(np.max(res)))
+                res, _ = slack_of(g, sd, "variance_identity", f, 0.0, t)
+                worst_var = max(worst_var, float(np.max(np.abs(res))))
                 # the gamma2 identity is scale-free; small f keeps the
                 # e^{-2Kt} amplification at K=-2, t=5 inside tolerance
                 fs = f * 1e-3
                 for K in (-2.0, 0.0, 1.3):
-                    res, _ = gamma2_identity_residual(g, sd, fs, K, t)
-                    worst_g2 = max(worst_g2, float(np.max(res)))
+                    res, _ = slack_of(g, sd, "gamma2_identity", fs, K, t)
+                    worst_g2 = max(worst_g2, float(np.max(np.abs(res))))
     elapsed = time.perf_counter() - start
     assert worst_var <= 1e-6, f"variance identity residual {worst_var:.3e}"
     assert worst_g2 <= 1e-6, f"gamma2 identity residual {worst_g2:.3e}"
@@ -145,7 +142,7 @@ def test_c06_variance_soundness(fixtures):
         worst = 0.0
         for _, f in function_corpus(g):
             for t in GRID_T:
-                worst = min(worst, float(np.min(variance_bound(g, sd, f, K, t))))
+                worst = min(worst, float(np.min(slack_of(g, sd, "variance_bound", f, K, t)[0])))
         assert worst >= -1e-9, f"{name}: variance slack {worst:.3e} at K={K}"
 
 
@@ -180,7 +177,7 @@ def test_c08_k2_equality_cases():
     f = np.array([1.0, 0.0])
     for t in (0.1, 0.5, 1.0, 2.0):
         assert float(np.max(np.abs(gradient_estimate(g, sd, f, 2.0, t)))) <= 1e-9
-        assert float(np.max(np.abs(variance_bound(g, sd, f, 2.0, t)))) <= 1e-9
+        assert float(np.max(np.abs(slack_of(g, sd, "variance_bound", f, 2.0, t)[0]))) <= 1e-9
 
 
 def test_c09_semigroup_invariant_suite(fixtures):
@@ -223,3 +220,17 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     # the last line printed is the gap between the two propagators
     assert float(capsys.readouterr().out.split()[-1]) <= 1e-12
+
+
+def test_exported_and_traced_names_resolve():
+    # a deleted or renamed name fails here, not in a traced benchmark run
+    assert len(set(graphcd.__all__)) == len(graphcd.__all__)
+    for name in graphcd.__all__:
+        assert hasattr(graphcd, name), name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"graphcd.{module}"), name, None)), (
+            module, name)

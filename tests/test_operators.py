@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph
 from graphcd.graph import WeightedGraph, ball2
 from graphcd.operators import (
-    dirichlet_energy,
     gamma,
     gamma2,
     gamma2_many,
@@ -66,18 +65,21 @@ def test_gamma2_p3_full_vector():
 
 
 def test_dirichlet_examples():
-    assert dirichlet_energy(K2, [1.0, 0.0]) == 1.0
-    assert dirichlet_energy(P3, [0.0, 1.0, 0.0]) == 2.0
-    assert dirichlet_energy(P3, np.full(3, 9.0)) == 0.0
+    # the energy Q(f) = sum_x Gamma(f)(x) m(x)
+    assert K2.m @ gamma(K2, [1.0, 0.0]) == 1.0
+    assert P3.m @ gamma(P3, [0.0, 1.0, 0.0]) == 2.0
+    assert P3.m @ gamma(P3, np.full(3, 9.0)) == 0.0
 
 
 def test_dirichlet_equals_gamma_mass_and_green():
+    # Q(f) = 1/2 sum_{x,y} mu_xy (f(y) - f(x))^2 = -sum_x f(x) Delta f(x) m(x)
     rng = rng_for(21)
     for i in range(50):
         g = random_connected_graph(400 + i)
         f = rng.standard_normal(g.vertex_count)
-        q = dirichlet_energy(g, f)
-        assert abs(q - np.sum(gamma(g, f) * g.m)) <= 1e-12 * max(1.0, q)
+        q = g.m @ gamma(g, f)
+        edges = sum(w * (f[v] - f[u]) ** 2 for (u, v), w in g.edges.items())
+        assert abs(q - edges) <= 1e-12 * max(1.0, q)
         assert abs(q + np.sum(f * laplacian(g, f) * g.m)) <= 1e-10 * (1 + q)
 
 
@@ -260,7 +262,6 @@ def test_single_function_operators_are_one_column_views():
             assert gamma(g, f).tobytes() == gamma_many(g, col)[:, 0].tobytes()
             assert gamma(g, f, h).tobytes() == gamma_many(g, col, hcol)[:, 0].tobytes()
             assert laplacian(g, f).tobytes() == laplacian_many(g, col)[:, 0].tobytes()
-            assert dirichlet_energy(g, f) == float(g.m @ gamma_many(g, col)[:, 0])
     assert loops > 0
 
 
@@ -272,7 +273,7 @@ def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         gamma2(K2, [1.0])
     with pytest.raises(ValueError):
-        dirichlet_energy(K2, [[1.0, 2.0]])
+        gamma(K2, [[1.0, 2.0]])
     for many in (laplacian_many, gamma_many, gamma2_many):
         with pytest.raises(ValueError, match="size mismatch with graph"):
             many(K2, np.ones((3, 2)))
@@ -321,8 +322,9 @@ def test_local_forms_b_diagonal_and_a22_psd():
             k1 = len(lf.ball.sphere1)
             assert np.array_equal(B, np.diag(np.diag(B)))
             for j, y in enumerate(lf.ball.sphere1):
-                assert B[j, j] == pytest.approx(g.weight(x, y) / (2 * g.m[x]), abs=0, rel=1e-15)
-                assert lf.delta_vector[j] == pytest.approx(g.weight(x, y) / g.m[x], abs=0, rel=1e-15)
+                w = g.edges[min(x, y), max(x, y)]
+                assert B[j, j] == pytest.approx(w / (2 * g.m[x]), abs=0, rel=1e-15)
+                assert lf.delta_vector[j] == pytest.approx(w / g.m[x], abs=0, rel=1e-15)
             A22 = lf.gamma2_form[k1:, k1:]
             if A22.size:
                 evs = np.linalg.eigvalsh(A22)

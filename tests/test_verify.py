@@ -23,21 +23,18 @@ from graphcd.verify import (
     _sides,
     _sized_panels,
     _sweep_propagator,
+    _violation_indices,
     PLAIN_TOLERANCE,
     QUAD_TOLERANCE_FLOOR,
     QuadratureSpec,
     VerificationReport,
     cdn_bound,
-    find_violations,
-    gamma2_identity_residual,
     gradient_estimate,
     record_tolerance,
     resolve_K,
     run_verification,
     function_corpus,
-    variance_bound,
     variance_coefficient,
-    variance_identity_residual,
 )
 from conftest import (
     ExpmPropagator,
@@ -49,6 +46,7 @@ from conftest import (
     ref_gamma2,
     ref_laplacian,
     rng_for,
+    slack_of,
 )
 
 
@@ -117,7 +115,7 @@ def test_variance_coefficient():
 def test_variance_equality_on_k2():
     # for f = indicator, both sides are (1 - exp(-4t))/4
     for t in (0.1, 0.5, 1.0, 2.0):
-        slack = variance_bound(K2, SD2, F10, 2.0, t)
+        slack, _ = slack_of(K2, SD2, "variance_bound", F10, 2.0, t)
         assert np.abs(slack).max() <= 1e-9
         var = heat_apply(SD2, K2, t, F10 * F10) - heat_apply(SD2, K2, t, F10) ** 2
         assert np.abs(var - 0.25 * (1 - math.exp(-4.0 * t))).max() <= 1e-13
@@ -125,7 +123,7 @@ def test_variance_equality_on_k2():
 
 def test_variance_k0_limit_path():
     # coefficient 2t: slack = 2*(1/2) - (1-exp(-4))/4 at t=1 on K2
-    slack = variance_bound(K2, SD2, F10, 0.0, 1.0)
+    slack, _ = slack_of(K2, SD2, "variance_bound", F10, 0.0, 1.0)
     want = 1.0 - 0.25 * (1 - math.exp(-4.0))
     assert np.abs(slack - want).max() <= 1e-12
 
@@ -139,7 +137,7 @@ def test_variance_sound_at_min_curvature():
         for _ in range(10):
             f = rng.standard_normal(g.vertex_count)
             for t in (0.05, 0.5, 2.0):
-                assert variance_bound(g, sd, f, K, t).min() >= -1e-9
+                assert slack_of(g, sd, "variance_bound", f, K, t)[0].min() >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,8 @@ def test_variance_sound_at_min_curvature():
 # ---------------------------------------------------------------------------
 
 def test_variance_identity_k2_closed_form():
-    res, err = variance_identity_residual(K2, SD2, F10, 1.0)
+    slack, err = slack_of(K2, SD2, "variance_identity", F10, 0.0, 1.0)
+    res = np.abs(slack)
     var = heat_apply(SD2, K2, 1.0, F10 * F10) - heat_apply(SD2, K2, 1.0, F10) ** 2
     assert var[0] == pytest.approx(0.25 * (1 - math.exp(-4.0)), abs=1e-13)
     assert res.max() <= 1e-8
@@ -155,8 +154,8 @@ def test_variance_identity_k2_closed_form():
 
 
 def test_variance_identity_constant_function():
-    res, _ = variance_identity_residual(K2, SD2, np.full(2, 3.0), 0.8)
-    assert res.max() <= 1e-14
+    slack, _ = slack_of(K2, SD2, "variance_identity", np.full(2, 3.0), 0.0, 0.8)
+    assert np.abs(slack).max() <= 1e-14
 
 
 def test_variance_identity_property():
@@ -167,7 +166,8 @@ def test_variance_identity_property():
         for _ in range(4):
             f = rng.standard_normal(g.vertex_count)
             for t in (0.1, 1.0, 5.0):
-                res, err = variance_identity_residual(g, sd, f, t)
+                slack, err = slack_of(g, sd, "variance_identity", f, 0.0, t)
+                res = np.abs(slack)
                 assert res.max() <= 1e-6
                 assert res.max() <= max(1e-8, 2.0 * float(np.max(err)))
 
@@ -177,8 +177,8 @@ def test_gamma2_identity_k2_closed_form():
     t = 1.0
     lhs = heat_apply(SD2, K2, t, gamma(K2, F10)) - gamma(K2, heat_apply(SD2, K2, t, F10))
     assert np.abs(lhs - 0.5 * (1 - math.exp(-4.0 * t))).max() <= 1e-13
-    res, err = gamma2_identity_residual(K2, SD2, F10, 0.0, t)
-    assert res.max() <= 1e-8
+    slack, _ = slack_of(K2, SD2, "gamma2_identity", F10, 0.0, t)
+    assert np.abs(slack).max() <= 1e-8
 
 
 def test_gamma2_identity_holds_for_every_k():
@@ -188,7 +188,8 @@ def test_gamma2_identity_holds_for_every_k():
     sd = decompose(g)
     f = rng.standard_normal(g.vertex_count)
     for K in (-3.0, -1.0, -0.25, 0.0, 0.6, 1.7, 3.0):
-        res, err = gamma2_identity_residual(g, sd, f, K, 0.7)
+        slack, err = slack_of(g, sd, "gamma2_identity", f, K, 0.7)
+        res = np.abs(slack)
         assert res.max() <= 1e-6
         assert res.max() <= max(1e-8, 2.0 * float(np.max(err)))
 
@@ -200,8 +201,8 @@ def test_gamma2_identity_property_random_k():
         sd = decompose(g)
         f = rng.standard_normal(g.vertex_count)
         K = float(rng.uniform(-3.0, 3.0))
-        res, _ = gamma2_identity_residual(g, sd, f, K, 0.7)
-        assert res.max() <= 1e-6
+        slack, _ = slack_of(g, sd, "gamma2_identity", f, K, 0.7)
+        assert np.abs(slack).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def test_quadrature_estimate_shrinks_4x_per_doubling(monkeypatch):
     # the rule converges geometrically and is at roundoff by 16 panels here
     for panels in (2, 4, 8):
         _fix_panels(monkeypatch, panels)
-        _, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
+        _, err = slack_of(g, sd, "gamma2_identity", f, -1.0, 1.0)
         ests.append(float(np.max(err)))
     assert min(ests) > 1e-13  # far from the roundoff floor, ratios meaningful
     assert ests[1] <= ests[0] / 4.0
@@ -299,10 +300,10 @@ def test_quadrature_estimate_bounds_true_error(monkeypatch):
     rng = rng_for(47)
     f = rng.standard_normal(g.vertex_count)
     _fix_panels(monkeypatch, 4096)
-    ref, _ = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
+    ref, _ = slack_of(g, sd, "gamma2_identity", f, -1.0, 1.0)
     _fix_panels(monkeypatch, 64)
-    res, err = gamma2_identity_residual(g, sd, f, -1.0, 1.0)
-    assert res.max() <= max(1e-10, 20.0 * float(np.max(err)) + float(ref.max()))
+    res, err = slack_of(g, sd, "gamma2_identity", f, -1.0, 1.0)
+    assert np.abs(res).max() <= max(1e-10, 20.0 * float(np.max(err)) + float(np.abs(ref).max()))
 
 
 @pytest.mark.parametrize("K", [-1.0, 0.0, 2.0])
@@ -584,14 +585,14 @@ def test_run_verification_report_shape():
     assert rep.quadrature_error_estimate == 0.0
     for r in rep.records:
         assert r.slack == pytest.approx(r.rhs - r.lhs, abs=1e-12)
-    assert find_violations(rep) == []
+    assert _violation_indices(rep).size == 0
 
 
 def test_run_verification_detects_sharpness_violation():
     funcs = [(f"witness:{K2.labels[r.vertex]}", r.witness)
              for r in [curvature_at(K2, 0), curvature_at(K2, 1)]]
     rep = run_verification(K2, SD2, "gradient_estimate", 2.1, [0.01, 0.1], funcs)
-    bad = find_violations(rep)
+    bad = [rep.records[i] for i in _violation_indices(rep)]
     assert bad and all(r.slack < -1e-9 for r in bad)
 
 
@@ -600,7 +601,7 @@ def test_run_verification_identity_tolerance():
     rep = run_verification(K2, SD2, "gamma2_identity", 1.7, [0.5], funcs)
     tol = record_tolerance(rep.inequality_name, rep.quadrature_error_estimate)
     assert all(abs(r.slack) <= tol for r in rep.records)
-    assert find_violations(rep) == []
+    assert _violation_indices(rep).size == 0
 
 
 def test_run_verification_validation():
@@ -650,7 +651,7 @@ def test_nonfinite_slack_is_a_violation():
                        ("gamma2_identity", {"a", "b", "c", "d"})):
         report = VerificationReport(name, 0.0, None, ("f",), (0.5,), tuple(slacks),
                                     np.zeros_like(slack), slack, slack, 0.0)
-        assert {r.vertex for r in find_violations(report)} == want, name
+        assert {report.records[i].vertex for i in _violation_indices(report)} == want, name
 
 
 @pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")])
@@ -663,7 +664,7 @@ def test_min_slack_does_not_depend_on_record_order(ids):
         rep = run_verification(g, decompose(g), "gradient_estimate", 0.0, [0.1], funcs)
     assert np.isnan(rep.slack).any()
     assert math.isnan(rep.min_slack)
-    assert find_violations(rep)
+    assert _violation_indices(rep).size
 
 
 @pytest.mark.parametrize("name, n", [("variance_identity", None), ("gamma2_identity", None),
@@ -677,7 +678,7 @@ def test_nan_quadrature_estimate_is_reported(name, n):
         rep = run_verification(g, decompose(g), name, 0.0, [0.1], funcs, n=n)
     assert math.isnan(rep.quadrature_error_estimate) and math.isnan(rep.min_slack)
     assert record_tolerance(name, rep.quadrature_error_estimate) == QUAD_TOLERANCE_FLOOR
-    assert find_violations(rep)
+    assert _violation_indices(rep).size
 
 
 @pytest.mark.parametrize("name, n", FIVE_CHECKS)
