@@ -9,6 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage or input error, 3 verified violation,
 1 internal error.  Reports are JSON with floats rendered as %.12e and
 stable key order, so identical invocations produce byte-identical output.
+Files are read and reports written as UTF-8, whatever the locale: as bytes,
+straight to the binary file of --output, --csv or stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import json
 import math
 import os
 import re
+import stat
 import sys
+import types
 
 import numpy as np
 
@@ -141,21 +145,17 @@ _ZEROS = _padded([f"{z:.12e}" for z in (0.0, -0.0)], _SLOT)
 
 
 def _grid(shape, parts):
-    """The uint8 array of shape (*shape, width) whose rows are the parts side
-    by side: each a uint8 array that broadcasts to (*shape, its width), or
-    bytes, the same in every row."""
+    """The uint8 array of shape (*shape, width), a view of a new bytearray
+    (its base), whose rows are the parts side by side: each a uint8 array
+    that broadcasts to (*shape, its width), or bytes, alike in every row."""
     parts = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in parts]
-    grid = np.empty((*shape, sum(p.shape[-1] for p in parts)), np.uint8)
+    shape = (*shape, sum(p.shape[-1] for p in parts))
+    grid = np.ndarray(shape, np.uint8, bytearray(math.prod(shape)))
     i = 0
     for p in parts:
         grid[..., i:i + p.shape[-1]] = p
         i += p.shape[-1]
     return grid
-
-
-def _text(grid):
-    """The text of a byte grid: its rows in order, every _PAD deleted."""
-    return grid.tobytes().translate(None, _PAD).decode()
 
 
 def _float_slots(values):
@@ -272,17 +272,17 @@ def _blocks(shape, width):
 
 def _write_blocks(shape, width, grids, lists):
     """Write the records of an array of the given shape a block at a time
-    (_blocks), a byte grid per file and block: grids(index) yields (file,
-    parts) for each file, parts (see _grid) of the records of block index in
-    rows no wider than width.  A record of a file in lists is a JSON list's
-    member, which starts ", ": the writer deletes it from the first."""
+    (_blocks), a byte grid per file and block: grids(index) yields (binary
+    file, parts) for each file, parts (see _grid) of block index's records
+    in rows no wider than width.  A record of a file in lists is a JSON
+    list's member, which starts ", ": the writer deletes it from the first."""
     for i, index in enumerate(_blocks(shape, width)):
         block = tuple(len(range(n)[s]) for n, s in zip(shape, index))
         for fh, parts in grids(index):
             grid = _grid(block, parts)
             if i == 0 and fh in lists:
                 grid.flat[:2] = _PAD[0]
-            fh.write(_text(grid))
+            fh.write(grid.base.translate(None, _PAD))
 
 
 def _stream_records(report, json_fh, csv_fh):
@@ -304,7 +304,7 @@ def _stream_records(report, json_fh, csv_fh):
         f_csv = _padded([f + "," for f in _csv_fields(fids)])
         v_csv = _padded(["," + v + "," for v in _csv_fields(vertices)])
         width = max(width, f_csv.shape[1] + v_csv.shape[1])
-        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
+        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()).encode())
     t_csv, t_json = _float_slots(report.times)
     rhs_key, slack_key, close = b', "rhs": ', b', "slack": ', b"}"
     width += 4 * _SLOT + len(rhs_key + slack_key + close)
@@ -334,15 +334,35 @@ def _require_finite(labels, values, what):
         raise ValueError(f"{what} at vertex {labels[bad[0]]!r} not finite: {values[bad[0]]}")
 
 
-def _output(path):
-    """A context manager of stdout if path is None, else of the file path
-    opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+def _stdout():
+    """stdout's binary file, once its text is flushed; for one with none (an
+    io.StringIO), a file whose writes, each whole UTF-8 text, go to it."""
+    sys.stdout.flush()
+    return sys.stdout.buffer if hasattr(sys.stdout, "buffer") else types.SimpleNamespace(
+        write=lambda b: sys.stdout.write(b.decode()))
+
+
+@contextlib.contextmanager
+def _output(*paths):
+    """A context manager of the binary files of paths, stdout's for None.
+    All are opened before the regular files (others cannot be) are
+    truncated, so that a path that cannot be opened truncates no file."""
+    with contextlib.ExitStack() as stack:
+        files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
+        for p, fh in zip(paths, files):
+            if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+        yield files
 
 
 def _write(text, path):
-    with _output(path) as fh:
-        fh.write(text)
+    with _output(path) as (fh,):
+        fh.write(text.encode())
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _graph_name(path):
@@ -356,8 +376,7 @@ def _graph_name(path):
 # ---------------------------------------------------------------------------
 
 def cmd_curvature(args) -> int:
-    with open(args.graph) as fh:
-        g = load_graph(fh.read())
+    g = load_graph(_read(args.graph))
     n = _check_dimension(args.dimension)
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
@@ -384,11 +403,11 @@ def cmd_curvature(args) -> int:
         def parts(s):
             return heads[s], kappa_slots[s], ends
 
-    with _output(args.output) as fh:
-        fh.write(head)
+    with _output(args.output) as (fh,):
+        fh.write(head.encode())
         _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
                       (fh,) if args.format == "json" else ())
-        fh.write(tail)
+        fh.write(tail.encode())
     return 0
 
 
@@ -462,8 +481,7 @@ def _build_corpus(g, spec, dimension):
         )
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        with open(path) as fh:
-            f = load_vertex_function(fh.read(), g)
+        f = load_vertex_function(_read(path), g)
         return [(f"file:{os.path.basename(path)}", f)]
     raise ValueError(f"unknown --functions specification {spec!r}")
 
@@ -472,8 +490,7 @@ def cmd_verify(args) -> int:
     if (args.output is not None and args.csv is not None
             and os.path.realpath(args.output) == os.path.realpath(args.csv)):
         raise ValueError(f"--output and --csv name the same file {args.csv!r}")
-    with open(args.graph) as fh:
-        g = load_graph(fh.read())
+    g = load_graph(_read(args.graph))
     name = _INEQUALITY_BY_FLAG[args.inequality]
 
     if args.K.strip() == "auto":
@@ -504,11 +521,11 @@ def cmd_verify(args) -> int:
                         {"min_slack": report.min_slack,
                          "quadrature_error": report.quadrature_error_estimate,
                          "tool_version": __version__})
-    with (_output(args.output) as json_fh,
-          contextlib.nullcontext() if args.csv is None else _output(args.csv) as csv_fh):
-        json_fh.write(head)
-        _stream_records(report, json_fh, csv_fh)
-        json_fh.write(tail)
+    paths = [args.output] if args.csv is None else [args.output, args.csv]
+    with _output(*paths) as (json_fh, *csv_fh):
+        json_fh.write(head.encode())
+        _stream_records(report, json_fh, csv_fh[0] if csv_fh else None)
+        json_fh.write(tail.encode())
 
     # the count, and a record for each of the first 20 only
     violations = _violation_indices(report)
@@ -528,10 +545,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    with open(args.graph) as fh:
-        g = load_graph(fh.read())
-    with open(args.f) as fh:
-        f = load_vertex_function(fh.read(), g)
+    g = load_graph(_read(args.graph))
+    f = load_vertex_function(_read(args.f), g)
     try:
         t = float(args.t)
     except ValueError:

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import graphcd.semigroup
 import graphcd.verify
 from graphcd import __version__, cli
-from graphcd.cli import _certain_mantissas, _float_slots, _grid, _text, main
+from graphcd.cli import _PAD, _certain_mantissas, _float_slots, _grid, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
@@ -516,7 +518,7 @@ def _float_texts(values):
     csv_slots, json_slots = _float_slots(values)
 
     def split(slots):  # a space after each slot; no text holds one
-        return _text(_grid(slots.shape[:1], (slots, b" "))).split()
+        return _grid(slots.shape[:1], (slots, b" ")).base.translate(None, _PAD).decode().split()
 
     texts = split(csv_slots)
     return texts, texts if json_slots is csv_slots else split(json_slots)
@@ -618,14 +620,14 @@ def test_block_writer_equals_per_record_writer(data):
         .reshape(shape) for _ in range(3))
     report = VerificationReport("gradient_estimate", 1.0, None, tuple(fids), tuple(times),
                                 tuple(vertices), lhs, rhs, slack, 0.0)
-    json_fh, csv_fh = io.StringIO(), io.StringIO()
+    json_fh, csv_fh = io.BytesIO(), io.BytesIO()
     # from one record a block to the whole report in one
     with mock.patch.object(cli, "_BLOCK_BYTES", data.draw(st.integers(1, 4000) | st.just(1 << 20))):
         cli._stream_records(report, json_fh, csv_fh)
     want_json, want_csv = _per_record_reports(report, "g")
     want_records = want_json.partition('"records": [')[2].rpartition('], "min_slack": ')[0]
-    assert json_fh.getvalue() == want_records
-    assert csv_fh.getvalue() == want_csv
+    assert json_fh.getvalue().decode() == want_records
+    assert csv_fh.getvalue().decode() == want_csv
 
 
 def _awkward_graph(tmp_path):
@@ -732,6 +734,39 @@ def test_verify_output_and_csv_same_file_exit_2(capsys, k2_path, tmp_path):
     assert code == 2 and out == ""
     assert "same file" in err
     assert not same.exists()
+
+
+@pytest.mark.parametrize("unopenable", ["--csv", "--output"])
+def test_verify_truncates_no_file_before_both_are_open(capsys, k2_path, tmp_path, unopenable):
+    kept, old = tmp_path / "kept.out", b"an earlier report\n"
+    kept.write_bytes(old)
+    other, bad = "--output" if unopenable == "--csv" else "--csv", tmp_path / "no" / "r.out"
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--times", "0.5", other, str(kept), unopenable, str(bad))
+    assert code == 2 and out == ""
+    assert str(bad) in err
+    assert kept.read_bytes() == old
+
+
+def test_reports_on_a_latin1_stdout_are_utf8(capsys, tmp_path):
+    # the report bytes go to stdout's binary buffer, after the text before
+    # them (JSON escapes every non-ASCII character: the CSV reports carry them)
+    graph = _awkward_graph(tmp_path)
+    g = load_graph((tmp_path / "awk.graph").read_text(encoding="utf-8"))
+    f = tmp_path / "f.csv"
+    f.write_bytes(save_vertex_function(g, np.arange(6.0)).encode())
+    for argv in (["curvature", "--graph", graph, "--dimension", "2", "--format", "csv"],
+                 ["heat", "--graph", graph, "--f", str(f), "--t", "0.5"]):
+        path = tmp_path / "report.out"
+        assert run_main(capsys, *argv, "--output", str(path))[0] == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        stdout.write("before\n")
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        stdout.flush()
+        got = stdout.buffer.getvalue()
+        assert "\u20ac".encode() in got and "\U0001d53e".encode() in got
+        assert got == b"before\n" + path.read_bytes()
 
 
 def test_verify_duplicate_times_exit_2(capsys, k2_path):
@@ -997,6 +1032,40 @@ def test_console_script(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["min_kappa"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_reports_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale with neither locale coercion nor UTF-8 mode: open()'s
+    # default encoding is ASCII there
+    graph, f = tmp_path / "u.graph", tmp_path / "f.csv"
+    graph.write_bytes("vertex \u00e9 1\nvertex \u20ac 2\nedge \u00e9 \u20ac 1\n".encode())
+    f.write_bytes("vertex,value\n\u00e9,1.0\n\u20ac,0.0\n".encode())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    default = dict(os.environ, PYTHONPATH=src)
+    ascii_ = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    assert subprocess.run([sys.executable, "-c", probe], env=ascii_, capture_output=True,
+                          text=True, check=True).stdout.strip() in ("ANSI_X3.4-1968", "ascii")
+    reports = {}
+    for name, env in (("default", default), ("ascii", ascii_)):
+        out = tmp_path / name
+        out.mkdir()
+        jobs = [
+            ["curvature", "--graph", graph, "--dimension", "inf", "--format", "csv"],
+            ["verify", "--graph", graph, "--inequality", "gradient", "--K", "auto",
+             "--times", "0.1", "--functions", f"file:{f}", "--csv", out / "r.csv"],
+            ["heat", "--graph", graph, "--f", f, "--t", "0.5", "--output", out / "h.csv"],
+        ]
+        for i, job in enumerate(jobs):
+            run = subprocess.run([sys.executable, "-m", "graphcd.cli", *map(str, job)], env=env,
+                                 capture_output=True)
+            assert run.returncode == 0, run.stderr
+            (out / f"stdout{i}").write_bytes(run.stdout)
+        reports[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert reports["ascii"] == reports["default"]
+    # JSON escapes every non-ASCII character; the CSV reports carry them
+    for csv_report in ("stdout0", "r.csv", "h.csv"):
+        assert "\u00e9".encode() in reports["ascii"][csv_report]
 
 
 def test_cli_import_curvature_and_heat_load_no_scipy(tmp_path):
