@@ -10,16 +10,16 @@ restriction lossless).  The solver assembles the local forms at every
 vertex from the adjacency arrays at once (the sphere1 rows of the Gamma2
 form and its diagonal 2-sphere block), eliminates the 2-sphere
 coordinates by a Schur complement through that diagonal and solves the
-remaining symmetric pencil, one stacked eigensolve per group of vertices
-with equal sphere sizes.  The results are columns: kappa per vertex, and
-each ball's coordinates and witness values in flat arrays; curvature_at and
-curvature_all build a CurvatureResult from them when one is read.  A kappa
-that is not finite (the input out of float range) raises ValueError, so
-none is handed out.
+remaining symmetric pencil, one stacked eigensolve per sphere1 size.  The
+results are columns: kappa per vertex, and each ball's coordinates and
+witness values in flat arrays; curvature_at and curvature_all build a
+CurvatureResult from them when one is read.  A kappa that is not finite
+(the input out of float range) raises ValueError, so none is handed out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from collections.abc import Sequence
@@ -126,6 +126,64 @@ def _fix_sign(U):
     return np.where((big.any(axis=1) & (first < 0.0))[:, None], -U, U)
 
 
+def _schur(g, grp, out):
+    """Write group grp's A11 - A12 diag(inv) A12^T, symmetrized, into out
+    and return inv = 1 / a22, checked as _solve says; A11 as it is where k2 = 0."""
+    k1 = grp.k1
+    A11, A12 = grp.rows[:, :, :k1], grp.rows[:, :, k1:]
+    if grp.k2 == 0:
+        out[...] = A11
+        return None
+    a22 = grp.a22
+    top = a22.max(axis=1)
+    bad = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, top)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CurvatureInternalError(
+            f"sphere2 block of the Gamma2 form is not PSD at "
+            f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
+        )
+    inv = 1.0 / a22
+    lost = np.isinf(inv).any(axis=1)
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise ValueError(
+            f"the Gamma2 form underflows at {g.labels[grp.centers[i]]!r}: a sphere2 "
+            f"diagonal entry is {a22[i].min():.3e}, which has no finite inverse"
+        )
+    Ahat = A11 - (A12 * inv[:, None, :]) @ A12.transpose(0, 2, 1)
+    out[...] = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
+    return inv
+
+
+def _solve_run(g, n, run, values, kappa):
+    """Solve the pencils of run, the groups of one k1, as one stack, as
+    _solve says: write their witness values into values and kappa into kappa."""
+    k1 = run[0].k1
+    if k1 == 0:
+        raise IsolatedVertexError(
+            f"vertex {g.labels[run[0].centers[0]]!r} has no neighbors; curvature undefined"
+        )
+    at = np.cumsum([0] + [len(grp.centers) for grp in run])
+    M = np.empty((at[-1], k1, k1))
+    invs = [_schur(g, grp, M[lo:hi]) for grp, lo, hi in zip(run, at, at[1:])]
+    d = np.concatenate([grp.delta for grp in run])
+    # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
+    c = np.sqrt(np.concatenate([grp.gamma for grp in run]))
+    if not math.isinf(n):
+        M -= d[:, :, None] * d[:, None, :] / n
+    M /= c[:, :, None] * c[:, None, :]
+    lam, vecs = np.linalg.eigh(M)
+    v = _fix_sign(vecs[:, :, 0]) / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
+    for grp, inv, lo, hi in zip(run, invs, at, at[1:]):
+        vals = values[grp.balls].reshape(grp.ids.shape)
+        vals[:, :k1] = v[lo:hi]
+        if grp.k2 > 0:
+            A21 = grp.rows[:, :, k1:].transpose(0, 2, 1)
+            vals[:, k1:] = -(inv * (A21 @ v[lo:hi, :, None])[:, :, 0] + 0.0)
+        kappa[grp.centers] = lam[lo:hi, 0]
+
+
 # a form out of float range overflows to inf or nan in the forms or the pencil,
 # and the check of kappa below raises on it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -141,7 +199,8 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     (it underflowed to 0 or nearly) raises ValueError, the input being out
     of float range.  The Schur complement A11 - A12 diag(inv) A12^T less
     dd^T/n meets the pencil with diag(b) through the congruence by sqrt(b),
-    and a stacked eigh gives its smallest eigenpair (kappa, v).  The witness
+    and eigh gives its smallest eigenpair (kappa, v), one stacked call for
+    all the groups of one k1 (a contiguous run of the table).  The witness
     is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
     zero is -0.0, whatever its sign in A12^T v.  Support and values are the
     table's ball coordinates and the witness values, in its group order.  A
@@ -154,49 +213,11 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     kappa = np.empty(nv)
     start = np.empty(nv, dtype=np.int64)
     size = np.empty(nv, dtype=np.int64)
-    for grp in table.groups():
-        k1 = grp.k1
-        if k1 == 0:
-            raise IsolatedVertexError(
-                f"vertex {g.labels[grp.centers[0]]!r} has no neighbors; curvature undefined"
-            )
-        A11, A12 = grp.rows[:, :, :k1], grp.rows[:, :, k1:]
-        if grp.k2 > 0:
-            a22 = grp.a22
-            top = a22.max(axis=1)
-            bad = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, top)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise CurvatureInternalError(
-                    f"sphere2 block of the Gamma2 form is not PSD at "
-                    f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
-                )
-            inv = 1.0 / a22
-            lost = np.isinf(inv).any(axis=1)
-            if lost.any():
-                i = int(np.argmax(lost))
-                raise ValueError(
-                    f"the Gamma2 form underflows at {g.labels[grp.centers[i]]!r}: a sphere2 "
-                    f"diagonal entry is {a22[i].min():.3e}, which has no finite inverse"
-                )
-            Ahat = A11 - (A12 * inv[:, None, :]) @ A12.transpose(0, 2, 1)
-            Ahat = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
-        else:
-            Ahat = A11
-
-        d = grp.delta
-        # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
-        c = np.sqrt(grp.gamma)
-        M = Ahat if math.isinf(n) else Ahat - d[:, :, None] * d[:, None, :] / n
-        lam, vecs = np.linalg.eigh(M / (c[:, :, None] * c[:, None, :]))
-        v = _fix_sign(vecs[:, :, 0]) / c   # Gamma(witness)(x) = v^T B v = u^T u = 1
-        vals = values[grp.balls].reshape(grp.ids.shape)
-        vals[:, :k1] = v
-        if grp.k2 > 0:
-            vals[:, k1:] = -(inv * (A12.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0] + 0.0)
-        kappa[grp.centers] = lam[:, 0]
-        start[grp.centers] = np.arange(grp.balls.start, grp.balls.stop, k1 + grp.k2)
-        size[grp.centers] = k1 + grp.k2
+    k = table.k1 + table.k2
+    start[table.centers], size[table.centers] = np.cumsum(k) - k, k
+    # the groups ascend in (k1, k2): the groups of one k1 are one run of the table
+    for _, run in itertools.groupby(table.groups(), key=lambda grp: grp.k1):
+        _solve_run(g, n, list(run), values, kappa)
     bad = np.flatnonzero(~np.isfinite(kappa))
     if bad.size:
         x = bad[0]

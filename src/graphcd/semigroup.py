@@ -96,6 +96,8 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
 _MAX_DEGREE = 2**16
 # floats per vertex in a block of Chebyshev terms gathered into one dense product
 _TERM_BLOCK = 64
+# bytes of coefficient tables a ChebyshevPropagator keeps for reuse
+_TABLE_BYTES = 2**22
 
 
 def _radius(g):
@@ -128,6 +130,9 @@ class ChebyshevPropagator:
     X is symmetric with its spectrum in [-1, 1], so ||T_k(X)||_2 <= 1 and
     the three-term recurrence T_{k+1} = 2 X T_k - T_{k-1} does not grow;
     the coefficients sum to 1.  The sum stops at _chebyshev_degree(b).
+    A time integral asks for the same node times for every function, so
+    each times array's coefficient table is built once and kept, read-only,
+    while the kept tables fit in _TABLE_BYTES.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -146,10 +151,16 @@ class ChebyshevPropagator:
         ids = np.arange(nv)
         self._twice_x = scipy.sparse.csr_array((np.concatenate([off, off, diag]), (
             np.concatenate([u, v, ids]), np.concatenate([v, u, ids]))), shape=(nv, nv))
+        self._tables = {}   # ts.tobytes() -> _coefficients(ts), oldest first
 
     def _coefficients(self, ts):
         """(m + 1,) + ts.shape: column j the coefficients of e^{ts[j] S} in
-        T_0(X), ..., T_m(X), m the degree for the largest time."""
+        T_0(X), ..., T_m(X), m the degree for the largest time.  The table is
+        kept for the next call with equal times, the oldest kept tables making
+        room for it, unless it alone is above _TABLE_BYTES."""
+        key = ts.tobytes()
+        if key in self._tables:
+            return self._tables[key]
         from scipy.special import ive
 
         b = (0.5 * self.radius) * ts
@@ -160,6 +171,11 @@ class ChebyshevPropagator:
                 f"{_MAX_DEGREE} terms on this graph (rho = {self.radius!r})")
         C = ive.outer(np.arange(m + 1, dtype=np.float64), b)
         C[1:] *= 2.0
+        if C.nbytes <= _TABLE_BYTES:
+            while sum(T.nbytes for T in self._tables.values()) + C.nbytes > _TABLE_BYTES:
+                del self._tables[next(iter(self._tables))]
+            C.flags.writeable = False
+            self._tables[key] = C
         return C
 
     def _terms(self, V, m):

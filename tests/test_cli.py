@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -567,7 +568,15 @@ def test_bulk_float_texts_at_powers_of_ten_and_ties():
     # by less than the tie margin: a margin of 0 misrounds each of them
     xs += [4.3599539739645e-12, 8.2100244969125e-25, 1.9153935686705e-27, 7.8614270783975e-25,
            8.2851413868775e+50, 6.1987307589535e+52, 2.0201542769465e-29, 3.7120030909025e-21]
-    xs += _SPECIAL_FLOATS
+    # near-ties whose scaled s lies between 1/256 and 1/128 from the half:
+    # outside the tie margin, so they take the fast path
+    near = [float(f"{n}.{frac}e{k}") for n in (10**12, 1234567890123, 9876543210987)
+            for frac in ("4935", "494", "506", "5065") for k in (-32, -7, 0, 30, 44)]
+    for x in near:
+        s = Fraction(x) * Fraction(10) ** (12 - math.floor(math.log10(x)))
+        assert Fraction(1, 256) < abs(s - math.floor(s) - Fraction(1, 2)) < Fraction(1, 128)
+    assert _certain_mantissas(np.array(near))[2].all()
+    xs += near + _SPECIAL_FLOATS
     xs += [-x for x in xs]
     assert _float_texts(np.array(xs))[0] == [f"{x:.12e}" for x in xs]
 
@@ -577,7 +586,7 @@ def test_bulk_float_texts_mostly_take_the_fast_path():
     # correct, only slow: this keeps the fast path in use
     x = rng_for(12).standard_normal(10**5)
     _, _, certain = _certain_mantissas(x)
-    assert 1 - certain.mean() <= 0.02
+    assert 1 - certain.mean() <= 0.01
     assert _float_texts(x)[0] == [f"{v:.12e}" for v in x.tolist()]
 
 
@@ -734,6 +743,13 @@ def test_verify_output_and_csv_same_file_exit_2(capsys, k2_path, tmp_path):
     assert code == 2 and out == ""
     assert "same file" in err
     assert not same.exists()
+
+
+def test_verify_output_and_csv_both_to_the_null_device(capsys, k2_path):
+    # the same-file refusal is for a regular file: the null device takes both reports
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--times", "0.5", "--output", os.devnull, "--csv", os.devnull)
+    assert code == 0 and out == "" and err == ""
 
 
 @pytest.mark.parametrize("unopenable", ["--csv", "--output"])

@@ -8,13 +8,14 @@ import scipy.linalg
 from graphcd.curvature import (
     CurvatureInternalError,
     IsolatedVertexError,
+    _solve,
     curvature_all,
     curvature_at,
     min_curvature,
 )
 from graphcd.fixtures import complete_graph, path_graph, random_connected_graph, star_graph
 from graphcd.graph import WeightedGraph, ball2, load_graph
-from graphcd.operators import gamma, gamma2, laplacian
+from graphcd.operators import form_table, gamma, gamma2, laplacian
 from conftest import certified, certify, exact_forms, exact_operators, rng_for
 
 
@@ -143,6 +144,19 @@ def test_curvature_all_solves_once_per_graph_and_dimension():
     n2 = curvature_all(g, 2.0)
     assert [r.dimension for r in n2] == [2.0] * g.vertex_count
     assert all(r.kappa == curvature_at(g, r.vertex, 2.0).kappa for r in n2)
+
+
+def test_solve_stacks_one_eigh_per_sphere1_size(monkeypatch):
+    # the (k1, k2) groups of one k1 are one run of the form table, and
+    # their pencils go to one eigh call, a (centers, k1, k1) stack
+    g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
+    groups = [(grp.k1, len(grp.centers)) for grp in form_table(g, np.arange(30)).groups()]
+    runs = {k1: sum(n for k, n in groups if k == k1) for k1, _ in groups}
+    assert len(groups) >= 2 * len(runs)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (shapes.append(M.shape), eigh(M))[1])
+    _solve(g, 2.0)
+    assert shapes == [(n, k1, k1) for k1, n in runs.items()]
 
 
 def test_witness_invariants():

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import graphcd.semigroup
 from graphcd.fixtures import complete_graph, cycle_graph, path_graph, random_connected_graph
 from graphcd.graph import WeightedGraph, load_graph
 from graphcd.operators import gamma
@@ -25,6 +26,25 @@ from conftest import check_semigroup_invariants, cycle_with_chords, laplacian_ma
 K2 = complete_graph(2)
 P3 = path_graph(3)
 PROPAGATORS = (decompose, ChebyshevPropagator)
+
+
+def test_chebyshev_tables_are_kept_within_the_byte_budget(monkeypatch):
+    g = random_connected_graph(3902, min_vertices=8, max_vertices=8)
+    ts, later = np.linspace(0.0, 1.0, 50), np.linspace(0.0, 0.9, 50)
+    nbytes = ChebyshevPropagator(g)._coefficients(ts).nbytes
+    # a budget of one table: it is kept, read-only, until the next one takes its place
+    monkeypatch.setattr(graphcd.semigroup, "_TABLE_BYTES", nbytes)
+    sd = ChebyshevPropagator(g)
+    C = sd._coefficients(ts)
+    assert sd._coefficients(ts) is C and not C.flags.writeable
+    D = sd._coefficients(later)
+    assert list(sd._tables) == [later.tobytes()] and sd._coefficients(later) is D
+    # a table above the budget is built anew at each call and not kept
+    monkeypatch.setattr(graphcd.semigroup, "_TABLE_BYTES", nbytes - 1)
+    sd = ChebyshevPropagator(g)
+    C = sd._coefficients(ts)
+    again = sd._coefficients(ts)
+    assert again is not C and again.tobytes() == C.tobytes() and not sd._tables
 
 
 def test_eigenvalues_k2():

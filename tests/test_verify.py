@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special
 
 from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
@@ -472,6 +473,28 @@ def test_heat_integral_hands_inner_column_blocks(monkeypatch):
     assert max(columns) == 100 and sum(columns) == 128 * 601
     assert len(columns) == 128 * (6 + 1)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_chebyshev_heat_integral_builds_each_table_once_per_node_block(monkeypatch):
+    # 4 functions at 601 nodes, two node blocks (513 + 88): one coefficient
+    # table for t - s and one for s per block, shared by the functions, and
+    # the integrals of a fresh propagator per function, bit for bit
+    g = random_connected_graph(3971, min_vertices=12, max_vertices=12)
+    F = rng_for(69).standard_normal((g.vertex_count, 4))
+    _fix_panels(monkeypatch, 300)
+    inner = functools.partial(_laplacian_squared, g)
+    want = [_heat_integral(g, ChebyshevPropagator(g), F[:, [j]], -1.0, 0.3, inner)
+            for j in range(4)]
+    ive, tables = scipy.special.ive, []
+
+    def outer(k, b):
+        tables.append(b.tobytes())
+        return ive.outer(k, b)
+
+    monkeypatch.setattr(scipy.special, "ive", SimpleNamespace(outer=outer))
+    got = _heat_integral(g, ChebyshevPropagator(g), F, -1.0, 0.3, inner)
+    assert len(tables) == len(set(tables)) == 4
+    assert [a.tobytes() for a in got] == [np.hstack(a).tobytes() for a in zip(*want)]
 
 
 def test_integrate_is_exact_on_exponentials_in_node_blocks():
