@@ -39,20 +39,7 @@ from .graph import (
 )
 from .semigroup import _propagator_for, heat_apply
 from .verify import (
-    _dimension_for,
-    _sweep_propagator,
-    _violation_indices,
-    run_verification,
-    function_corpus,
-)
-
-_INEQUALITY_BY_FLAG = {
-    "gradient": "gradient_estimate",
-    "variance": "variance_bound",
-    "cdn": "cdn_bound",
-    "variance-identity": "variance_identity",
-    "gamma2-identity": "gamma2_identity",
-}
+    CHECKS, _check_of, _sweep_propagator, _violation_indices, function_corpus, run_verification)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +331,34 @@ def _stdout():
 
 @contextlib.contextmanager
 def _output(*paths):
-    """A context manager of the binary files of paths, stdout's for None.
-    All are opened before the regular files (others cannot be) are
-    truncated, so that a path that cannot be opened truncates no file."""
-    with contextlib.ExitStack() as stack:
-        files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
-        for p, fh in zip(paths, files):
-            if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-        yield files
+    """A context manager of a function that returns the binary files of
+    paths, stdout's for None.  All are opened for appending on entry, so a
+    path that cannot be opened is refused before the work that makes the
+    report, and the function truncates the regular ones (others cannot be)
+    once the report is ready: a path that cannot be opened truncates no
+    file.  If the body raises, each path the context created is removed."""
+    created = [p for p in paths if p is not None and not os.path.lexists(p)]
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
+
+            def truncated():
+                for p, fh in zip(paths, files):
+                    if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                        fh.truncate(0)
+                return files
+
+            yield truncated
+    except BaseException:
+        for p in created:
+            with contextlib.suppress(OSError):
+                os.remove(p)
+        raise
 
 
 def _write(text, path):
-    with _output(path) as (fh,):
-        fh.write(text.encode())
+    with _output(path) as files:
+        files()[0].write(text.encode())
 
 
 def _read(path):
@@ -403,7 +404,8 @@ def cmd_curvature(args) -> int:
         def parts(s):
             return heads[s], kappa_slots[s], ends
 
-    with _output(args.output) as (fh,):
+    with _output(args.output) as files:
+        (fh,) = files()
         fh.write(head.encode())
         _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
                       (fh,) if args.format == "json" else ())
@@ -493,7 +495,7 @@ def cmd_verify(args) -> int:
             and (os.path.isfile(args.csv) or not os.path.exists(args.csv))):
         raise ValueError(f"--output and --csv name the same file {args.csv!r}")
     g = load_graph(_read(args.graph))
-    name = _INEQUALITY_BY_FLAG[args.inequality]
+    name = next(name for name, check in CHECKS.items() if check.flag == args.inequality)
 
     if args.K.strip() == "auto":
         K = "auto"
@@ -505,7 +507,8 @@ def cmd_verify(args) -> int:
         if not math.isfinite(K):
             raise ValueError(f"--K must be finite or 'auto', got {args.K!r}")
 
-    n = _dimension_for(name, None if args.n is None else _check_dimension(args.n))
+    n = None if args.n is None else _check_dimension(args.n)
+    _check_of(name, n)
 
     try:
         times = [float(tok) for tok in args.times.split(",") if tok.strip()]
@@ -514,17 +517,18 @@ def cmd_verify(args) -> int:
     if not times or any(not (t > 0) or not math.isfinite(t) for t in times):
         raise ValueError("--times needs a comma list of positive reals")
 
-    functions = _build_corpus(g, args.functions, math.inf if n is None else n)
-
-    sd = _sweep_propagator(g, name, K, n, times, len(functions))
-    report = run_verification(g, sd, name, K, times, functions, n=n)
-    head, tail = _frame({"inequality": report.inequality_name, "K": report.K, "n": report.n,
-                         "graph": _graph_name(args.graph)}, "records",
-                        {"min_slack": report.min_slack,
-                         "quadrature_error": report.quadrature_error_estimate,
-                         "tool_version": __version__})
+    # both reports are opened before the work and truncated only after it
     paths = [args.output] if args.csv is None else [args.output, args.csv]
-    with _output(*paths) as (json_fh, *csv_fh):
+    with _output(*paths) as files:
+        functions = _build_corpus(g, args.functions, math.inf if n is None else n)
+        sd = _sweep_propagator(g, name, K, n, times, len(functions))
+        report = run_verification(g, sd, name, K, times, functions, n=n)
+        head, tail = _frame({"inequality": report.inequality_name, "K": report.K,
+                             "n": report.n, "graph": _graph_name(args.graph)}, "records",
+                            {"min_slack": report.min_slack,
+                             "quadrature_error": report.quadrature_error_estimate,
+                             "tool_version": __version__})
+        json_fh, *csv_fh = files()
         json_fh.write(head.encode())
         _stream_records(report, json_fh, csv_fh[0] if csv_fh else None)
         json_fh.write(tail.encode())
@@ -584,7 +588,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="verify a semigroup inequality or identity")
     p.add_argument("--graph", required=True)
-    p.add_argument("--inequality", required=True, choices=sorted(_INEQUALITY_BY_FLAG))
+    p.add_argument("--inequality", required=True, choices=sorted(c.flag for c in CHECKS.values()))
     p.add_argument("--K", default="auto", help="real constant or 'auto' (min curvature)")
     # before Python 3.13 argparse takes -1e-3 or -2.5E1 for an option: read what starts
     # like a negative number as a value (-inf does not, so --K still refuses it)

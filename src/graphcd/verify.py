@@ -1,21 +1,11 @@
 """Numerical verification of semigroup-level curvature characterizations.
 
-For the heat semigroup P_t of a graph satisfying CD(K, infinity) resp.
-CD(K, n), the following hold for all f and t > 0; each check is named by
-its string in INEQUALITY_NAMES:
-
-    "gradient_estimate"   Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
-    "variance_bound"      P_t(f^2) - (P_t f)^2 <= ((1-e^{-2Kt})/K) P_t Gamma(f)
-    "cdn_bound"           Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
-                            - (2/n) Int_0^t e^{-2Ks} P_s((Delta P_{t-s} f)^2) ds
-
-while two integral identities hold unconditionally (they are exact
-consequences of the semigroup, independent of curvature):
-
-    "variance_identity"   P_t(f^2) - (P_t f)^2 = 2 Int_0^t P_s Gamma(P_{t-s} f) ds
-    "gamma2_identity"     e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
-                            = 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds
-                          for every real K
+Each check is one Check record of the table CHECKS, keyed by its name
+(INEQUALITY_NAMES): three inequalities of the heat semigroup P_t on a graph
+that satisfies CD(K, infinity) resp. CD(K, n), for all f and t > 0, and two
+identities that hold exactly.  A record's sides function states its check
+and computes both sides; the sweep, the tolerance and the CLI read only the
+record's fields, so a new check is one record plus its sides function.
 
 Integrals are evaluated by nested Clenshaw-Curtis rules of degree 2n and
 n, with the coarse/fine difference as the error estimate; n is sized from
@@ -30,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +30,6 @@ from .graph import WeightedGraph
 from .operators import _column_blocks, _gamma2_parts, _vertex_array, gamma_many, laplacian_many
 from .semigroup import (
     _bessel_tail_degree, _heat_time_sum, _propagator_for, heat_apply_columns, heat_curve)
-
-INEQUALITY_NAMES = (
-    "gradient_estimate",
-    "variance_bound",
-    "cdn_bound",
-    "variance_identity",
-    "gamma2_identity",
-)
-_IDENTITY_OPS = frozenset({"variance_identity", "gamma2_identity"})
 
 PLAIN_TOLERANCE = 1e-9      # checks that take no time integral
 QUAD_TOLERANCE_FLOOR = 1e-8  # quadrature-backed checks use max(floor, estimate)
@@ -199,23 +180,26 @@ def _check_time(t):
 
 def _sides(g, sd, inequality_name, F, K, n, t):
     """(lhs, rhs, quadrature error estimate or None) per vertex and column of F
-    at one time: rhs is the bound of an inequality, whose slack is rhs - lhs,
-    or the integral side of an identity, whose residual is |rhs - lhs|."""
-    t = _check_time(t)
+    at one time: rhs is an inequality's bound or an identity's integral side."""
+    return CHECKS[inequality_name].sides(g, sd, F, K, n, _check_time(t))
+
+
+def _gradient_sides(g, sd, F, K, n, t):
+    """gradient_estimate: Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)."""
     heat = functools.partial(heat_apply_columns, sd, g, t)
-    if inequality_name in ("variance_bound", "variance_identity"):
-        lhs = heat(F * F) - heat(F) ** 2
-        if inequality_name == "variance_identity":
-            return (lhs, *_integrate_variance(g, sd, F, t))
-        return lhs, variance_coefficient(K, t) * heat(gamma_many(g, F)), None
+    return gamma_many(g, heat(F)), _decay(K, t) * heat(gamma_many(g, F)), None
 
-    gradient = gamma_many(g, heat(F))
-    decayed = _decay(K, t) * heat(gamma_many(g, F))
-    if inequality_name == "gradient_estimate":
-        return gradient, decayed, None
-    if inequality_name == "gamma2_identity":
-        return (decayed - gradient, *_integrate_gamma2(g, sd, F, K, t))
 
+def _variance_bound_sides(g, sd, F, K, n, t):
+    """variance_bound: P_t(f^2) - (P_t f)^2 <= ((1 - e^{-2Kt})/K) P_t Gamma(f)."""
+    heat = functools.partial(heat_apply_columns, sd, g, t)
+    return heat(F * F) - heat(F) ** 2, variance_coefficient(K, t) * heat(gamma_many(g, F)), None
+
+
+def _cdn_sides(g, sd, F, K, n, t):
+    """cdn_bound: Gamma(P_t f) <= e^{-2Kt} P_t Gamma(f)
+    - (2/n) Int_0^t e^{-2Ks} P_s((Delta P_{t-s} f)^2) ds."""
+    gradient, decayed, _ = _gradient_sides(g, sd, F, K, n, t)
     n = _check_dimension(n)
     if math.isinf(n):
         # the integral's coefficient 2/n is 0
@@ -223,6 +207,45 @@ def _sides(g, sd, inequality_name, F, K, n, t):
     integral, err = _heat_integral(g, sd, F, K, t, functools.partial(_laplacian_squared, g))
     coeff = 2.0 / n
     return gradient, decayed - coeff * integral, coeff * err
+
+
+def _variance_identity_sides(g, sd, F, K, n, t):
+    """variance_identity: P_t(f^2) - (P_t f)^2 = 2 Int_0^t P_s Gamma(P_{t-s} f) ds."""
+    heat = functools.partial(heat_apply_columns, sd, g, t)
+    return (heat(F * F) - heat(F) ** 2, *_integrate_variance(g, sd, F, t))
+
+
+def _gamma2_identity_sides(g, sd, F, K, n, t):
+    """gamma2_identity, at every real K: e^{-2Kt} P_t Gamma(f) - Gamma(P_t f)
+    = 2 Int_0^t e^{-2Ks} P_s[(Gamma2 - K Gamma)(P_{t-s} f)] ds."""
+    gradient, decayed, _ = _gradient_sides(g, sd, F, K, n, t)
+    return (decayed - gradient, *_integrate_gamma2(g, sd, F, K, t))
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check, as the record of CHECKS that every other part reads.  Its sides
+    function looks up what it calls as module globals when it runs."""
+
+    flag: str        # its --inequality value
+    identity: bool   # rhs is an integral side held to |rhs - lhs| <= tol, not a bound
+    takes_n: bool    # it needs a dimension n, which no other check takes
+    heat: int        # its heat applications per function and time
+    integral: bool   # it takes a time integral (not at n = inf, if it takes n)
+    sides: Callable  # (g, sd, F, K, n, t) -> (lhs, rhs, estimate or None); see _sides
+
+    def takes_integral(self, n):
+        return self.integral and not (n is not None and math.isinf(n))
+
+
+CHECKS = {  # name: flag, identity, takes_n, heat, integral, sides
+    "gradient_estimate": Check("gradient", False, False, 2, False, _gradient_sides),
+    "variance_bound": Check("variance", False, False, 3, False, _variance_bound_sides),
+    "cdn_bound": Check("cdn", False, True, 2, True, _cdn_sides),
+    "variance_identity": Check("variance-identity", True, False, 2, True, _variance_identity_sides),
+    "gamma2_identity": Check("gamma2-identity", True, False, 2, True, _gamma2_identity_sides),
+}
+INEQUALITY_NAMES = tuple(CHECKS)
 
 
 def _decay(K, t, exp=math.exp):
@@ -282,7 +305,7 @@ def _integrate_gamma2(g, sd, F, K, t):
 def gradient_estimate(g, sd, f, K, t):
     """slack(x) = e^{-2Kt} P_t Gamma(f)(x) - Gamma(P_t f)(x)."""
     F = _vertex_array(g, f, 1, sd)[:, None]
-    lhs, rhs, _ = _sides(g, sd, "gradient_estimate", F, K, None, t)
+    lhs, rhs, _ = _gradient_sides(g, sd, F, K, None, _check_time(t))
     return (rhs - lhs)[:, 0]
 
 
@@ -298,16 +321,10 @@ def variance_coefficient(K, t):
 
 
 def cdn_bound(g, sd, f, K, n, t):
-    """Dimensional strengthening of the gradient estimate.
-
-    slack(x) = e^{-2Kt} P_t Gamma(f)(x)
-               - (2/n) Int_0^t e^{-2Ks} P_s((Delta P_{t-s}f)^2)(x) ds
-               - Gamma(P_t f)(x)
-
-    Returns (slack, quadrature error estimate) per vertex.
-    """
+    """(slack, quadrature error estimate) per vertex of the dimensional
+    strengthening of the gradient estimate (_cdn_sides) at one function f."""
     F = _vertex_array(g, f, 1, sd)[:, None]
-    lhs, rhs, err = _sides(g, sd, "cdn_bound", F, K, n, t)
+    lhs, rhs, err = _cdn_sides(g, sd, F, K, n, _check_time(t))
     return (rhs - lhs)[:, 0], err[:, 0]
 
 
@@ -348,38 +365,35 @@ def resolve_K(g, K, inequality_name="gradient_estimate", n=math.inf):
     if isinstance(K, str):
         if K != "auto":
             raise ValueError(f"K must be a real number or 'auto', got {K!r}")
-        dim = n if inequality_name == "cdn_bound" else math.inf
-        return min_curvature(g, dim)
+        return min_curvature(g, n if CHECKS[inequality_name].takes_n else math.inf)
     return float(K)
 
 
-def _dimension_for(inequality_name, n):
-    """n, else a ValueError: cdn_bound needs a dimension, and no other check takes one."""
-    if (n is None) == (inequality_name == "cdn_bound"):
-        raise ValueError("cdn_bound needs a dimension n (--n)" if n is None else
-                         f"{inequality_name} takes no dimension n (--n); only cdn_bound does")
-    return n
-
-
-def _takes_no_integral(inequality_name, n):
-    """Whether _sides takes no time integral: the gradient and variance
-    bounds never do, cdn_bound does at every finite n."""
-    return inequality_name in ("gradient_estimate", "variance_bound") or (
-        inequality_name == "cdn_bound" and n is not None and math.isinf(n))
+def _check_of(inequality_name, n):
+    """The check's record, else a ValueError: for an unknown name, and for
+    n missing where the check needs a dimension or given where it takes none."""
+    if inequality_name not in CHECKS:
+        raise ValueError(f"unknown inequality {inequality_name!r}")
+    check = CHECKS[inequality_name]
+    if (n is None) == check.takes_n:
+        only = ", ".join(name for name, c in CHECKS.items() if c.takes_n)
+        raise ValueError(f"{inequality_name} needs a dimension n (--n)" if n is None else
+                         f"{inequality_name} takes no dimension n (--n); only {only} does")
+    return check
 
 
 def _sweep_propagator(g, inequality_name, K, n, times, function_count):
     """The propagator, dense or Chebyshev, that semigroup._propagator_for
     finds cheaper for run_verification over function_count functions.
 
-    Each function of _sides applies the heat semigroup to two columns
-    (three for the variance bound) at each time and takes at most one
-    integral, its nodes sized with the cost model's bound lambda_min.
+    Each function of _sides applies the heat semigroup to the check's heat
+    columns at each time and takes at most one integral, its nodes sized
+    with the cost model's bound lambda_min.
     """
-    _dimension_for(inequality_name, n)
+    check = _check_of(inequality_name, n)
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
-    applies = (3 if inequality_name == "variance_bound" else 2) * function_count * len(times)
-    if _takes_no_integral(inequality_name, n):
+    applies = check.heat * function_count * len(times)
+    if not check.takes_integral(n):
         return _propagator_for(g, max(times), applies)
     return _propagator_for(g, max(times), applies, lambda lam_min: function_count * [
         2 * _panel_degree(lam_min, K, t) + 1 for t in times])
@@ -399,9 +413,7 @@ def run_verification(
     Records are ordered by (function id, t, vertex label); functions with
     equal ids keep their input order.
     """
-    if inequality_name not in INEQUALITY_NAMES:
-        raise ValueError(f"unknown inequality {inequality_name!r}")
-    _dimension_for(inequality_name, n)
+    check = _check_of(inequality_name, n)
     times = sorted(_check_time(t) for t in times)
     for a, b in zip(times, times[1:]):
         if a == b:
@@ -423,7 +435,7 @@ def run_verification(
                 # np.max keeps a NaN, where Python's max would drop it
                 qmax = float(np.max(qerr, initial=qmax))
     slack = rhs - lhs
-    if inequality_name not in _IDENTITY_OPS:
+    if not check.identity:
         # an inequality reports rhs as lhs + slack, not the bound itself:
         # the two can differ in the last bit, and the report format has the former
         np.add(lhs, slack, out=rhs)
@@ -447,7 +459,7 @@ def record_tolerance(inequality_name, quadrature_error_estimate, n=None):
     that is inf or nan bounds nothing, and gives the floor."""
     # 2x guards against the estimate undershooting the true quadrature
     # error (|fine - coarse| bounds the fine rule's error once converged)
-    if _takes_no_integral(inequality_name, n):
+    if not CHECKS[inequality_name].takes_integral(n):
         return PLAIN_TOLERANCE
     if not math.isfinite(quadrature_error_estimate):
         return QUAD_TOLERANCE_FLOOR
@@ -459,7 +471,7 @@ def _violation_indices(report: VerificationReport):
     tolerance; a non-finite slack always fails."""
     tol = record_tolerance(report.inequality_name, report.quadrature_error_estimate, report.n)
     s = report.slack
-    if report.inequality_name in _IDENTITY_OPS:
+    if CHECKS[report.inequality_name].identity:
         ok = np.abs(s) <= tol
     else:
         ok = (s >= -tol) & (s < math.inf)

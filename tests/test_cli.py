@@ -358,24 +358,33 @@ def _report_number(x):
     return json.dumps("inf" if x > 0 else "-inf" if x < 0 else "nan")
 
 
-def test_verify_report_format_is_pinned(capsys, tmp_path):
-    # c's label needs CSV quoting, JSON escapes and a doubled % in a template
+@pytest.mark.parametrize("flags, name, n", [
+    (("gradient",), "gradient_estimate", None),
+    (("variance",), "variance_bound", None),
+    (("cdn", "--n", "2"), "cdn_bound", 2.0),
+    (("cdn", "--n", "inf"), "cdn_bound", math.inf),
+    (("variance-identity",), "variance_identity", None),
+    (("gamma2-identity",), "gamma2_identity", None),
+], ids=["gradient", "variance", "cdn-2", "cdn-inf", "variance-identity", "gamma2-identity"])
+def test_verify_report_format_is_pinned(capsys, tmp_path, flags, name, n):
+    # each flag's report is the text of run_verification's report under
+    # its library name; c's label needs CSV quoting, JSON escapes and a
+    # doubled % in a template
     c = 'c,"%{\\\u00e9'
     text = f"vertex b 1\nvertex a 2\nvertex {c} 1.5\nedge b a 1\nedge a {c} 0.5\n"
     graph = tmp_path / "p3.graph"
     graph.write_text(text)
     out, records_csv = tmp_path / "r.json", tmp_path / "r.csv"
-    code, _, _ = run_main(capsys, "verify", "--graph", str(graph),
-                          "--inequality", "gradient", "--K", "auto",
-                          "--functions", "witnesses", "--times", "0.5,0.1",
-                          "--output", str(out), "--csv", str(records_csv))
-    assert code == 0
+    code, _, err = run_main(capsys, "verify", "--graph", str(graph),
+                            "--inequality", *flags, "--K", "auto",
+                            "--functions", "witnesses", "--times", "0.5,0.1",
+                            "--output", str(out), "--csv", str(records_csv))
+    assert code == 0, err
 
     g = load_graph(text)
-    functions = function_corpus(g, random_count=0, include_constant=False,
-                                include_indicators=False)
-    report = run_verification(g, decompose(g), "gradient_estimate", "auto",
-                              [0.5, 0.1], functions)
+    functions = function_corpus(g, dimension=math.inf if n is None else n, random_count=0,
+                                include_constant=False, include_indicators=False)
+    report = run_verification(g, decompose(g), name, "auto", [0.5, 0.1], functions, n=n)
     records = list(report.records)
     keys = [(r.function_id, r.t, r.vertex) for r in records]
     assert keys == sorted(keys) and len(keys) == 3 * 2 * 3
@@ -395,10 +404,10 @@ def test_verify_report_format_is_pinned(capsys, tmp_path):
         for r in records
     )
     want_json = (
-        f'{{"inequality": "gradient_estimate", "K": {_report_number(report.K)}, '
-        f'"n": null, "graph": "p3", "records": [{body}], '
+        f'{{"inequality": "{name}", "K": {_report_number(report.K)}, '
+        f'"n": {"null" if n is None else _report_number(n)}, "graph": "p3", "records": [{body}], '
         f'"min_slack": {_report_number(min(r.slack for r in records))}, '
-        f'"quadrature_error": {_report_number(0.0)}, '
+        f'"quadrature_error": {_report_number(report.quadrature_error_estimate)}, '
         f'"tool_version": {json.dumps(__version__)}}}\n'
     )
     assert out.read_text() == want_json
@@ -761,6 +770,41 @@ def test_verify_truncates_no_file_before_both_are_open(capsys, k2_path, tmp_path
                               "--times", "0.5", other, str(kept), unopenable, str(bad))
     assert code == 2 and out == ""
     assert str(bad) in err
+    assert kept.read_bytes() == old
+
+
+def test_verify_opens_its_reports_before_the_sweep(capsys, k2_path, tmp_path, monkeypatch):
+    # an unopenable --csv exits 2 before the corpus and the sweep, and the
+    # --output it opened first is not left behind
+    def no_work(*args, **kwargs):
+        raise AssertionError("the corpus or the sweep ran")
+
+    monkeypatch.setattr(cli, "function_corpus", no_work)
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    early, bad = tmp_path / "early.json", tmp_path / "missing" / "x.csv"
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--K", "auto", "--times", "0.1", "--output", str(early),
+                              "--csv", str(bad))
+    assert code == 2 and out == ""
+    assert str(bad) in err
+    assert not early.exists()
+
+
+@pytest.mark.parametrize("flags", [("--inequality", "gradient", "--K", "-400"),
+                                   ("--inequality", "cdn", "--n", "2", "--K", "auto")])
+def test_verify_failing_after_the_open_leaves_no_new_report(capsys, tmp_path, flags):
+    # e^{-2Kt} overflows in the sweep, after both reports are open: the new
+    # one is removed and the earlier one is not truncated
+    path = tmp_path / "c4.graph"
+    path.write_text(STIFF_C4_TEXT)
+    new, kept, old = tmp_path / "new.json", tmp_path / "kept.csv", b"an earlier report\n"
+    kept.write_bytes(old)
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), *flags, "--times", "1",
+                              "--functions", "random:0:1", "--output", str(new),
+                              "--csv", str(kept))
+    assert code == 2 and out == ""
+    assert "overflows" in err
+    assert not new.exists()
     assert kept.read_bytes() == old
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import functools
 import itertools
@@ -12,9 +13,12 @@ from graphcd.curvature import curvature_at, min_curvature
 from graphcd.fixtures import complete_graph, fixture_graphs, path_graph, random_connected_graph
 from graphcd.operators import _column_blocks, gamma, gamma2, gamma_many, laplacian_many
 from graphcd.semigroup import ChebyshevPropagator, decompose, heat_apply, heat_apply_columns
+import graphcd.cli
 import graphcd.operators
 import graphcd.verify
 from graphcd.verify import (
+    CHECKS,
+    INEQUALITY_NAMES,
     _gamma2_minus_gamma,
     _heat_integral,
     _laplacian_squared,
@@ -665,6 +669,41 @@ def test_record_tolerance_policy():
     for est in (math.inf, -math.inf, math.nan):
         assert record_tolerance("cdn_bound", est) == QUAD_TOLERANCE_FLOOR
         assert record_tolerance("gamma2_identity", est) == QUAD_TOLERANCE_FLOOR
+
+
+def test_check_table_pins_flags_heat_counts_and_tolerance_kinds(monkeypatch):
+    parser = graphcd.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flag = next(a for a in commands.choices["verify"]._actions if a.dest == "inequality")
+    assert flag.choices == sorted(check.flag for check in CHECKS.values())
+    assert len(set(flag.choices)) == len(CHECKS)
+    assert INEQUALITY_NAMES == tuple(CHECKS)
+
+    # the record's heat count, _sweep_propagator's cost input, is the heat
+    # calls of one _sides call; the tolerance kind is the record's
+    calls = []
+
+    def counted(sd, g, t, F):
+        calls.append(F.shape[1])
+        return heat_apply_columns(sd, g, t, F)
+
+    monkeypatch.setattr("graphcd.verify.heat_apply_columns", counted)
+    g = random_connected_graph(3962, min_vertices=6, max_vertices=6)
+    sd = decompose(g)
+    F = rng_for(65).standard_normal((g.vertex_count, 3))
+    plain = {}
+    for name, check in CHECKS.items():
+        for n in (None, 2.0, math.inf):
+            if (n is None) == check.takes_n:
+                continue
+            calls.clear()
+            _sides(g, sd, name, F, -0.5, n, 0.3)
+            assert calls == [3] * check.heat, (name, n)
+            plain[name, n] = record_tolerance(name, 3e-7, n) == PLAIN_TOLERANCE
+            assert plain[name, n] == (not check.integral or n == math.inf), (name, n)
+    assert plain == {("gradient_estimate", None): True, ("variance_bound", None): True,
+                     ("cdn_bound", 2.0): False, ("cdn_bound", math.inf): True,
+                     ("variance_identity", None): False, ("gamma2_identity", None): False}
 
 
 def test_nonfinite_slack_is_a_violation():
