@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 usage or input error, 3 verified violation,
 1 internal error.  Reports are JSON with floats rendered as %.12e and
 stable key order, so identical invocations produce byte-identical output.
 Files are read and reports written as UTF-8, whatever the locale: as bytes,
-straight to the binary file of --output, --csv or stdout.
+straight to the binary file of --output, --csv or stdout.  Every subcommand
+opens its outputs before its work.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def _stream_records(report, json_fh, csv_fh):
         f_csv = _padded([f + "," for f in _csv_fields(fids)])
         v_csv = _padded(["," + v + "," for v in _csv_fields(vertices)])
         width = max(width, f_csv.shape[1] + v_csv.shape[1])
-        csv_fh.write(csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()).encode())
+        _write(csv_fh, csv_text(("function", "t", "vertex", "lhs", "rhs", "slack"), ()))
     t_csv, t_json = _float_slots(report.times)
     rhs_key, slack_key, close = b', "rhs": ', b', "slack": ', b"}"
     width += 4 * _SLOT + len(rhs_key + slack_key + close)
@@ -334,18 +335,24 @@ def _output(*paths):
     """A context manager of a function that returns the binary files of
     paths, stdout's for None.  All are opened for appending on entry, so a
     path that cannot be opened is refused before the work that makes the
-    report, and the function truncates the regular ones (others cannot be)
-    once the report is ready: a path that cannot be opened truncates no
-    file.  If the body raises, each path the context created is removed."""
+    report, and so are two paths of one regular file, by any path or hard
+    link (the null device may take both reports).  The function truncates
+    the regular files (others cannot be) once the report is ready: a
+    refused path truncates no file.  If the body raises, each path the
+    context created is removed."""
     created = [p for p in paths if p is not None and not os.path.lexists(p)]
     try:
         with contextlib.ExitStack() as stack:
             files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
+            regular = [fh for p, fh in zip(paths, files)
+                       if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)]
+            inodes = {(st.st_dev, st.st_ino) for st in (os.fstat(fh.fileno()) for fh in regular)}
+            if len(inodes) < len(regular):
+                raise ValueError(f"--output and --csv name the same file {paths[-1]!r}")
 
             def truncated():
-                for p, fh in zip(paths, files):
-                    if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                        fh.truncate(0)
+                for fh in regular:
+                    fh.truncate(0)
                 return files
 
             yield truncated
@@ -356,9 +363,9 @@ def _output(*paths):
         raise
 
 
-def _write(text, path):
-    with _output(path) as files:
-        files()[0].write(text.encode())
+def _write(fh, text):
+    """Write text to the binary file fh as UTF-8."""
+    fh.write(text.encode())
 
 
 def _read(path):
@@ -376,7 +383,7 @@ def _graph_name(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_curvature(args) -> int:
+def cmd_curvature(args, files) -> int:
     g = load_graph(_read(args.graph))
     n = _check_dimension(args.dimension)
     if args.format == "csv" and args.witness:
@@ -404,12 +411,11 @@ def cmd_curvature(args) -> int:
         def parts(s):
             return heads[s], kappa_slots[s], ends
 
-    with _output(args.output) as files:
-        (fh,) = files()
-        fh.write(head.encode())
-        _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
-                      (fh,) if args.format == "json" else ())
-        fh.write(tail.encode())
+    (fh,) = files()
+    _write(fh, head)
+    _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
+                  (fh,) if args.format == "json" else ())
+    _write(fh, tail)
     return 0
 
 
@@ -488,12 +494,7 @@ def _build_corpus(g, spec, dimension):
     raise ValueError(f"unknown --functions specification {spec!r}")
 
 
-def cmd_verify(args) -> int:
-    # the null device (or any file that is not regular) may take both reports
-    if (args.output is not None and args.csv is not None
-            and os.path.realpath(args.output) == os.path.realpath(args.csv)
-            and (os.path.isfile(args.csv) or not os.path.exists(args.csv))):
-        raise ValueError(f"--output and --csv name the same file {args.csv!r}")
+def cmd_verify(args, files) -> int:
     g = load_graph(_read(args.graph))
     name = next(name for name, check in CHECKS.items() if check.flag == args.inequality)
 
@@ -517,21 +518,18 @@ def cmd_verify(args) -> int:
     if not times or any(not (t > 0) or not math.isfinite(t) for t in times):
         raise ValueError("--times needs a comma list of positive reals")
 
-    # both reports are opened before the work and truncated only after it
-    paths = [args.output] if args.csv is None else [args.output, args.csv]
-    with _output(*paths) as files:
-        functions = _build_corpus(g, args.functions, math.inf if n is None else n)
-        sd = _sweep_propagator(g, name, K, n, times, len(functions))
-        report = run_verification(g, sd, name, K, times, functions, n=n)
-        head, tail = _frame({"inequality": report.inequality_name, "K": report.K,
-                             "n": report.n, "graph": _graph_name(args.graph)}, "records",
-                            {"min_slack": report.min_slack,
-                             "quadrature_error": report.quadrature_error_estimate,
-                             "tool_version": __version__})
-        json_fh, *csv_fh = files()
-        json_fh.write(head.encode())
-        _stream_records(report, json_fh, csv_fh[0] if csv_fh else None)
-        json_fh.write(tail.encode())
+    functions = _build_corpus(g, args.functions, math.inf if n is None else n)
+    sd = _sweep_propagator(g, name, K, n, times, len(functions))
+    report = run_verification(g, sd, name, K, times, functions, n=n)
+    head, tail = _frame({"inequality": report.inequality_name, "K": report.K,
+                         "n": report.n, "graph": _graph_name(args.graph)}, "records",
+                        {"min_slack": report.min_slack,
+                         "quadrature_error": report.quadrature_error_estimate,
+                         "tool_version": __version__})
+    json_fh, *csv_fh = files()
+    _write(json_fh, head)
+    _stream_records(report, json_fh, csv_fh[0] if csv_fh else None)
+    _write(json_fh, tail)
 
     # the count, and a record for each of the first 20 only
     violations = _violation_indices(report)
@@ -550,7 +548,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_heat(args) -> int:
+def cmd_heat(args, files) -> int:
     g = load_graph(_read(args.graph))
     f = load_vertex_function(_read(args.f), g)
     try:
@@ -562,7 +560,7 @@ def cmd_heat(args) -> int:
     sd = _propagator_for(g, t, 1)
     result = heat_apply(sd, g, t, f)
     _require_finite(g.labels, result, "P_t f")
-    _write(save_vertex_function(g, result), args.output)
+    _write(files()[0], save_vertex_function(g, result))
     return 0
 
 
@@ -619,8 +617,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # each subcommand's outputs (verify's --csv too) are opened before its work
+    paths = [args.output] if getattr(args, "csv", None) is None else [args.output, args.csv]
     try:
-        return args.func(args)
+        with _output(*paths) as files:
+            return args.func(args, files)
     except np.linalg.LinAlgError as exc:  # ahead of ValueError, its base class
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,9 @@ measure m on vertices, self-loops allowed.  Vertices get integer ids in
 order of first declaration; labels are non-empty and whitespace-free.
 Graphs must be connected (self-loops do not connect anything) and are
 immutable after construction.  Edges are stored once, as arrays u <= v
-ascending in (u, v) and mu, self-loops included.
+ascending in (u, v) and mu, self-loops included, for save_graph and edges.
+A loop term mu_xx (f(x) - f(x)) is 0, so the adjacency arrays that the
+operators, the propagators and the curvature engine read hold no loop.
 
 Text format, one directive per line:
 
@@ -125,13 +127,19 @@ class WeightedGraph:
     def _build_adjacency(self):
         nv = len(self.labels)
         u, v, mu = self._u, self._v, self._mu
-        link = u != v
-        # each edge in the rows of both ends, a self-loop once; rows list
-        # their neighbors in ascending order
-        rows = np.concatenate([u, v[link]])
-        cols = np.concatenate([v, u[link]])
+        # the one place self-loops are dropped: the edge list keeps them for
+        # save_graph and edges, and every array built here is loop-free
+        proper = u != v
+        u, v, mu = u[proper], v[proper], mu[proper]
+        self._edge_ends = np.stack([u, v], axis=1)
+        self._edge_mu = mu
+        self._incidence_cache = None
+        # each edge in the rows of both ends; rows list their neighbors in
+        # ascending order
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
         order = np.lexsort((cols, rows))
-        rows, cols, wts = rows[order], cols[order], np.concatenate([mu, mu[link]])[order]
+        rows, cols, wts = rows[order], cols[order], np.concatenate([mu, mu])[order]
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
         self._csr_indptr = indptr
@@ -139,23 +147,16 @@ class WeightedGraph:
         self._csr_weights = wts
         # bincount sums each row in that ascending order (and returns
         # integers when there is nothing to sum)
-        off = rows != cols
-        self._degree = np.bincount(rows[off], weights=wts[off], minlength=nv).astype(
-            np.float64, copy=False
-        )
+        self._degree = np.bincount(rows, weights=wts, minlength=nv).astype(np.float64, copy=False)
         self._inv_m = 1.0 / self.m
-
-        self._edge_ends = np.stack([u[link], v[link]], axis=1)
-        self._edge_mu = mu[link]
-        self._incidence_cache = None
 
     def _incidences(self):
         """(B, B^T, |B^T|) as sparse CSR arrays, built when first asked for.
 
-        B is the signed incidence over the non-loop edges, (B f)_e =
-        f(v) - f(u) for e = (u, v), u < v.  The edges ascend in (u, v),
-        which makes every row of B^T list its neighbors in ascending order,
-        the adjacency order.
+        B is the signed incidence over the edges, (B f)_e = f(v) - f(u)
+        for e = (u, v), u < v.  The edges ascend in (u, v), which makes
+        every row of B^T list its neighbors in ascending order, the
+        adjacency order.
         """
         if self._incidence_cache is None:
             # imported here: loading a graph, curvature and heat need no
@@ -212,7 +213,8 @@ class WeightedGraph:
             raise GraphFormatError(f"unknown vertex label {label!r}") from None
 
     def neighbors(self, x):
-        """(ids, weights) of the adjacency row of x, self-loop included."""
+        """(ids, weights) of the adjacency row of x: its neighbors other than
+        x, ascending (a self-loop is in no row)."""
         lo, hi = self._csr_indptr[x], self._csr_indptr[x + 1]
         return self._csr_indices[lo:hi], self._csr_weights[lo:hi]
 
@@ -227,17 +229,8 @@ def vertex_id(g: WeightedGraph, x) -> int:
 
 def ball2(g: WeightedGraph, x: int) -> Ball:
     x = vertex_id(g, x)
-    ids, _ = g.neighbors(x)
-    s1 = sorted(int(y) for y in ids if y != x)
-    s1set = set(s1)
-    s2 = set()
-    for y in s1:
-        yids, _ = g.neighbors(y)
-        for z in yids:
-            z = int(z)
-            if z != x and z != y and z not in s1set:
-                s2.add(z)
-    s2 = sorted(s2)
+    s1 = g.neighbors(x)[0].tolist()
+    s2 = sorted({z for y in s1 for z in g.neighbors(y)[0].tolist()} - {x, *s1})
     order = s1 + s2
     return Ball(
         center=x,

@@ -13,15 +13,14 @@ and Gamma has the equivalent local-sum form
 
     Gamma(f,h)(x) = (1/(2 m(x))) sum_y mu_xy (f(y)-f(x)) (h(y)-h(x)).
 
-Self-loop terms vanish identically in all three operators.  Each acts
-on a block of functions as columns, Gamma2 through one kernel that
-forms the edge differences once; laplacian, gamma and gamma2 are column
-0 of that code at a single function.  form_table
-expresses Gamma, Delta, Gamma2 at many vertices x at once as matrices
-over the ball coordinates with f(x) pinned to 0, which is what the
-curvature solver consumes: of the Gamma2 form it keeps the sphere1 rows
-and the diagonal sphere2 block.  local_forms is the full form at one
-vertex.
+A self-loop term is 0 in all three, and the graph's adjacency holds no
+loop.  Each acts on a block of functions as columns, Gamma2 through one
+kernel that forms the edge differences once; laplacian, gamma and gamma2
+are column 0 of that code at a single function.  form_table expresses
+Gamma, Delta, Gamma2 at many vertices x at once as matrices over the
+ball coordinates with f(x) pinned to 0, which is what the curvature
+solver consumes: of the Gamma2 form it keeps the sphere1 rows and the
+diagonal sphere2 block.  local_forms is the full form at one vertex.
 """
 
 from __future__ import annotations
@@ -253,24 +252,22 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     """2-balls and local forms at every center, built from the adjacency
     arrays at once.
 
-    The 2-walks x -> y -> w (y a sphere1 vertex, w any neighbor of y, self-
-    loops included) give sphere2 and, through the four contribution
-    classes of 1/2 Delta Gamma(f)(x) - Gamma(f, Delta f)(x), the Gamma2
-    form.  Each class is accumulated straight into the table's sphere1
-    rows and sphere2 diagonals.
+    The 2-walks x -> y -> w (y a sphere1 vertex, w any neighbor of y)
+    give sphere2 and, through the four contribution classes of
+    1/2 Delta Gamma(f)(x) - Gamma(f, Delta f)(x), the Gamma2 form.  Each
+    class is accumulated straight into the table's sphere1 rows and
+    sphere2 diagonals.
     """
     indptr, indices, weights = g._csr_indptr, g._csr_indices, g._csr_weights
     nv = g.vertex_count
     centers = np.asarray(centers, dtype=np.int64)
     row_len = np.diff(indptr)
 
-    # sphere1: the non-loop adjacency entries of each center, ascending
-    entry = _ranges(indptr[centers], row_len[centers])
-    owner = np.repeat(np.arange(len(centers)), row_len[centers])
-    link = indices[entry] != centers[owner]
-    s1_owner, s1_entry = owner[link], entry[link]
+    # sphere1: the adjacency row of each center, ascending
+    k1 = row_len[centers]
+    s1_entry = _ranges(indptr[centers], k1)
+    s1_owner = np.repeat(np.arange(len(centers)), k1)
     s1_id, mu_xy = indices[s1_entry], weights[s1_entry]
-    k1 = np.bincount(s1_owner, minlength=len(centers))
     s1_start = np.cumsum(k1) - k1
     s1_rank = np.arange(len(s1_owner)) - s1_start[s1_owner]
 
@@ -327,20 +324,17 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     # addition is not associative, so the terms reach each slot in one
     # fixed order: class by class, in walk or pair order within a class.
     # A walk x -> y -> w has the slots (y, y), (w, w), (w, y) and (y, w).
-    # Its terms in w are dropped where w is the center; where w = y (a loop
-    # at y) its (w, y) and (y, w) halves are too, and the whole term goes
-    # to (y, y) instead.  A w in sphere2 has no (w, y) slot: that half of
-    # A21 is the transpose of A12, which takes the same terms in the same
-    # order.  Each slot array below covers the walks of one kind of w, and
-    # the kinds' slots are disjoint.
+    # Its terms in w are dropped where w is the center.  A w in sphere2
+    # has no (w, y) slot: that half of A21 is the transpose of A12, which
+    # takes the same terms in the same order.  Each slot array below covers
+    # the walks of one kind of w, and the kinds' slots are disjoint.
     s1_row = form_start[s1_owner] + s1_rank * k[s1_owner]   # slot (y, 0)
     s1_diag = s1_row + s1_rank
     yy = s1_diag[walk_s1]
-    loop = in_s1 & (pos == walk_s1)
-    tri = in_s1 & ~loop   # w another sphere1 vertex: a triangle x, y, w
+    # w in sphere1 (never y: the adjacency has no loop) is a triangle x, y, w
     ww1 = s1_diag[pos[in_s1]]
-    wy = s1_row[pos[tri]] + s1_rank[walk_s1[tri]]
-    yw1 = s1_row[walk_s1[tri]] + s1_rank[pos[tri]]
+    wy = s1_row[pos[in_s1]] + s1_rank[walk_s1[in_s1]]
+    yw1 = s1_row[walk_s1[in_s1]] + s1_rank[pos[in_s1]]
     del pos
     ww2 = (form_start[s2_owner] + k1[s2_owner] * k[s2_owner] + s2_rank)[s2]
     yw2 = s1_row[walk_s1[to_s2]] + s2_col[s2]
@@ -367,12 +361,11 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     c1 = c / (2.0 * my)
     np.add.at(forms, ww1, c1[in_s1])
     np.add.at(forms, ww2, c1[to_s2])
-    del ww1, ww2, in_s1
+    del ww1, ww2
     half = 0.5 * (-2.0 * c1)
-    np.add.at(forms, wy, half[tri])
-    np.add.at(forms, yw1, half[tri])
+    np.add.at(forms, wy, half[in_s1])
+    np.add.at(forms, yw1, half[in_s1])
     np.add.at(forms, yw2, half[to_s2])
-    np.add.at(forms, yy[loop], -2.0 * c1[loop])
     np.add.at(forms, yy, c1)
     del c1
 
@@ -380,13 +373,12 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     c2 = c / my
     del c, my
     half = 0.5 * -c2
-    np.add.at(forms, yw1, half[tri])
+    np.add.at(forms, yw1, half[in_s1])
     np.add.at(forms, yw2, half[to_s2])
-    np.add.at(forms, wy, half[tri])
-    del wy, yw1, yw2, half, tri, to_s2
-    np.add.at(forms, yy[loop], -c2[loop])
+    np.add.at(forms, wy, half[in_s1])
+    del wy, yw1, yw2, half, in_s1, to_s2
     np.add.at(forms, yy, c2)
-    del yy, c2, loop
+    del yy, c2
 
     # -Gamma(f, Delta f)(x), the +f_y Delta f(x) part, over sphere1 pairs
     # (i, j): slot (i, j) takes a half from pair (i, j), then one from (j, i)

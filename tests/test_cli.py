@@ -790,6 +790,38 @@ def test_verify_opens_its_reports_before_the_sweep(capsys, k2_path, tmp_path, mo
     assert not early.exists()
 
 
+def test_verify_output_and_csv_hard_links_exit_2(capsys, k2_path, tmp_path):
+    # a hard link is the same regular file under another path: refused
+    # before either report is truncated
+    report, link, old = tmp_path / "r.json", tmp_path / "r2.json", b"an earlier report\n"
+    report.write_bytes(old)
+    os.link(report, link)
+    code, out, err = run_main(capsys, "verify", "--graph", k2_path, "--inequality", "gradient",
+                              "--K", "0", "--times", "0.1", "--output", str(report),
+                              "--csv", str(link))
+    assert code == 2 and out == ""
+    assert "same file" in err
+    assert report.read_bytes() == old
+
+
+@pytest.mark.parametrize("command", ["curvature", "heat"])
+def test_curvature_and_heat_open_their_report_before_the_work(capsys, k2_path, f_path,
+                                                              tmp_path, monkeypatch, command):
+    # an unopenable --output exits 2 before the curvature or the heat flow
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "curvature_all", no_work)
+    monkeypatch.setattr(cli, "heat_apply", no_work)
+    bad = tmp_path / "missing" / "x"
+    flags = (["--dimension", "inf"] if command == "curvature"
+             else ["--f", f_path, "--t", "0.5"])
+    code, out, err = run_main(capsys, command, "--graph", k2_path, *flags, "--output", str(bad))
+    assert code == 2 and out == ""
+    assert str(bad) in err
+    assert not bad.parent.exists()
+
+
 @pytest.mark.parametrize("flags", [("--inequality", "gradient", "--K", "-400"),
                                    ("--inequality", "cdn", "--n", "2", "--K", "auto")])
 def test_verify_failing_after_the_open_leaves_no_new_report(capsys, tmp_path, flags):

@@ -310,11 +310,16 @@ def test_bad_dimension_rejected():
 
 
 def test_self_loop_does_not_change_curvature():
-    base = path_graph(4)
-    edges = dict(base.edges)
-    edges[(1, 1)] = 9.0
-    looped = WeightedGraph(base.labels, base.m, edges)
-    for x in range(4):
-        assert curvature_at(looped, x, INF).kappa == pytest.approx(
-            curvature_at(base, x, INF).kappa, abs=1e-12
-        )
+    # loops of weight U(0.2, 5) at a third of the vertices: kappa and the
+    # witnesses are bitwise those of the graph without them
+    for seed in range(300):
+        base = random_connected_graph(5000 + seed, max_vertices=12, self_loop_prob=0)
+        nv = base.vertex_count
+        rng = rng_for(5000, seed)
+        at = rng.choice(nv, size=-(-nv // 3), replace=False).tolist()
+        loops = dict(zip(zip(at, at), rng.uniform(0.2, 5.0, len(at)).tolist()))
+        looped = WeightedGraph(base.labels, base.m, {**base.edges, **loops})
+        for n in (INF, 2.0):
+            got, want = curvature_all(looped, n), curvature_all(base, n)
+            for name in ("kappa", "support", "values"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, n)

@@ -279,20 +279,20 @@ def test_ball2_center_never_in_spheres_even_with_self_loop():
 
 
 def _python_adjacency(g):
-    """CSR rows and weighted degrees built one vertex at a time from g.edges."""
+    """CSR rows and weighted degrees built one vertex at a time from g.edges;
+    a self-loop is in no row."""
     nv = g.vertex_count
     rows = [[] for _ in range(nv)]
     for (u, v), w in g.edges.items():
-        rows[u].append((v, w))
         if v != u:
+            rows[u].append((v, w))
             rows[v].append((u, w))
     indptr, indices, weights, deg = [0], [], [], np.zeros(nv)
     for x in range(nv):
         for y, w in sorted(rows[x]):
             indices.append(y)
             weights.append(w)
-            if y != x:
-                deg[x] += w
+            deg[x] += w
         indptr.append(len(indices))
     return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
             np.array(weights, dtype=np.float64), deg)
