@@ -62,7 +62,7 @@ _SLOT = 20
 # bytes a block's grid may take (a grid holds one record at least)
 _BLOCK_BYTES = 1 << 20
 
-# %.12e text of a float x with |x| = M * 10**(e - 12), M a 13-digit integer,
+# %.12e text of a float x with |x| = M * 10**(e - 12), M 0 or a 13-digit integer,
 # as five words: sign, first digit, "." and second digit, looked up by the
 # sign and M's first two digits; two 4-digit words; 3 digits and "e"; and the
 # exponent's sign and 2 digits with a _PAD after them.  A _PAD stands for
@@ -72,49 +72,44 @@ _LEAD = _char_words(np.repeat([_PAD[0], ord("-")], 100), np.tile(_DIGITS[:100, 2
                     np.tile(_DIGITS[:100, 3], 2))
 _QUAD = _char_words(*_DIGITS.T)
 _TRIPLE_E = _char_words(*_DIGITS[:1000, 1:].T, ord("e"))
-# e in [_E_MIN, _E_MAX] is the range in which |x| * 10**(12 - e) takes at
-# most two steps, each by an exact power of ten, 10**0 to 10**22
-_E_MIN, _E_MAX = 12 - 44, 12 + 44
+# e in [_E_MIN, _E_MAX], the exponents of two digits
+_E_MIN, _E_MAX = -99, 99
 _e = np.arange(_E_MIN, _E_MAX + 1)
 _EXP = _char_words(np.where(_e < 0, ord("-"), ord("+")), *_DIGITS[abs(_e), 2:].T, _PAD[0])
-# the two steps of 10**(12 - e), for e = _E_MAX, ..., _E_MIN: a factor to
-# multiply by, then one to divide by, each 1 or an exact power of ten
-_k = 12 - _e[::-1]
-_k1 = np.clip(_k, -22, 22)
-_p = np.array([10**i for i in range(23)], dtype=np.float64)
-_k2 = _k - _k1
-_MUL1, _DIV1 = np.where(_k1 > 0, _p[abs(_k1)], 1.0), np.where(_k1 < 0, _p[abs(_k1)], 1.0)
-_MUL2, _DIV2 = np.where(_k2 > 0, _p[abs(_k2)], 1.0), np.where(_k2 < 0, _p[abs(_k2)], 1.0)
-del _DIGITS, _e, _k, _k1, _k2, _p
-# |s - |x| * 10**(12 - e)| <= 2u s < 2.3e-3 after two correctly rounded
-# steps, u = 2**-53 and s < 1e13, so rint(s) is the correctly rounded M
-# wherever s is farther than _TIE_MARGIN = 3.9e-3 from a half-integer
+# _SCALE[e - _E_MIN] is 10**(12 - e) correctly rounded (made from exact ints)
+_SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in (12 - _e).tolist()])
+del _DIGITS, _e
+# |s - |x| * 10**(12 - e)| <= 2u s < 2.3e-3 after two correct roundings,
+# _SCALE's and the product's, u = 2**-53 and s < 1e13, so rint(s) is the
+# correctly rounded M wherever s is farther than _TIE_MARGIN = 3.9e-3 from
+# a half-integer
 _TIE_MARGIN = 1 / 256
 
 
 def _certain_mantissas(x):
     """(m, e, certain) of a 1-d float64 array x: |x| = m * 10**(e - 12)
-    rounded to 13 significant digits, with m an integer in [1e12, 1e13),
-    wherever certain is True.
+    rounded to 13 significant digits, with m an integer in [1e12, 1e13)
+    (m = e = 0 for 0 and -0), wherever certain is True.
 
-    m is rint(s) for s = |x| * 10**(12 - e), e = floor(log10|x|), and
-    certain says that this rounding is the correctly rounded one: s is in
-    [1e12, 1e13) before rounding, rint(s) < 1e13 and s is farther than
-    _TIE_MARGIN from a half-integer.  That rules out 0, -0, subnormals,
-    inf, nan, |x| outside [1e-32, 1e57), near-ties and an e one too small.
-    An e one too large passes only for s within 2.3e-3 above 1e12, where
-    the exact s / 10 rounds up to 10**12 as well.  Where certain is False,
-    m is 1e12 and e is some exponent in range, for the caller to overwrite.
+    m is rint(s) for s = |x| * _SCALE[e - _E_MIN], e = floor(log10|x|),
+    and certain says that this rounding is the correctly rounded one: x is
+    0 or -0, or s is in [1e12, 1e13) before rounding, rint(s) < 1e13 and s
+    is farther than _TIE_MARGIN from a half-integer.  That rules out
+    subnormals, inf, nan, |x| outside [1e-99, 1e100), near-ties and an e
+    one too small.  An e one too large passes only for s within 2.3e-3
+    above 1e12, where the exact s / 10 rounds up to 10**12 as well.  Where
+    certain is False, m is 1e12 and e is some exponent in range, for the
+    caller to overwrite.
     """
     a = np.abs(x)
-    with np.errstate(all="ignore"):  # 0, inf and nan are not certain
+    with np.errstate(all="ignore"):  # 0, inf and nan have no finite log10
         e = np.floor(np.log10(a))
         in_range = (e >= _E_MIN) & (e <= _E_MAX)
         e = np.where(in_range, e, 0).astype(np.intp)
-        i = _E_MAX - e
-        s = a * _MUL1[i] / _DIV1[i] * _MUL2[i] / _DIV2[i]
+        s = a * _SCALE[e - _E_MIN]
         m = np.rint(s)
         certain = in_range & (s >= 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+        certain |= a == 0
     return np.where(certain, m, 1e12), e, certain
 
 
@@ -126,10 +121,6 @@ def _padded(texts, width=None):
         width = max(map(len, data), default=0)
     rows = b"".join(d.ljust(width, _PAD) for d in data)
     return np.frombuffer(rows, np.uint8).reshape(len(data), width)
-
-
-# the slots of 0.0 and -0.0
-_ZEROS = _padded([f"{z:.12e}" for z in (0.0, -0.0)], _SLOT)
 
 
 def _grid(shape, parts):
@@ -154,8 +145,7 @@ def _float_slots(values):
     finite the two are one array.  inf, -inf and nan are those words
     (Python's own %e text for them): bare in CSV, strings in JSON.  The
     %.12e text is made by table lookups where _certain_mantissas is
-    certain, copied from _ZEROS for 0.0 and -0.0, and made by Python for
-    the rest.
+    certain, 0.0 and -0.0 among them, and by Python for the rest.
     """
     x = np.asarray(values, dtype=np.float64)
     m, e, certain = _certain_mantissas(x)
@@ -163,15 +153,13 @@ def _float_slots(values):
     q, r2 = np.divmod(q, 10000)
     q, r1 = np.divmod(q, 10000)
     words = np.empty((x.size, 5), dtype=np.uint32)
-    words[:, 0] = _LEAD[np.where(x < 0, q + 100, q)]
+    words[:, 0] = _LEAD[np.where(np.signbit(x), q + 100, q)]
     words[:, 1] = _QUAD[r1]
     words[:, 2] = _QUAD[r2]
     words[:, 3] = _TRIPLE_E[r3]
     words[:, 4] = _EXP[e - _E_MIN]
     slots = words.view(np.uint8)
-    zero = x == 0.0
-    slots[zero] = _ZEROS[np.signbit(x[zero]).astype(np.intp)]
-    slow = np.flatnonzero(~(certain | zero))
+    slow = np.flatnonzero(~certain)
     floats = x[slow].tolist()
     texts = [f"{v:.12e}" for v in floats]
     slots[slow] = _padded(texts, _SLOT)
@@ -330,29 +318,37 @@ def _stdout():
         write=lambda b: sys.stdout.write(b.decode()))
 
 
+def _stat(fh):
+    """os.fstat of the binary file fh; None for one with no descriptor."""
+    with contextlib.suppress(AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return os.fstat(fh.fileno())
+
+
 @contextlib.contextmanager
 def _output(*paths):
     """A context manager of a function that returns the binary files of
     paths, stdout's for None.  All are opened for appending on entry, so a
     path that cannot be opened is refused before the work that makes the
-    report, and so are two paths of one regular file, by any path or hard
-    link (the null device may take both reports).  The function truncates
-    the regular files (others cannot be) once the report is ready: a
-    refused path truncates no file.  If the body raises, each path the
-    context created is removed."""
+    report, and so are two that are one regular file, by any path or hard
+    link, stdout among them (the null device may take both reports).
+    The function truncates the regular files of paths (stdout's is never
+    truncated, others cannot be) once the report is ready: a refused path
+    truncates no file.  If the body raises, each path the context created
+    is removed."""
     created = [p for p in paths if p is not None and not os.path.lexists(p)]
     try:
         with contextlib.ExitStack() as stack:
             files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
-            regular = [fh for p, fh in zip(paths, files)
-                       if p is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)]
-            inodes = {(st.st_dev, st.st_ino) for st in (os.fstat(fh.fileno()) for fh in regular)}
-            if len(inodes) < len(regular):
-                raise ValueError(f"--output and --csv name the same file {paths[-1]!r}")
+            regular = [(p, fh, st) for p, fh, st in zip(paths, files, map(_stat, files))
+                       if st is not None and stat.S_ISREG(st.st_mode)]
+            if len({(st.st_dev, st.st_ino) for _, _, st in regular}) < len(regular):
+                first = "stdout" if paths[0] is None else "--output"
+                raise ValueError(f"{first} and --csv are the same file {paths[-1]!r}")
 
             def truncated():
-                for fh in regular:
-                    fh.truncate(0)
+                for p, fh, _ in regular:
+                    if p is not None:
+                        fh.truncate(0)
                 return files
 
             yield truncated

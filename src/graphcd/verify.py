@@ -361,11 +361,13 @@ def function_corpus(
 
 
 def resolve_K(g, K, inequality_name="gradient_estimate", n=math.inf):
-    """'auto' means the sharp constant: the graph's minimum curvature."""
+    """'auto' means the sharp constant: the graph's minimum curvature; else K is finite."""
     if isinstance(K, str):
         if K != "auto":
             raise ValueError(f"K must be a real number or 'auto', got {K!r}")
         return min_curvature(g, n if CHECKS[inequality_name].takes_n else math.inf)
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite or 'auto', got {K!r}")
     return float(K)
 
 

@@ -552,13 +552,13 @@ _report_floats = st.one_of(
     st.integers(0, 2**64 - 1).map(_bits_float),
     st.floats(),
     st.sampled_from(_SPECIAL_FLOATS),
-    st.builds(_power_of_ten_neighbour, st.integers(-40, 60), st.sampled_from([-1, 0, 1])),
+    st.builds(_power_of_ten_neighbour, st.integers(-105, 105), st.sampled_from([-1, 0, 1])),
     # exact 13-digit ties (j = 0) and their binary rescalings
     st.builds(lambda n, j, sign: sign * (n + 0.5) * 2.0**j, st.integers(10**12, 10**13 - 1),
               st.integers(-60, 60) | st.just(0), st.sampled_from([-1.0, 1.0])),
     # the doubles nearest to 13-digit decimal ties
     st.builds(lambda n, k: float(f"{n}5e{k}"), st.integers(10**12, 10**13 - 1),
-              st.integers(-45, 45)),
+              st.integers(-104, 104)),
 )
 
 
@@ -571,20 +571,25 @@ def test_bulk_float_texts_equal_python_e12(xs):
 
 
 def test_bulk_float_texts_at_powers_of_ten_and_ties():
-    xs = [_power_of_ten_neighbour(k, side) for k in range(-40, 61) for side in (-1, 0, 1)]
+    xs = [_power_of_ten_neighbour(k, side) for k in range(-104, 105) for side in (-1, 0, 1)]
     xs += [(n + 0.5) * 10.0**k for n in (10**12, 1234567890123, 10**13 - 1) for k in range(-9, 1)]
+    # the ends of the exponents of two digits, and just beyond them
+    xs += [1e-99, 9.9999999999995e99, 1e100, 9.99e-100]
     # decimal near-ties whose scaled s lands on the wrong side of the half,
     # by less than the tie margin: a margin of 0 misrounds each of them
     xs += [4.3599539739645e-12, 8.2100244969125e-25, 1.9153935686705e-27, 7.8614270783975e-25,
            8.2851413868775e+50, 6.1987307589535e+52, 2.0201542769465e-29, 3.7120030909025e-21]
-    # near-ties whose scaled s lies between 1/256 and 1/128 from the half:
-    # outside the tie margin, so they take the fast path
+    # near-ties whose scaled s lies between 1/256 and 1/128 from the half,
+    # e from -90 to 90: outside the tie margin, so they take the fast path,
+    # and so do 0 and -0
     near = [float(f"{n}.{frac}e{k}") for n in (10**12, 1234567890123, 9876543210987)
-            for frac in ("4935", "494", "506", "5065") for k in (-32, -7, 0, 30, 44)]
+            for frac in ("4935", "494", "506", "5065") for k in (-102, -32, -7, 0, 30, 44, 78)]
     for x in near:
         s = Fraction(x) * Fraction(10) ** (12 - math.floor(math.log10(x)))
         assert Fraction(1, 256) < abs(s - math.floor(s) - Fraction(1, 2)) < Fraction(1, 128)
-    assert _certain_mantissas(np.array(near))[2].all()
+    assert _certain_mantissas(np.array(near + [0.0, -0.0]))[2].all()
+    # the fast path ends at 1e100 and below 1e-99: Python writes those
+    assert not _certain_mantissas(np.array([1e100, 9.99e-100, -1e100, -9.99e-100]))[2].any()
     xs += near + _SPECIAL_FLOATS
     xs += [-x for x in xs]
     assert _float_texts(np.array(xs))[0] == [f"{x:.12e}" for x in xs]
@@ -801,6 +806,21 @@ def test_verify_output_and_csv_hard_links_exit_2(capsys, k2_path, tmp_path):
                               "--csv", str(link))
     assert code == 2 and out == ""
     assert "same file" in err
+    assert report.read_bytes() == old
+
+
+def test_verify_csv_on_stdouts_file_exit_2(capsys, k2_path, tmp_path, monkeypatch):
+    # `--csv r.csv >> r.csv`: stdout's file is --csv's, refused, and stdout's
+    # file is never truncated, so it keeps its bytes
+    report, old = tmp_path / "r.csv", b"an earlier report\n"
+    report.write_bytes(old)
+    with open(report, "a") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        code = main(["verify", "--graph", k2_path, "--inequality", "gradient", "--K", "0",
+                     "--times", "0.1", "--csv", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "same file" in err and "--output" not in err
     assert report.read_bytes() == old
 
 

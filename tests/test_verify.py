@@ -599,6 +599,15 @@ def test_resolve_k():
         resolve_K(K2, "sharp")
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+def test_nonfinite_K_is_refused(K):
+    # a nan or infinite K would make every record nan
+    with pytest.raises(ValueError, match="finite"):
+        resolve_K(K2, K)
+    with pytest.raises(ValueError, match="finite"):
+        run_verification(K2, SD2, "gradient_estimate", K, [0.1], function_corpus(K2))
+
+
 def test_run_verification_report_shape():
     funcs = function_corpus(K2, random_count=2, seed=0)
     rep = run_verification(K2, SD2, "gradient_estimate", "auto", [0.5, 0.1], funcs)
