@@ -40,7 +40,8 @@ from .graph import (
 )
 from .semigroup import _propagator_for, heat_apply
 from .verify import (
-    CHECKS, _check_of, _sweep_propagator, _violation_indices, function_corpus, run_verification)
+    CHECKS, _check_of, _sweep_propagator, _violation_indices, function_corpus, random_functions,
+    run_verification, witness_functions)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +462,7 @@ def _build_corpus(g, spec, dimension):
     if spec is None:
         return function_corpus(g, dimension=dimension)
     if spec == "witnesses":
-        return function_corpus(
-            g,
-            dimension=dimension,
-            random_count=0,
-            include_constant=False,
-            include_indicators=False,
-        )
+        return witness_functions(g, dimension)
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -475,14 +470,7 @@ def _build_corpus(g, spec, dimension):
         seed, count = int(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("--functions random count must be >= 1")
-        return function_corpus(
-            g,
-            random_count=count,
-            seed=seed,
-            include_constant=False,
-            include_indicators=False,
-            include_witnesses=False,
-        )
+        return random_functions(g, seed, count)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         f = load_vertex_function(_read(path), g)

@@ -193,12 +193,12 @@ class ChebyshevPropagator:
     def _apply(self, ts, V):
         C = self._coefficients(ts)
         Y = np.zeros((V.size, len(ts)))
-        per = max(1, _TERM_BLOCK // V.shape[1])
+        per = max(1, _TERM_BLOCK // max(1, V.shape[1]))
         terms = self._terms(V, len(C) - 1)
         for k in range(0, len(C), per):
             block = list(itertools.islice(terms, per))
             block = np.stack(block, axis=-1) if per > 1 else block[0][..., None]
-            Y += block.reshape(len(Y), -1) @ C[k:k + per]
+            Y += block.reshape(len(Y), block.shape[-1]) @ C[k:k + per]
         return Y.reshape(*V.shape, len(ts))
 
     def _time_sum(self, K, s, W, V):

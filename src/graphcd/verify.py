@@ -81,6 +81,8 @@ class _Records(Sequence):
         return self._report.slack.size
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         r = self._report
         i = range(r.slack.size)[i]
         f, t, v = np.unravel_index(i, r.slack.shape)
@@ -332,32 +334,26 @@ def cdn_bound(g, sd, f, K, n, t):
 # corpora, sweeps, reports
 # ---------------------------------------------------------------------------
 
-def function_corpus(
-    g,
-    dimension=math.inf,
-    random_count=50,
-    seed=0,
-    include_witnesses=True,
-    include_indicators=True,
-    include_constant=True,
-):
-    """Named test functions: constant, indicators, witnesses, seeded noise."""
-    funcs = []
-    if include_constant:
-        funcs.append(("const", np.ones(g.vertex_count)))
-    if include_indicators:
-        for x, label in enumerate(g.labels):
-            e = np.zeros(g.vertex_count)
-            e[x] = 1.0
-            funcs.append((f"indicator:{label}", e))
-    if include_witnesses:
-        columns = curvature_all(g, dimension)
-        for x, label in enumerate(g.labels):
-            funcs.append((f"witness:{label}", columns.witness(x)))
+def witness_functions(g, dimension=math.inf):
+    """The curvature witness at each vertex, as ("witness:<label>", array)."""
+    columns = curvature_all(g, dimension)
+    return [(f"witness:{label}", columns.witness(x)) for x, label in enumerate(g.labels)]
+
+
+def random_functions(g, seed, count):
+    """count standard normal draws of default_rng(seed), as ("random:<seed>:<i>", array)."""
     rng = np.random.default_rng(seed)
-    for i in range(random_count):
-        funcs.append((f"random:{seed}:{i}", rng.standard_normal(g.vertex_count)))
-    return funcs
+    return [(f"random:{seed}:{i}", rng.standard_normal(g.vertex_count)) for i in range(count)]
+
+
+def function_corpus(g, dimension=math.inf, random_count=50, seed=0):
+    """Named test functions: constant, indicators, witnesses, seeded noise."""
+    funcs = [("const", np.ones(g.vertex_count))]
+    for x, label in enumerate(g.labels):
+        e = np.zeros(g.vertex_count)
+        e[x] = 1.0
+        funcs.append((f"indicator:{label}", e))
+    return funcs + witness_functions(g, dimension) + random_functions(g, seed, random_count)
 
 
 def resolve_K(g, K, inequality_name="gradient_estimate", n=math.inf):

@@ -24,7 +24,7 @@ from graphcd.cli import main as cli_main
 from graphcd.curvature import curvature_all, curvature_at
 from graphcd.fixtures import complete_graph, fixture_graphs, random_connected_graph
 from graphcd.semigroup import decompose
-from graphcd.verify import cdn_bound, gradient_estimate, function_corpus
+from graphcd.verify import cdn_bound, function_corpus, gradient_estimate, witness_functions
 
 from conftest import certified, check_semigroup_invariants, green_identity_residual, slack_of
 
@@ -35,16 +35,6 @@ SHARP_T = np.geomspace(1e-4, 1.0, 25)
 
 def _min_kappa(g, n):
     return min(r.kappa for r in curvature_all(g, n))
-
-
-def _witness_corpus(g, n):
-    return function_corpus(
-        g,
-        dimension=n,
-        random_count=0,
-        include_constant=False,
-        include_indicators=False,
-    )
 
 
 def test_c01_k2_exact_curvature():
@@ -129,7 +119,7 @@ def test_c05_gradient_soundness_and_sharpness(fixtures):
 
         violated = any(
             float(np.min(gradient_estimate(g, sd, f, kmin + 0.1, t))) < -1e-9
-            for _, f in _witness_corpus(g, math.inf)
+            for _, f in witness_functions(g, math.inf)
             for t in SHARP_T
         )
         assert violated, f"{name}: no violation found at K={kmin}+0.1"
@@ -160,7 +150,7 @@ def test_c07_cdn_soundness_and_sharpness(fixtures):
                     )
 
             violated = False
-            for _, f in _witness_corpus(g, n):
+            for _, f in witness_functions(g, n):
                 for t in SHARP_T:
                     slack, err = cdn_bound(g, sd, f, K + 0.1, n, t)
                     if float(np.min(slack)) < -max(1e-8, 2.0 * float(np.max(err))):

@@ -22,7 +22,8 @@ from graphcd.cli import _PAD, _certain_mantissas, _float_slots, _grid, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
-from graphcd.verify import VerificationReport, _violation_indices, function_corpus, run_verification
+from graphcd.verify import (
+    VerificationReport, _violation_indices, run_verification, witness_functions)
 from conftest import cycle_with_chords, rng_for
 
 
@@ -382,8 +383,7 @@ def test_verify_report_format_is_pinned(capsys, tmp_path, flags, name, n):
     assert code == 0, err
 
     g = load_graph(text)
-    functions = function_corpus(g, dimension=math.inf if n is None else n, random_count=0,
-                                include_constant=False, include_indicators=False)
+    functions = witness_functions(g, math.inf if n is None else n)
     report = run_verification(g, decompose(g), name, "auto", [0.5, 0.1], functions, n=n)
     records = list(report.records)
     keys = [(r.function_id, r.t, r.vertex) for r in records]

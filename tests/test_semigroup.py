@@ -289,6 +289,15 @@ def test_heat_apply_columns_matches_heat_apply():
                 assert np.allclose(Y[:, j], heat_apply(sd, g, t, F[:, j]), atol=1e-13)
 
 
+@pytest.mark.parametrize("propagator", PROPAGATORS)
+def test_a_block_of_no_columns_gives_empty_arrays(propagator):
+    g = cycle_graph(6)
+    sd = propagator(g)
+    empty = np.empty((6, 0))
+    assert heat_apply_columns(sd, g, 0.1, empty).shape == (6, 0)
+    assert sd._apply(np.array([0.1, 0.5, 2.0]), empty).shape == (6, 0, 3)
+
+
 def _log_uniform_measures(seed, decades):
     """A random_connected_graph whose measures are 10^u, u uniform in [0, decades)."""
     g = random_connected_graph(seed, max_vertices=20, self_loop_prob=0.5)

@@ -39,7 +39,9 @@ from graphcd.verify import (
     resolve_K,
     run_verification,
     function_corpus,
+    random_functions,
     variance_coefficient,
+    witness_functions,
 )
 from conftest import (
     ExpmPropagator,
@@ -591,6 +593,32 @@ def test_corpus_dimension_changes_witnesses():
     assert np.array_equal(n2_w, curvature_at(g, x, 2.0).witness)
 
 
+def test_corpus_is_its_builders_in_order():
+    # the constant, the indicators, then witness_functions and
+    # random_functions: the same ids in the same order, bit for bit
+    graphs = list(fixture_graphs().values()) + [
+        random_connected_graph(4100 + seed, max_vertices=10, self_loop_prob=0.5)
+        for seed in range(3)]
+    for g, n, (count, seed) in itertools.product(graphs, (math.inf, 2.0),
+                                                 ((0, 0), (3, 7), (50, 0))):
+        nv = g.vertex_count
+        witnesses = witness_functions(g, n)
+        randoms = random_functions(g, seed, count)
+        want = ([("const", np.ones(nv))]
+                + [(f"indicator:{label}", e) for label, e in zip(g.labels, np.eye(nv))]
+                + witnesses + randoms)
+        got = function_corpus(g, n, count, seed)
+        assert [fid for fid, _ in got] == [fid for fid, _ in want]
+        assert all(f.tobytes() == w.tobytes() for (_, f), (_, w) in zip(got, want))
+        # each builder's ids and values, from the curvature engine and the generator
+        assert [fid for fid, _ in witnesses] == [f"witness:{label}" for label in g.labels]
+        assert all(f.tobytes() == curvature_at(g, x, n).witness.tobytes()
+                   for x, (_, f) in enumerate(witnesses))
+        assert [fid for fid, _ in randoms] == [f"random:{seed}:{i}" for i in range(count)]
+        draws = np.random.default_rng(seed).standard_normal((count, nv))
+        assert all(f.tobytes() == d.tobytes() for (_, f), d in zip(randoms, draws))
+
+
 def test_resolve_k():
     assert resolve_K(K2, "auto") == pytest.approx(2.0, abs=1e-9)
     assert resolve_K(K2, "auto", "cdn_bound", n=2.0) == pytest.approx(1.0, abs=1e-9)
@@ -816,6 +844,9 @@ def test_records_view_reads_the_arrays():
     records = rep.records
     assert len(records) == rep.slack.size == len(funcs) * 2 * 3
     assert list(records)[-1] == records[-1]
+    for s in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 5)):
+        assert records[s] == list(records)[s]
+    assert len(records[1:4]) == 3 and records[5:5] == []
     with pytest.raises(IndexError):
         records[len(records)]
     for r, lhs, rhs, slack in zip(records, rep.lhs.ravel(), rep.rhs.ravel(), rep.slack.ravel()):
