@@ -420,10 +420,12 @@ def _witness_rows(g, columns, rows, heads, kappa_slots):
     """(count, width, parts) for _write_blocks, parts(s) giving the parts of
     the grid rows s: the JSON rows of the vertices rows, with witnesses.
 
-    The grid has a row per witness entry: row i's 2-ball, its center (value
-    0) included, in vertex-id order, with row i's head (its text up to its
-    kappa), kappa and '"witness": {' before its first entry and "}}" after
-    its last.  A witness value that is not finite is a ValueError.
+    Row i's text is its lead (its head, its kappa and '"witness": {'), then
+    an entry per vertex of its 2-ball, its center (value 0) included, in
+    vertex-id order: the vertex's key, its value and ", ", or "}}" after the
+    last.  The grid has a row per entry, as wide as the widest entry, and
+    before row i's first entry its lead, cut into rows of that width.  A
+    witness value that is not finite is a ValueError.
     """
     size = columns.size[rows] + 1
     first = np.cumsum(size) - size      # each row's first entry
@@ -443,19 +445,36 @@ def _witness_rows(g, columns, rows, heads, kappa_slots):
         _require_finite([g.labels[x] for x in ids[s]], values[s],
                         f"witness of {g.labels[rows[i]]!r}")
 
-    leads = _grid((len(rows),), (heads, kappa_slots, b', "witness": {'))
-    leads = np.vstack([leads, _padded([", "], leads.shape[1])])  # the lead of later entries
-    lead = np.full(len(ids), len(rows))
-    lead[first] = np.arange(len(rows))
+    # the grid's parts: a key, a float slot and an end, each lead row's
+    # width cut into the same three
     keys = _padded([json.dumps(x) + ": " for x in g.labels])
-    ends = _padded(["", "}}"])
-    end = np.zeros(len(ids), dtype=np.intp)
-    end[last] = 1
+    kw = keys.shape[1]
+    width = kw + _SLOT + 2
+    leads = _grid((len(rows),), (heads, kappa_slots, b', "witness": {'))
+    per = -(-leads.shape[1] // width)   # grid rows per lead
+    leads = np.pad(leads, ((0, 0), (0, per * width - leads.shape[1])),
+                   constant_values=_PAD[0]).reshape(len(rows) * per, width)
+    keys = np.vstack([keys, leads[:, :kw]])
+    lead_slots = leads[:, kw:kw + _SLOT]
+    ends = np.vstack([_padded([", ", "}}"]), leads[:, kw + _SLOT:]])
+    # row i's per lead rows, then its entries
+    entry_at = np.arange(len(ids)) + per * (row + 1)
+    lead = np.ones(len(ids) + len(leads), dtype=bool)
+    lead[entry_at] = False
+    key = np.empty(len(lead), dtype=np.intp)   # rows of keys
+    key[lead], key[entry_at] = g.vertex_count + np.arange(len(leads)), ids
+    end = np.zeros(len(lead), dtype=np.intp)   # rows of ends
+    end[lead], end[entry_at[last]] = 2 + np.arange(len(leads)), 1
+    grid_values = np.zeros(len(lead))
+    grid_values[entry_at] = values
 
     def parts(s):
-        return leads[lead[s]], keys[ids[s]], _float_slots(values[s])[1], ends[end[s]]
+        slots = _float_slots(grid_values[s])[1]
+        chunk = key[s][lead[s]] - g.vertex_count
+        slots[lead[s]] = lead_slots[chunk]
+        return keys[key[s]], slots, ends[end[s]]
 
-    return len(ids), leads.shape[1] + keys.shape[1] + _SLOT + ends.shape[1], parts
+    return len(lead), width, parts
 
 
 def _build_corpus(g, spec, dimension):

@@ -6,14 +6,15 @@ The pointwise curvature is the best constant in Gamma2 >= (1/n)(Delta f)^2
     kappa(x; n) = inf { [Gamma2(f)(x) - (1/n)(Delta f(x))^2] / Gamma(f)(x) }
 
 over functions with f(x) = 0 supported on the 2-ball (locality makes the
-restriction lossless).  The solver assembles the local forms at every
-vertex from the adjacency arrays at once (the sphere1 rows of the Gamma2
-form and its diagonal 2-sphere block), eliminates the 2-sphere
-coordinates by a Schur complement through that diagonal and solves the
-remaining symmetric pencil, one stacked eigensolve per sphere1 size.  The
-results are columns: kappa per vertex, and each ball's coordinates and
-witness values in flat arrays; curvature_at and curvature_all build a
-CurvatureResult from them when one is read.  A kappa that is not finite
+restriction lossless).  The solver assembles the local forms from the
+adjacency arrays a block of vertices at a time (the sphere1 rows of the
+Gamma2 form and its diagonal 2-sphere block), each block within a fixed
+byte budget, so that dense balls run in bounded memory.  It eliminates
+the 2-sphere coordinates by a Schur complement through that diagonal and
+solves the remaining symmetric pencil, one stacked eigensolve per
+sphere1 size in a block.  The results are columns: kappa per vertex, and
+each ball's coordinates and witness values in flat arrays; curvature_at
+and curvature_all build a CurvatureResult from them when one is read.  A kappa that is not finite
 (the input out of float range) raises ValueError, so none is handed out.
 """
 
@@ -31,6 +32,11 @@ from .graph import WeightedGraph, vertex_id
 from .operators import form_table
 
 _PSD_TOL = 1e-10           # allowed negative entry of the diagonal S2 block
+# _solve builds the form table a block of centers at a time, each block
+# within _BLOCK_BYTES at form_table's peak, which holds at most about
+# _WALK_BYTES per 2-walk x -> y -> w of its centers, the table included
+_BLOCK_BYTES = 2**21
+_WALK_BYTES = 144
 
 
 class CurvatureInternalError(RuntimeError):
@@ -68,8 +74,10 @@ class _Columns(Sequence):
     """The curvature of a graph at every vertex for one dimension, as flat
     read-only arrays: vertex x has kappa[x], and its CurvatureResult's
     support and values are support[s] and values[s] for s = slice(start[x],
-    start[x] + size[x]).  It is the sequence of those CurvatureResults in
-    vertex order: one is built when it is read and kept for the next read."""
+    start[x] + size[x]), the balls lying there in _solve's order (block
+    after block of centers, each in its form table's group order), not in
+    vertex order.  It is the sequence of those CurvatureResults in vertex
+    order: one is built when it is read and kept for the next read."""
 
     dimension: float
     kappa: np.ndarray
@@ -126,37 +134,47 @@ def _fix_sign(U):
     return np.where((big.any(axis=1) & (first < 0.0))[:, None], -U, U)
 
 
-def _schur(g, grp, out):
+def _schur(grp, out):
     """Write group grp's A11 - A12 diag(inv) A12^T, symmetrized, into out
-    and return inv = 1 / a22, checked as _solve says; A11 as it is where k2 = 0."""
+    and return inv = 1 / a22; A11 as it is, and None, where k2 = 0."""
     k1 = grp.k1
     A11, A12 = grp.rows[:, :, :k1], grp.rows[:, :, k1:]
     if grp.k2 == 0:
         out[...] = A11
         return None
-    a22 = grp.a22
-    top = a22.max(axis=1)
-    bad = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, top)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise CurvatureInternalError(
-            f"sphere2 block of the Gamma2 form is not PSD at "
-            f"{g.labels[grp.centers[i]]!r} (min entry {a22[i].min():.3e})"
-        )
-    inv = 1.0 / a22
-    lost = np.isinf(inv).any(axis=1)
-    if lost.any():
-        i = int(np.argmax(lost))
-        raise ValueError(
-            f"the Gamma2 form underflows at {g.labels[grp.centers[i]]!r}: a sphere2 "
-            f"diagonal entry is {a22[i].min():.3e}, which has no finite inverse"
-        )
+    inv = 1.0 / grp.a22
     Ahat = A11 - (A12 * inv[:, None, :]) @ A12.transpose(0, 2, 1)
     out[...] = 0.5 * (Ahat + Ahat.transpose(0, 2, 1))
     return inv
 
 
-def _solve_run(g, n, run, values, kappa):
+def _check_sphere2(g, run, invs, rank):
+    """Raise for the center of run first in rank whose sphere2 diagonal a22
+    fails, as _solve says: CurvatureInternalError where it is not PSD,
+    else ValueError where an entry's inverse in invs overflows."""
+    failed = []  # (rank, group, row, not PSD) of each group's first failing center
+    for grp, inv in zip(run, invs):
+        if inv is None:
+            continue
+        a22 = grp.a22
+        not_psd = a22.min(axis=1) < -_PSD_TOL * np.maximum(1.0, a22.max(axis=1))
+        bad = np.flatnonzero(not_psd | np.isinf(inv).any(axis=1))
+        if bad.size:
+            i = bad[np.argmin(rank[grp.centers[bad]])]
+            failed.append((rank[grp.centers[i]], grp, i, not_psd[i]))
+    if not failed:
+        return
+    _, grp, i, not_psd = min(failed, key=lambda f: f[0])
+    label, a22 = g.labels[grp.centers[i]], grp.a22[i]
+    if not_psd:
+        raise CurvatureInternalError(
+            f"sphere2 block of the Gamma2 form is not PSD at {label!r} (min entry {a22.min():.3e})")
+    raise ValueError(
+        f"the Gamma2 form underflows at {label!r}: a sphere2 diagonal entry is "
+        f"{a22.min():.3e}, which has no finite inverse")
+
+
+def _solve_run(g, n, run, rank, values, kappa):
     """Solve the pencils of run, the groups of one k1, as one stack, as
     _solve says: write their witness values into values and kappa into kappa."""
     k1 = run[0].k1
@@ -166,7 +184,8 @@ def _solve_run(g, n, run, values, kappa):
         )
     at = np.cumsum([0] + [len(grp.centers) for grp in run])
     M = np.empty((at[-1], k1, k1))
-    invs = [_schur(g, grp, M[lo:hi]) for grp, lo, hi in zip(run, at, at[1:])]
+    invs = [_schur(grp, M[lo:hi]) for grp, lo, hi in zip(run, at, at[1:])]
+    _check_sphere2(g, run, invs, rank)
     d = np.concatenate([grp.delta for grp in run])
     # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
     c = np.sqrt(np.concatenate([grp.gamma for grp in run]))
@@ -184,47 +203,86 @@ def _solve_run(g, n, run, values, kappa):
         kappa[grp.centers] = lam[lo:hi, 0]
 
 
+def _center_blocks(g):
+    """(blocks, rank): the vertices in (degree, 2-walk count, id) order, cut
+    into consecutive blocks whose form tables stay within _BLOCK_BYTES (a
+    vertex at least), and each vertex's place in that order."""
+    indptr, indices = g._csr_indptr, g._csr_indices
+    degree = np.diff(indptr)
+    reach = np.concatenate([[0], np.cumsum(degree[indices])])
+    walks = reach[indptr[1:]] - reach[indptr[:-1]]   # the 2-walks x -> y -> w from x
+    order = np.lexsort((walks, degree))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cost = np.concatenate([[0], np.cumsum(walks[order])])
+    cuts, lo = [0], 0
+    while lo < len(order):
+        hi = int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES // _WALK_BYTES, side="right")) - 1
+        lo = max(hi, lo + 1)
+        cuts.append(lo)
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], rank
+
+
 # a form out of float range overflows to inf or nan in the forms or the pencil,
 # and the check of kappa below raises on it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(g: WeightedGraph, n: float) -> _Columns:
     """The curvature of (g, n) at every vertex.
 
-    Per (k1, k2) group of the form table, with A the Gamma2 form over
-    sphere1 + sphere2, b the Gamma diagonal and d the Delta vector: the
-    table's rows hold A11 and A12, and the sphere2 block is diag(a22) (see
-    LocalForms), checked PSD and inverted to diag(inv) entry by entry.  No
-    entry is dropped, however small next to the others: each is an exact
-    sum of positive terms, not roundoff.  An entry whose inverse overflows
-    (it underflowed to 0 or nearly) raises ValueError, the input being out
-    of float range.  The Schur complement A11 - A12 diag(inv) A12^T less
-    dd^T/n meets the pencil with diag(b) through the congruence by sqrt(b),
-    and eigh gives its smallest eigenpair (kappa, v), one stacked call for
-    all the groups of one k1 (a contiguous run of the table).  The witness
-    is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where every
-    zero is -0.0, whatever its sign in A12^T v.  Support and values are the
-    table's ball coordinates and the witness values, in its group order.  A
-    kappa that is not finite raises ValueError naming the first such vertex
-    in vertex order.
+    The form table is built and solved a block of centers at a time: the
+    vertices in (degree, 2-walk count, id) order, cut into blocks whose
+    form tables stay within _BLOCK_BYTES (one vertex at least), each
+    block's table dropped before the next is built.  Per (k1, k2) group of
+    a block's table, with A the Gamma2 form over sphere1 + sphere2, b the
+    Gamma diagonal and d the Delta vector: the table's rows hold A11 and
+    A12, and the sphere2 block is diag(a22) (see LocalForms), inverted to
+    diag(inv) entry by entry and checked.  No entry is dropped, however
+    small next to the others: each is an exact sum of positive terms, not
+    roundoff.  The Schur complement A11 - A12 diag(inv) A12^T less dd^T/n
+    meets the pencil with diag(b) through the congruence by sqrt(b), and
+    eigh gives its smallest eigenpair (kappa, v), one stacked call for all
+    the groups of one k1 in the block (a contiguous run of its table).  The
+    witness is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where
+    every zero is -0.0, whatever its sign in A12^T v.  Each center's terms,
+    matrices and eigenpair are its own, so no result depends on the block
+    that holds it.  Support and values are the tables' ball coordinates and
+    the witness values, block after block, each in its table's group order.
+
+    A sphere2 block with an entry below -_PSD_TOL max(1, its largest)
+    raises CurvatureInternalError, and else one with an entry whose
+    inverse overflows (it underflowed to 0 or nearly) raises ValueError,
+    the input being out of float range: each names the first such vertex
+    in (degree, 2-walk count, id) order, whatever the blocks' sizes.  A
+    kappa that is not finite raises ValueError naming the first such
+    vertex in vertex order.
     """
     nv = g.vertex_count
-    table = form_table(g, np.arange(nv))
-    values = np.empty(len(table.ids))
     kappa = np.empty(nv)
     start = np.empty(nv, dtype=np.int64)
     size = np.empty(nv, dtype=np.int64)
-    k = table.k1 + table.k2
-    start[table.centers], size[table.centers] = np.cumsum(k) - k, k
-    # the groups ascend in (k1, k2): the groups of one k1 are one run of the table
-    for _, run in itertools.groupby(table.groups(), key=lambda grp: grp.k1):
-        _solve_run(g, n, list(run), values, kappa)
+    supports, values = [], []
+    at = 0
+    blocks, rank = _center_blocks(g)
+    for centers in blocks:
+        table = form_table(g, centers)
+        vals = np.empty(len(table.ids))
+        k = table.k1 + table.k2
+        start[table.centers], size[table.centers] = at + np.cumsum(k) - k, k
+        # the groups ascend in (k1, k2): the groups of one k1 are one run of the table
+        for _, run in itertools.groupby(table.groups(), key=lambda grp: grp.k1):
+            _solve_run(g, n, list(run), rank, vals, kappa)
+        supports.append(table.ids)
+        values.append(vals)
+        at += len(vals)
+        del table, run  # the block's forms go before the next block's are built
     bad = np.flatnonzero(~np.isfinite(kappa))
     if bad.size:
         x = bad[0]
         raise ValueError(f"kappa at vertex {g.labels[x]!r} not finite: {kappa[x]}")
-    for a in (table.ids, values, kappa, start, size):
+    support, values = np.concatenate(supports), np.concatenate(values)
+    for a in (support, values, kappa, start, size):
         a.flags.writeable = False
-    return _Columns(n, kappa, start, size, table.ids, values)
+    return _Columns(n, kappa, start, size, support, values)
 
 
 _SOLVED = weakref.WeakKeyDictionary()  # graph -> {dimension: _Columns}

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import graphcd.curvature as curvature
 from graphcd.curvature import (
     CurvatureInternalError,
     IsolatedVertexError,
+    _center_blocks,
     _solve,
     curvature_all,
     curvature_at,
@@ -157,6 +159,110 @@ def test_solve_stacks_one_eigh_per_sphere1_size(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda M: (shapes.append(M.shape), eigh(M))[1])
     _solve(g, 2.0)
     assert shapes == [(n, k1, k1) for k1, n in runs.items()]
+
+
+def _degree_and_walks(g):
+    """Each vertex's degree and 2-walk count x -> y -> w, from its 2-ball."""
+    degree = [len(ball2(g, x).sphere1) for x in range(g.vertex_count)]
+    return degree, [sum(degree[y] for y in ball2(g, x).sphere1) for x in range(g.vertex_count)]
+
+
+def _budget(monkeypatch, walks):
+    """Blocks of centers of at most walks 2-walks each (one center at least)."""
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", walks * curvature._WALK_BYTES)
+
+
+def test_center_blocks_cut_the_degree_and_walk_order_by_the_budget(monkeypatch):
+    g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
+    degree, walks = _degree_and_walks(g)
+    order = sorted(range(30), key=lambda x: (degree[x], walks[x], x))
+    for budget in (0, max(walks), sum(walks) // 3, sum(walks)):
+        _budget(monkeypatch, budget)
+        blocks, rank = _center_blocks(g)
+        assert [x for b in blocks for x in b.tolist()] == order, budget
+        assert rank[order].tolist() == list(range(30))
+        cost = [sum(walks[x] for x in b) for b in blocks]
+        assert all(len(b) == 1 or c <= budget for b, c in zip(blocks, cost)), budget
+        # each block is cut where the next center would not fit
+        assert all(c + walks[b[0]] > budget for c, b in zip(cost, blocks[1:])), budget
+    assert len(_center_blocks(g)[0]) == 1
+    _budget(monkeypatch, 0)
+    assert len(_center_blocks(g)[0]) == 30
+
+
+def test_solve_stacks_one_eigh_per_block_and_sphere1_size(monkeypatch):
+    # blocked, each (block, k1) run of the blocks' form tables is one eigh call
+    g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
+    degree, walks = _degree_and_walks(g)
+    _budget(monkeypatch, sum(walks) // 4)
+    blocks, _ = _center_blocks(g)
+    want = []
+    for b in blocks:
+        k1s = [degree[x] for x in b]
+        want += [(k1s.count(k1), k1, k1) for k1 in sorted(set(k1s))]
+    assert len(blocks) >= 4 and len(want) > len(set(degree))  # a k1 spans two blocks
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (shapes.append(M.shape), eigh(M))[1])
+    _solve(g, 2.0)
+    assert shapes == want
+
+
+def test_blocks_change_no_bit(monkeypatch):
+    # kappa, support (in order) and values at every vertex are bitwise those
+    # of one block, under every budget from one center per block up: the
+    # test_c03 graphs, graphs with self-loops and the wide-weight graph
+    rng = rng_for(31)
+    graphs = [random_connected_graph(seed) for seed in range(100)]
+    for seed in range(20):
+        base = random_connected_graph(5100 + seed, max_vertices=12, self_loop_prob=0)
+        at = rng.choice(base.vertex_count, size=-(-base.vertex_count // 3), replace=False)
+        loops = {(x, x): float(rng.uniform(0.2, 5.0)) for x in at.tolist()}
+        graphs.append(WeightedGraph(base.labels, base.m, {**base.edges, **loops}))
+    graphs.append(WeightedGraph(list("abcdefgh"), WIDE_M, WIDE_EDGES))
+    for i, g in enumerate(graphs):
+        total = sum(_degree_and_walks(g)[1])
+        budgets = [0, *rng.integers(1, total, 2).tolist()]
+        for n in (INF, 2.0):
+            _budget(monkeypatch, total)
+            want = _solve(g, n)
+            for budget in budgets:
+                _budget(monkeypatch, budget)
+                got = _solve(g, n)
+                for x in range(g.vertex_count):
+                    s, t = got.ball(x), want.ball(x)
+                    assert got.kappa[x].tobytes() == want.kappa[x].tobytes(), (i, n, budget, x)
+                    assert got.support[s].tolist() == want.support[t].tolist(), (i, n, budget, x)
+                    assert got.values[s].tobytes() == want.values[t].tobytes(), (i, n, budget, x)
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    (-1.0, CurvatureInternalError, "not PSD at 'v'"),
+    (0.0, ValueError, "Gamma2 form underflows at 'v'"),
+])
+def test_sphere2_failure_names_the_first_in_degree_and_walk_order(monkeypatch, entry, error,
+                                                                   message):
+    # u and v have degree 2.  u: 6 2-walks, sphere2 {r}; v: 5 2-walks,
+    # sphere2 {a, b, c}.  v comes first in (degree, 2-walk count, id) order,
+    # u in (k1, k2, id) order; v is named whatever the blocks
+    labels = ["u", "p", "q", "r", "v", "s", "t", "a", "b", "c"]
+    pairs = ["up", "uq", "pq", "pr", "qr", "ra", "vs", "vt", "sa", "sb", "tc"]
+    ids = {x: i for i, x in enumerate(labels)}
+    g = WeightedGraph(labels, [1.0] * 10, {(ids[a], ids[b]): 1.0 for a, b in pairs})
+    degree, walks = _degree_and_walks(g)
+    assert degree[0] == degree[4] == 2 and walks[4] < walks[0]
+    build = curvature.form_table
+
+    def failing(g, centers):
+        table = build(g, centers)
+        for grp in table.groups():
+            grp.a22[np.isin(grp.centers, [0, 4]), -1] = entry
+        return table
+
+    monkeypatch.setattr(curvature, "form_table", failing)
+    for budget in (0, sum(walks)):
+        _budget(monkeypatch, budget)
+        with pytest.raises(error, match=message):
+            _solve(g, INF)
 
 
 def test_witness_invariants():
