@@ -15,16 +15,20 @@ Text format, one directive per line:
     vertex <label> <m>
     edge <label1> <label2> <mu>
 
-A vertex function is stored as a CSV with header ``vertex,value`` and one
-row per vertex.
+load_graph reads the text a chunk of whole lines at a time, and an error
+names the line of its fault.  A vertex function is stored as a CSV with
+header ``vertex,value`` and one row per vertex.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -39,6 +43,7 @@ class GraphFormatError(ValueError):
 
     def __init__(self, message, line=None):
         if line is not None:
+            line = operator.index(line)
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
@@ -85,7 +90,9 @@ class WeightedGraph:
             raise GraphFormatError("graph has no vertices")
         # the first of repeated labels keeps its id, so ids[s] != i marks a repeat
         self._label_to_id = ids = dict(zip(reversed(labels), range(nv - 1, -1, -1)))
-        if len(ids) != nv or " ".join(labels).split() != list(labels):
+        # one string in place of a copy per label: whitespace in any label is
+        # whitespace in their concatenation
+        if len(ids) != nv or not all(labels) or (s := "".join(labels)).split() != [s]:
             # the text format splits on whitespace, so only such labels round-trip
             _require([s.split() == [s] for s in labels], vertex_lines,
                      lambda i: f"vertex label {labels[i]!r} is empty or contains whitespace")
@@ -106,12 +113,20 @@ class WeightedGraph:
                  lambda i: f"edge weight must be positive and finite, got {float(mu[i])!r}")
 
         # each edge once, u <= v ascending; a repeat must give the first one's weight
-        lo, hi = np.sort(ends, axis=1).astype(np.int64).T
-        key, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
-        declared = mu[first][inverse]
-        _require(mu == declared, edge_lines, lambda i: f"edge {labels[ends[i, 0]]} "
-                 f"{labels[ends[i, 1]]} already declared with weight {float(declared[i])!r}")
-        self._u, self._v, self._mu = key // nv, key % nv, mu[first]
+        p, q = ends.astype(np.int64, copy=False).T
+        key = np.minimum(p, q) * nv + np.maximum(p, q)
+        order = np.argsort(key, kind="stable")  # repeats in text order
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)  # the first of each run of equal keys
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            declared = np.empty_like(mu)  # the weight of each edge's first line
+            declared[order] = mu[order[first]][np.cumsum(first) - 1]
+            _require(mu == declared, edge_lines, lambda i: f"edge {labels[ends[i, 0]]} "
+                     f"{labels[ends[i, 1]]} already declared with weight {float(declared[i])!r}")
+        key = key[first]
+        self._u, self._v, self._mu = key // nv, key % nv, mu[order[first]]
         self._edge_map = None
 
         self._build_adjacency()
@@ -130,16 +145,17 @@ class WeightedGraph:
         # the one place self-loops are dropped: the edge list keeps them for
         # save_graph and edges, and every array built here is loop-free
         proper = u != v
-        u, v, mu = u[proper], v[proper], mu[proper]
+        if not proper.all():
+            u, v, mu = u[proper], v[proper], mu[proper]
         self._edge_ends = np.stack([u, v], axis=1)
         self._edge_mu = mu
         self._incidence_cache = None
         # each edge in the rows of both ends; rows list their neighbors in
-        # ascending order
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        order = np.lexsort((cols, rows))
-        rows, cols, wts = rows[order], cols[order], np.concatenate([mu, mu])[order]
+        # ascending order, by one sort of the distinct keys row * nv + col
+        order = np.argsort(np.concatenate([u * nv + v, v * nv + u]))
+        rows = np.concatenate([u, v])[order]
+        cols = np.concatenate([v, u])[order]
+        wts = np.concatenate([mu, mu])[order]
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
         self._csr_indptr = indptr
@@ -244,6 +260,9 @@ def ball2(g: WeightedGraph, x: int) -> Ball:
 # text format
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 16  # characters of text that load_graph tokenizes at a time
+
+
 def _numbers(tokens, what, lines):
     """The tokens as float64, each read as float() reads it."""
     rest = iter(tokens)
@@ -254,41 +273,87 @@ def _numbers(tokens, what, lines):
         raise GraphFormatError(f"cannot parse {what} {tokens[k]!r}", lines[k]) from None
 
 
-def load_graph(text: str) -> WeightedGraph:
-    """Tokenize the text format; WeightedGraph checks the data, naming each fault's line."""
-    labels, measures, vertex_lines = [], [], []
-    ends, weights, edge_lines = [], [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        head = tokens[0]
-        if head == "edge":
-            if len(tokens) != 4:
-                raise GraphFormatError("expected 'edge <label1> <label2> <mu>'", line=ln)
-            ends += tokens[1:3]
-            weights.append(tokens[3])
-            edge_lines.append(ln)
-        elif head == "vertex":
-            if len(tokens) != 3:
-                raise GraphFormatError("expected 'vertex <label> <m>'", line=ln)
-            labels.append(tokens[1])
-            measures.append(tokens[2])
-            vertex_lines.append(ln)
-        elif not head.startswith("#"):
-            raise GraphFormatError(f"unknown directive {head!r}", line=ln)
-
-    ids = dict(zip(labels, range(len(labels))))
+def _append_numbers(out, tokens, what, lines):
+    """Append the tokens to the array('d') out as _numbers reads them; the
+    GraphFormatError that names a bad token is returned, not raised."""
     try:
-        ends = np.fromiter(map(ids.__getitem__, ends), dtype=np.int64, count=len(ends))
-    except KeyError as exc:
-        label = exc.args[0]
-        ln = edge_lines[ends.index(label) // 2]
-        raise GraphFormatError(f"edge references undeclared vertex {label!r}", ln) from None
-    measures = _numbers(measures, "vertex measure", vertex_lines)
-    weights = _numbers(weights, "edge weight", edge_lines)
+        out.frombytes(_numbers(tokens, what, lines).view(np.uint8))
+    except GraphFormatError as exc:
+        return exc.with_traceback(None)
+    return None
+
+
+def load_graph(text: str) -> WeightedGraph:
+    """Tokenize the text format; WeightedGraph checks the data, naming each fault's line.
+
+    The text is read _CHUNK characters at a time, each chunk cut just after
+    a "\\n", so that the chunks' splitlines() are the text's own lines.
+    Labels become numbers as they are read, through one dict of distinct
+    labels, and numbers and line numbers go into typed arrays, so no token
+    string but a vertex's label outlives its chunk.  Of several faults the
+    first structural one (unknown directive, token count) in line order is
+    named, else the first undeclared label in edge order, else the first
+    bad measure, else the first bad weight, else WeightedGraph's first.
+    """
+    number = defaultdict(itertools.count().__next__)  # label -> its number, in order of first use
+    labels = []  # of the vertex lines, in line order
+    vertex_labels, end_labels = array("q"), array("q")  # label numbers
+    measures, weights = array("d"), array("d")
+    vertex_lines, edge_lines = array("q"), array("q")
+    bad_measure = bad_weight = None  # raised once no earlier kind of fault is found
+    ln, start = 0, 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk_labels, chunk_measures, chunk_vertex_lines = [], [], []
+        chunk_ends, chunk_weights, chunk_edge_lines = [], [], []
+        for ln, tokens in enumerate(map(str.split, text[start:stop].splitlines()), ln + 1):
+            if not tokens:
+                continue
+            head = tokens[0]
+            if head == "edge":
+                if len(tokens) != 4:
+                    raise GraphFormatError("expected 'edge <label1> <label2> <mu>'", line=ln)
+                chunk_ends += tokens[1:3]
+                chunk_weights.append(tokens[3])
+                chunk_edge_lines.append(ln)
+            elif head == "vertex":
+                if len(tokens) != 3:
+                    raise GraphFormatError("expected 'vertex <label> <m>'", line=ln)
+                chunk_labels.append(tokens[1])
+                chunk_measures.append(tokens[2])
+                chunk_vertex_lines.append(ln)
+            elif not head.startswith("#"):
+                raise GraphFormatError(f"unknown directive {head!r}", line=ln)
+        start = stop
+        labels += chunk_labels
+        # array.frombytes reads a numpy array through a byte view, without a copy
+        for out, tokens in ((vertex_labels, chunk_labels), (end_labels, chunk_ends)):
+            out.frombytes(np.fromiter(map(number.__getitem__, tokens), np.int64, len(tokens))
+                          .view(np.uint8))
+        vertex_lines.fromlist(chunk_vertex_lines)
+        edge_lines.fromlist(chunk_edge_lines)
+        bad_measure = bad_measure or _append_numbers(
+            measures, chunk_measures, "vertex measure", chunk_vertex_lines)
+        bad_weight = bad_weight or _append_numbers(
+            weights, chunk_weights, "edge weight", chunk_edge_lines)
+
+    # the vertex id of each label number, -1 where no vertex line declares it
+    vertex_labels, end_labels, vertex_lines, edge_lines = (
+        np.frombuffer(a, np.int64) for a in (vertex_labels, end_labels, vertex_lines, edge_lines))
+    vertex_of = np.full(len(number), -1, dtype=np.int64)
+    vertex_of[vertex_labels] = np.arange(len(labels))
+    ends = vertex_of[end_labels]
+    undeclared = np.flatnonzero(ends < 0)
+    if undeclared.size:
+        k = undeclared[0]
+        label = list(number)[end_labels[k]]
+        raise GraphFormatError(f"edge references undeclared vertex {label!r}", edge_lines[k // 2])
+    if bad_measure or bad_weight:
+        raise bad_measure or bad_weight
+    del number, end_labels, vertex_of  # not needed while the graph is built
     g = WeightedGraph.__new__(WeightedGraph)
-    g._build(labels, measures, ends.reshape(-1, 2), weights, vertex_lines, edge_lines)
+    g._build(labels, np.frombuffer(measures), ends.reshape(-1, 2), np.frombuffer(weights),
+             vertex_lines, edge_lines)
     return g
 
 
@@ -301,24 +366,29 @@ def save_graph(g: WeightedGraph) -> str:
 
 
 def load_vertex_function(text: str, g: WeightedGraph) -> np.ndarray:
-    """Parse a ``vertex,value`` CSV into an array in vertex-id order."""
+    """Parse a ``vertex,value`` CSV into an array in vertex-id order; a fault
+    in a row names the row's line."""
     reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
-    if not rows or [c.strip() for c in rows[0]] != ["vertex", "value"]:
+    rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
+    if not rows or [c.strip() for c in rows[0][1]] != ["vertex", "value"]:
         raise GraphFormatError("vertex function CSV must start with header 'vertex,value'")
     f = np.full(g.vertex_count, np.nan)
-    for r in rows[1:]:
+    for ln, r in rows[1:]:
         if len(r) != 2:
-            raise GraphFormatError(f"bad vertex function row {r!r}")
-        i = g.id_of(r[0].strip())
+            raise GraphFormatError(f"bad vertex function row {r!r}", ln)
+        label = r[0].strip()
+        try:
+            i = g.id_of(label)
+        except GraphFormatError as exc:
+            raise GraphFormatError(str(exc), ln) from None
         if not math.isnan(f[i]):
-            raise GraphFormatError(f"duplicate value for vertex {r[0].strip()!r}")
+            raise GraphFormatError(f"duplicate value for vertex {label!r}", ln)
         try:
             f[i] = float(r[1])
         except ValueError:
-            raise GraphFormatError(f"cannot parse value {r[1]!r}") from None
+            raise GraphFormatError(f"cannot parse value {r[1]!r}", ln) from None
         if not math.isfinite(f[i]):
-            raise GraphFormatError(f"vertex function value must be finite, got {r[1]}")
+            raise GraphFormatError(f"vertex function value must be finite, got {r[1]}", ln)
     if np.isnan(f).any():
         missing = [g.labels[i] for i in np.nonzero(np.isnan(f))[0][:5]]
         raise GraphFormatError(f"missing vertex function rows for {missing}")

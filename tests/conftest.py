@@ -7,7 +7,8 @@ two is evidence, not tautology.  Their exact twins in rational arithmetic
 certify the package's curvature from both sides.  The cross-checks after
 them reach the same quantities along a second route through the package's
 own operators: Gamma by the product rule, Green's formula, and Gamma2 from
-the short-time behaviour of the heat semigroup.
+the short-time behaviour of the heat semigroup.  The reference reader
+tokenizes a graph text line by line, in one pass over the whole text.
 """
 
 import functools
@@ -21,7 +22,7 @@ import scipy.linalg
 
 from graphcd.curvature import curvature_at
 from graphcd.fixtures import fixture_graphs
-from graphcd.graph import WeightedGraph
+from graphcd.graph import GraphFormatError, WeightedGraph, _numbers
 from graphcd.operators import gamma, gamma2, laplacian
 from graphcd.verify import _sides, gradient_estimate
 
@@ -29,6 +30,49 @@ from graphcd.verify import _sides, gradient_estimate
 @pytest.fixture(scope="session")
 def fixtures():
     return fixture_graphs()
+
+
+# ---------------------------------------------------------------------------
+# reference reader (a line loop over the whole text, independent of the
+# package's chunked tokenizer; the graph's own checks are shared)
+# ---------------------------------------------------------------------------
+
+def load_graph_reference(text):
+    """Tokenize the text format; WeightedGraph checks the data, naming each fault's line."""
+    labels, measures, vertex_lines = [], [], []
+    ends, weights, edge_lines = [], [], []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head == "edge":
+            if len(tokens) != 4:
+                raise GraphFormatError("expected 'edge <label1> <label2> <mu>'", line=ln)
+            ends += tokens[1:3]
+            weights.append(tokens[3])
+            edge_lines.append(ln)
+        elif head == "vertex":
+            if len(tokens) != 3:
+                raise GraphFormatError("expected 'vertex <label> <m>'", line=ln)
+            labels.append(tokens[1])
+            measures.append(tokens[2])
+            vertex_lines.append(ln)
+        elif not head.startswith("#"):
+            raise GraphFormatError(f"unknown directive {head!r}", line=ln)
+
+    ids = dict(zip(labels, range(len(labels))))
+    try:
+        ends = np.fromiter(map(ids.__getitem__, ends), dtype=np.int64, count=len(ends))
+    except KeyError as exc:
+        label = exc.args[0]
+        ln = edge_lines[ends.index(label) // 2]
+        raise GraphFormatError(f"edge references undeclared vertex {label!r}", ln) from None
+    measures = _numbers(measures, "vertex measure", vertex_lines)
+    weights = _numbers(weights, "edge weight", edge_lines)
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._build(labels, measures, ends.reshape(-1, 2), weights, vertex_lines, edge_lines)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcd import graph
 from graphcd.graph import (
     GraphFormatError,
     WeightedGraph,
@@ -17,7 +19,7 @@ from graphcd.graph import (
 )
 from graphcd.curvature import curvature_at
 from graphcd.operators import local_forms
-from conftest import rng_for
+from conftest import load_graph_reference, rng_for
 from graphcd.fixtures import path_graph, random_connected_graph
 
 
@@ -197,6 +199,75 @@ def test_generated_texts_round_trip_bitwise(case):
     assert save_graph(h) == save_graph(g)
 
 
+# every line break that str.splitlines() knows, but "\x1d", "\x1e" and "\u2029"
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+FAULTS = ["directive", "count", "undeclared", "late", "number", "duplicate", "conflict",
+          "disconnected"]
+BAD_NUMBERS = ["1x", "0x10", "1,5", "0", "-2", "inf", "nan", "1e-320"]
+
+
+@st.composite
+def faulty_graph_texts(draw):
+    """A graph_texts text with up to three faults injected, its lines ended
+    by mixed line breaks.  "late" moves a vertex or edge line to the end,
+    which is legal; "u!" and "d!" are labels graph_texts never draws."""
+    text, labels, _, edges = draw(graph_texts())
+    lines = text.split("\n")
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        at = draw(st.integers(0, len(lines)))
+        k = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.split()[:1] in (["vertex"], ["edge"])]))
+        tokens = lines[k].split()
+        label = draw(st.sampled_from(labels))
+        if fault == "directive":
+            lines.insert(at, "frobnicate a b")
+        elif fault == "count":
+            lines[k] = " ".join(tokens[:-1] if draw(st.booleans()) else [*tokens, "1"])
+        elif fault == "undeclared":  # twice, in either order
+            lines.insert(at, f"edge {label} u! 1")
+            lines.insert(draw(st.integers(0, len(lines))), f"edge u! {label} 1")
+        elif fault == "late":
+            lines.append(lines.pop(k))
+        elif fault == "number":  # in a vertex line and in an edge line
+            for head in ("vertex", "edge"):
+                rows = [i for i, line in enumerate(lines) if line.split()[:1] == [head]]
+                if rows:
+                    i = draw(st.sampled_from(rows))
+                    bad = draw(st.sampled_from(BAD_NUMBERS))
+                    lines[i] = " ".join([*lines[i].split()[:-1], bad])
+        elif fault == "duplicate":
+            lines.insert(at, f"vertex {label} 1")
+        elif fault == "conflict":
+            (u, v), w = draw(st.sampled_from(sorted(edges.items()))) if edges else ((0, 0), 1.0)
+            lines.insert(at, f"edge {labels[v]} {labels[u]} {2.0 * w!r}")
+            lines.insert(at, f"edge {labels[u]} {labels[v]} {w!r}")
+        else:
+            lines.insert(at, "vertex d! 1")
+    ends = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+def _outcome(load, text):
+    """The graph's arrays as bytes, or the message and line of its GraphFormatError."""
+    try:
+        g = load(text)
+    except GraphFormatError as exc:
+        assert exc.line is None or type(exc.line) is int
+        return str(exc), exc.line
+    arrays = (g.m, g._u, g._v, g._mu, g._csr_indptr, g._csr_indices, g._csr_weights, g._degree)
+    return g.labels, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_graph_texts(), st.one_of(st.integers(1, 16), st.just(graph._CHUNK)))
+def test_chunked_reader_matches_the_line_loop(text, chunk):
+    # a few characters a chunk put the chunk edges on every line
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        got = _outcome(load_graph, text)
+    assert got == _outcome(load_graph_reference, text)
+
+
 def test_edges_are_read_only():
     g = load_graph(K2_TEXT)
     with pytest.raises(TypeError):
@@ -363,6 +434,16 @@ def test_vertex_function_errors():
         load_vertex_function("vertex,value\na,x\nb,0\n", g)
     with pytest.raises(GraphFormatError):
         load_vertex_function("vertex,value\nq,1\nb,0\n", g)
+    # a fault in a row names its line, blank lines counted
+    for text, line in [
+        ("vertex,value\na,1,2\nb,0\n", 2),
+        ("vertex,value\na,1\n\nb,x\n", 4),
+        ("vertex,value\nb,0\na,inf\n", 3),
+        ("vertex,value\na,1\nq,1\n", 3),
+        ("vertex,value\n\na,1\n \na,2\nb,0\n", 5),
+    ]:
+        with pytest.raises(GraphFormatError, match=f"^line {line}: "):
+            load_vertex_function(text, g)
 
 
 def test_constructor_validation():
