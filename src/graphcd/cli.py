@@ -328,31 +328,45 @@ def _stat(fh):
 @contextlib.contextmanager
 def _output(*paths):
     """A context manager of a function that returns the binary files of
-    paths, stdout's for None.  All are opened for appending on entry, so a
-    path that cannot be opened is refused before the work that makes the
-    report, and so are two that are one regular file, by any path or hard
-    link, stdout among them (the null device may take both reports).
-    The function truncates the regular files of paths (stdout's is never
-    truncated, others cannot be) once the report is ready: a refused path
-    truncates no file.  If the body raises, each path the context created
-    is removed."""
-    created = [p for p in paths if p is not None and not os.path.lexists(p)]
+    paths, stdout's for None.  All are opened for writing on entry, with no
+    truncation, so a path that cannot be opened is refused before the work
+    that makes the report, and so are two that are one regular file, by any
+    path or hard link, stdout among them (the null device may take both
+    reports).  Each is written from byte 0, over the bytes of an earlier
+    report: once the function is called, the regular files of paths are cut
+    on exit to the bytes this run wrote (stdout's is never cut, others
+    cannot be), also if the body raises.  A refused path, or a run that
+    fails before the call, changes no earlier file.  If the body raises,
+    each file the context created is removed (through a dangling symlink,
+    the file and not the link)."""
+    created = []
     try:
         with contextlib.ExitStack() as stack:
-            files = [_stdout() if p is None else stack.enter_context(open(p, "ab")) for p in paths]
+            files = []
+            for p in paths:
+                if p is None:
+                    files.append(_stdout())
+                    continue
+                target = None if os.path.exists(p) else os.path.realpath(p)
+                fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
+                files.append(stack.enter_context(open(fd, "wb")))
+                # only once opened: the realpath of a symlink loop, which the
+                # open refuses, is one of its links
+                if target is not None:
+                    created.append(target)
             regular = [(p, fh, st) for p, fh, st in zip(paths, files, map(_stat, files))
                        if st is not None and stat.S_ISREG(st.st_mode)]
             if len({(st.st_dev, st.st_ino) for _, _, st in regular}) < len(regular):
                 first = "stdout" if paths[0] is None else "--output"
                 raise ValueError(f"{first} and --csv are the same file {paths[-1]!r}")
 
-            def truncated():
+            def rewritten():
                 for p, fh, _ in regular:
                     if p is not None:
-                        fh.truncate(0)
+                        stack.callback(fh.truncate)  # at its position: before the file closes
                 return files
 
-            yield truncated
+            yield rewritten
     except BaseException:
         for p in created:
             with contextlib.suppress(OSError):

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -858,6 +860,148 @@ def test_verify_failing_after_the_open_leaves_no_new_report(capsys, tmp_path, fl
     assert "overflows" in err
     assert not new.exists()
     assert kept.read_bytes() == old
+
+
+def test_verify_failing_through_a_dangling_symlink_keeps_the_link(capsys, tmp_path):
+    # the run fails after the open, which created the link's target: the
+    # target is removed, and the link stays as it was
+    path = tmp_path / "c4.graph"
+    path.write_text(STIFF_C4_TEXT)
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target.name)
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), "--inequality", "gradient",
+                              "--K", "-400", "--times", "1", "--functions", "random:0:1",
+                              "--output", str(link))
+    assert code == 2 and out == ""
+    assert "overflows" in err
+    assert not os.path.lexists(target)
+    assert link.is_symlink() and os.readlink(link) == target.name
+
+
+def test_an_output_on_a_symlink_loop_exit_2_and_keeps_the_links(capsys, k2_path, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.symlink_to(b.name)
+    b.symlink_to(a.name)
+    code, out, err = run_main(capsys, "curvature", "--graph", k2_path, "--dimension", "inf",
+                              "--output", str(a))
+    assert code == 2 and out == ""
+    assert str(a) in err
+    assert os.readlink(a) == b.name and os.readlink(b) == a.name
+
+
+@pytest.fixture(scope="module")
+def rewrite_inputs(tmp_path_factory):
+    """A 24-vertex graph file, a function file on it, and two earlier pairs
+    of verify reports (JSON, CSV): the default corpus's on that graph, longer
+    than any report the rewrite tests make, and random:0:1's on K2, shorter."""
+    root = tmp_path_factory.mktemp("rewrite")
+    g = cycle_with_chords(24, 0)
+    graph, f, k2 = root / "g.graph", root / "f.csv", root / "k2.graph"
+    graph.write_text(save_graph(g))
+    f.write_text(save_vertex_function(g, np.arange(24.0)))
+    k2.write_text(K2_TEXT)
+    earlier = {}
+    for kind, on, corpus in (("longer", graph, []), ("shorter", k2, ["--functions", "random:0:1"])):
+        out = root / f"{kind}.json", root / f"{kind}.csv"
+        assert main(["verify", "--graph", str(on), "--inequality", "gradient", "--K", "auto",
+                     "--times", "0.1", *corpus, "--output", str(out[0]), "--csv", str(out[1])]) == 0
+        earlier[kind] = tuple(p.read_bytes() for p in out)
+    return str(graph), str(f), earlier
+
+
+@pytest.mark.parametrize("earlier", ["longer", "shorter"])
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--dimension", "inf", "--format", "csv"),
+    ("curvature", "--dimension", "2", "--witness"),
+    ("verify", "--inequality", "gradient", "--K", "auto", "--times", "0.1,1",
+     "--functions", "random:0:3", "--csv", "{csv}"),
+    ("heat", "--f", "{f}", "--t", "0.5"),
+])
+def test_a_rewritten_report_equals_a_fresh_one(capsys, tmp_path, rewrite_inputs, argv, earlier):
+    # each report written over a longer or a shorter earlier one is cut or
+    # grown to the bytes of the same run into new paths, in the same inodes
+    graph, f, reports = rewrite_inputs
+    count = 2 if "--csv" in argv else 1
+
+    def run(*paths):
+        args = [a.format(f=f, csv=paths[-1]) for a in argv]
+        assert main([args[0], "--graph", graph, *args[1:], "--output", str(paths[0])]) == 0
+        capsys.readouterr()
+        return [p.read_bytes() for p in paths]
+
+    fresh = run(*(tmp_path / f"new{i}" for i in range(count)))
+    paths = [tmp_path / f"old{i}" for i in range(count)]
+    for p, old in zip(paths, reports[earlier]):
+        p.write_bytes(old)
+    inodes = [p.stat().st_ino for p in paths]
+    assert run(*paths) == fresh
+    assert [p.stat().st_ino for p in paths] == inodes
+    for i, new in enumerate(fresh):
+        assert len(reports["shorter"][i]) < len(new) < len(reports["longer"][i])
+
+
+def test_a_hard_link_of_the_report_shows_the_new_bytes(capsys, k2_path, tmp_path):
+    report, link = tmp_path / "r.json", tmp_path / "r2.json"
+    args = ["verify", "--graph", k2_path, "--inequality", "gradient", "--K", "0", "--times", "0.1"]
+    assert main(args + ["--output", str(tmp_path / "new.json")]) == 0
+    report.write_bytes(b"an earlier, longer report\n" * 100)
+    os.link(report, link)
+    ino = report.stat().st_ino
+    assert main(args + ["--output", str(report)]) == 0
+    capsys.readouterr()
+    assert report.stat().st_ino == link.stat().st_ino == ino
+    assert report.read_bytes() == link.read_bytes() == (tmp_path / "new.json").read_bytes()
+
+
+def test_a_new_report_takes_its_mode_from_the_umask(capsys, k2_path, tmp_path):
+    report = tmp_path / "k.json"
+    umask = os.umask(0o037)
+    try:
+        code = main(["curvature", "--graph", k2_path, "--dimension", "inf",
+                     "--output", str(report)])
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(report.stat().st_mode) == 0o666 & ~0o037
+
+
+def test_verify_failing_while_writing_leaves_the_bytes_written(capsys, tmp_path, monkeypatch):
+    # the write of the second block raises after the JSON head, the CSV
+    # header and the first block of each: both files are cut to those bytes,
+    # with no tail of the earlier reports they were written over
+    graph = tmp_path / "g.graph"
+    graph.write_text(save_graph(cycle_with_chords(24, 0)))
+    json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+    args = ["verify", "--graph", str(graph), "--inequality", "gradient", "--K", "auto",
+            "--times", "0.1", "--functions", "random:0:3", "--output", str(json_out),
+            "--csv", str(csv_out)]
+    assert main(args) == 0
+    whole = json_out.read_bytes(), csv_out.read_bytes()
+    grid, calls = cli._grid, []
+
+    def second_block_fails(*a):
+        calls.append(a)
+        if len(calls) > 2:  # a grid per file and block
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return grid(*a)
+
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 2048)
+    monkeypatch.setattr(cli, "_grid", second_block_fails)
+    left = []
+    for old in (b"", b"an earlier, longer report\n" * 1000):
+        calls.clear()
+        json_out.write_bytes(old)
+        csv_out.write_bytes(old)
+        code, out, err = run_main(capsys, *args)
+        assert code == 2 and out == "" and "No space left" in err
+        assert len(calls) == 3
+        left.append((json_out.read_bytes(), csv_out.read_bytes()))
+    # into empty files, what is left is what the run wrote
+    assert left[1] == left[0]
+    for part, report, first in zip(left[0], whole, (b'"records": [{"', b"slack\nrandom:0:0,")):
+        assert report.startswith(part) and len(part) < len(report)
+        assert first in part and part.endswith((b"}", b"\n"))
+        assert b"earlier" not in part
 
 
 def test_reports_on_a_latin1_stdout_are_utf8(capsys, tmp_path):
