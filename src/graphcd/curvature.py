@@ -186,9 +186,13 @@ def _solve_run(g, n, run, rank, values, kappa):
     M = np.empty((at[-1], k1, k1))
     invs = [_schur(grp, M[lo:hi]) for grp, lo, hi in zip(run, at, at[1:])]
     _check_sphere2(g, run, invs, rank)
-    d = np.concatenate([grp.delta for grp in run])
+    # sphere1 is each center's adjacency row, in order
+    centers = np.concatenate([grp.centers for grp in run])
+    mu = g._csr_weights[g._csr_indptr[centers, None] + np.arange(k1)]
+    mx = g.m[centers, None]
+    d = mu / mx
     # pencil M v = lambda B v via the congruence B = C^T C, C = diag(sqrt(b))
-    c = np.sqrt(np.concatenate([grp.gamma for grp in run]))
+    c = np.sqrt(mu / (2.0 * mx))
     if not math.isinf(n):
         M -= d[:, :, None] * d[:, None, :] / n
     M /= c[:, :, None] * c[:, None, :]
@@ -233,20 +237,22 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     vertices in (degree, 2-walk count, id) order, cut into blocks whose
     form tables stay within _BLOCK_BYTES (one vertex at least), each
     block's table dropped before the next is built.  Per (k1, k2) group of
-    a block's table, with A the Gamma2 form over sphere1 + sphere2, b the
-    Gamma diagonal and d the Delta vector: the table's rows hold A11 and
-    A12, and the sphere2 block is diag(a22) (see LocalForms), inverted to
-    diag(inv) entry by entry and checked.  No entry is dropped, however
-    small next to the others: each is an exact sum of positive terms, not
-    roundoff.  The Schur complement A11 - A12 diag(inv) A12^T less dd^T/n
-    meets the pencil with diag(b) through the congruence by sqrt(b), and
-    eigh gives its smallest eigenpair (kappa, v), one stacked call for all
-    the groups of one k1 in the block (a contiguous run of its table).  The
-    witness is v on sphere1 and -(inv * (A12^T v) + 0.0) on sphere2, where
-    every zero is -0.0, whatever its sign in A12^T v.  Each center's terms,
-    matrices and eigenpair are its own, so no result depends on the block
-    that holds it.  Support and values are the tables' ball coordinates and
-    the witness values, block after block, each in its table's group order.
+    a block's table, with A the Gamma2 form over sphere1 + sphere2, and b
+    the Gamma diagonal mu_xy/(2 m_x) and d the Delta vector mu_xy/m_x over
+    sphere1, the center's adjacency row, read from the graph: the table's
+    rows hold A11 and A12, and the sphere2 block is diag(a22) (see
+    LocalForms), inverted to diag(inv) entry by entry and checked.  No
+    entry is dropped, however small next to the others: each is an exact
+    sum of positive terms, not roundoff.  The Schur complement A11 - A12
+    diag(inv) A12^T less dd^T/n meets the pencil with diag(b) through the
+    congruence by sqrt(b), and eigh gives its smallest eigenpair (kappa,
+    v), one stacked call for all the groups of one k1 in the block (a
+    contiguous run of its table).  The witness is v on sphere1 and -(inv *
+    (A12^T v) + 0.0) on sphere2, where every zero is -0.0, whatever its
+    sign in A12^T v.  Each center's terms, matrices and eigenpair are its
+    own, so no result depends on the block that holds it.  Support and
+    values are the tables' ball coordinates and the witness values, block
+    after block, each in its table's group order.
 
     A sphere2 block with an entry below -_PSD_TOL max(1, its largest)
     raises CurvatureInternalError, and else one with an entry whose

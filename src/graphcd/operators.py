@@ -17,10 +17,11 @@ A self-loop term is 0 in all three, and the graph's adjacency holds no
 loop.  Each acts on a block of functions as columns, Gamma2 through one
 kernel that forms the edge differences once; laplacian, gamma and gamma2
 are column 0 of that code at a single function.  form_table expresses
-Gamma, Delta, Gamma2 at many vertices x at once as matrices over the
-ball coordinates with f(x) pinned to 0, which is what the curvature
-solver consumes: of the Gamma2 form it keeps the sphere1 rows and the
-diagonal sphere2 block.  local_forms is the full form at one vertex.
+Gamma2 at many vertices x at once as a matrix over the ball coordinates
+with f(x) pinned to 0, which is what the curvature solver consumes: it
+keeps the sphere1 rows and the diagonal sphere2 block.  Gamma and Delta
+live on sphere1, which is x's adjacency row, so the solver reads them
+from the graph.  local_forms gives the three full forms at one vertex.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class LocalForms:
     diag(sum_y mu_xy mu_yw / (4 m(x) m(y))) > 0: a Gamma2 term follows one
     2-walk x -> y -> w and so holds at most one sphere2 vertex w.  The form
     table stores only the sphere1 rows and that diagonal; local_forms
-    rebuilds the rest by symmetry and with zeros.
+    rebuilds the rest by symmetry and with zeros, and gamma_form and
+    delta_vector from the adjacency row of x, which is sphere1.
     """
 
     ball: Ball
@@ -176,20 +178,17 @@ class _Group(NamedTuple):
     """The centers of a form table with sphere sizes (k1, k2), k = k1 + k2.
 
     Arrays are views into the table, one row per center: ids holds the
-    ball coordinates (sphere1 then sphere2, each ascending), gamma and
-    delta the k1 sphere1 entries of the Gamma form's diagonal and of the
-    Delta vector, rows the k1 x k sphere1 rows [A11 A12] of the Gamma2
-    form and a22 the k2 entries of its diagonal sphere2 block (see
-    LocalForms).  balls is the slice of the table's flat ids array, and
-    of any per-coordinate array laid out like it, that ids covers.
+    ball coordinates (sphere1 then sphere2, each ascending), rows the
+    k1 x k sphere1 rows [A11 A12] of the Gamma2 form and a22 the k2
+    entries of its diagonal sphere2 block (see LocalForms).  balls is the
+    slice of the table's flat ids array, and of any per-coordinate array
+    laid out like it, that ids covers.
     """
 
     k1: int
     k2: int
     centers: np.ndarray
     ids: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
     rows: np.ndarray
     a22: np.ndarray
     balls: slice
@@ -201,26 +200,22 @@ class _FormTable:
 
     Centers are stored in group order: sorted by (k1, k2), ascending
     vertex id within a group.  Each center owns k consecutive entries of
-    the flat ids array, k1 of the flat gamma and delta arrays (their
-    sphere2 entries are 0 and not stored) and k1 k + k2 consecutive floats
-    of the flat forms buffer: its Gamma2 form's k1 sphere1 rows, slot (i, j)
-    at i k + j, then the k2 entries of the sphere2 diagonal.  The rest of
-    the symmetric form is the transpose of the rows' A12 block and zeros.
-    Every group is one contiguous run of each array.
+    the flat ids array and k1 k + k2 consecutive floats of the flat forms
+    buffer: its Gamma2 form's k1 sphere1 rows, slot (i, j) at i k + j, then
+    the k2 entries of the sphere2 diagonal.  The rest of the symmetric form
+    is the transpose of the rows' A12 block and zeros.  Every group is one
+    contiguous run of each array.
     """
 
     centers: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
     ids: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
     forms: np.ndarray
 
     def groups(self):
         k = self.k1 + self.k2
         ball_at = np.cumsum(k) - k
-        s1_at = np.cumsum(self.k1) - self.k1
         size = self.k1 * k + self.k2
         form_at = np.cumsum(size) - size
         cuts = np.flatnonzero((np.diff(self.k1) != 0) | (np.diff(self.k2) != 0)) + 1
@@ -228,14 +223,11 @@ class _FormTable:
             k1, k2 = int(self.k1[lo]), int(self.k2[lo])
             n, kk = hi - lo, k1 + k2
             balls = slice(int(ball_at[lo]), int(ball_at[lo]) + n * kk)
-            s1 = slice(int(s1_at[lo]), int(s1_at[lo]) + n * k1)
             f0 = int(form_at[lo])
             forms = self.forms[f0:f0 + n * int(size[lo])].reshape(n, int(size[lo]))
             yield _Group(
                 k1, k2, self.centers[lo:hi],
                 self.ids[balls].reshape(n, kk),
-                self.gamma[s1].reshape(n, k1),
-                self.delta[s1].reshape(n, k1),
                 forms[:, :k1 * kk].reshape(n, k1, kk),
                 forms[:, k1 * kk:],
                 balls,
@@ -312,8 +304,6 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     size = k1 * k + k2
     form_start = np.empty_like(k)
     form_start[order] = np.cumsum(size[order]) - size[order]
-    s1_group_start = np.empty_like(k)
-    s1_group_start[order] = np.cumsum(k1[order]) - k1[order]
     ids = np.empty(int(k.sum()), dtype=np.int64)
     ids[ball_start[s1_owner] + s1_rank] = s1_id
     s2_col = k1[s2_owner] + s2_rank
@@ -342,16 +332,11 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
 
     # the table, allocated after the slot arrays: fewer walk arrays are
     # alive beside it, which lowers the peak
-    s1_at = s1_group_start[s1_owner] + s1_rank
-    gamma = np.empty(len(s1_owner))
-    delta = np.empty(len(s1_owner))
     forms = np.zeros(int(size.sum()))
     m = g.m
     mx = m[centers][s1_owner]
     two_mx = 2.0 * mx
     c0 = mu_xy / two_mx
-    gamma[s1_at] = c0
-    delta[s1_at] = mu_xy / mx
 
     # 1/2 Delta Gamma(f)(x), the Gamma(f)(y) part:
     #   (mu_xy/(2 m_x)) (1/(2 m_y)) sum_w mu_yw (f_w - f_y)^2
@@ -395,7 +380,7 @@ def form_table(g: WeightedGraph, centers) -> _FormTable:
     deg_x = g._degree[centers][s1_owner]
     np.add.at(forms, s1_diag, -(deg_x / two_mx) * mu_xy / two_mx)
 
-    return _FormTable(centers[order], k1[order], k2[order], ids, gamma, delta, forms)
+    return _FormTable(centers[order], k1[order], k2[order], ids, forms)
 
 
 def local_forms(g: WeightedGraph, x: int) -> LocalForms:
@@ -409,9 +394,10 @@ def local_forms(g: WeightedGraph, x: int) -> LocalForms:
     form = np.diag(np.concatenate([np.zeros(k1), grp.a22[0]]))
     form[:k1] = grp.rows[0]
     form[k1:, :k1] = grp.rows[0, :, k1:].T
+    mu, mx = g.neighbors(x)[1], g.m[x]
     return LocalForms(
         ball=ball,
-        gamma_form=np.diag(grp.gamma[0]),
+        gamma_form=np.diag(mu / (2.0 * mx)),
         gamma2_form=form,
-        delta_vector=grp.delta[0],
+        delta_vector=mu / mx,
     )

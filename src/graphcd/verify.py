@@ -250,12 +250,16 @@ CHECKS = {  # name: flag, identity, takes_n, heat, integral, sides
 INEQUALITY_NAMES = tuple(CHECKS)
 
 
-def _decay(K, t, exp=math.exp):
-    """exp(-2Kt), or a ValueError naming K and t where it overflows."""
+def _decay(K, t, of=math.exp):
+    """of(-2Kt), by default e^(-2Kt), or a ValueError naming K and t where
+    it is not finite: -2Kt or the result overflows."""
     try:
-        return exp(-2.0 * K * t)
+        out = of(-2.0 * K * t)
     except OverflowError:
-        raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}") from None
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}")
+    return out
 
 
 def _heat_integral(g, sd, F, K, t, inner):
@@ -315,11 +319,12 @@ def variance_coefficient(K, t):
     """(1 - e^{-2Kt})/K with the continuous extension 2t at K = 0.
 
     expm1 keeps the quotient accurate as K -> 0, where the naive form
-    loses half its digits to cancellation.
+    loses half its digits to cancellation.  A coefficient out of float
+    range raises _decay's ValueError.
     """
     if K == 0.0:
-        return 2.0 * t
-    return -_decay(K, t, math.expm1) / K
+        return _decay(K, t, lambda a: 2.0 * t)
+    return _decay(K, t, lambda a: -math.expm1(a) / K)
 
 
 def cdn_bound(g, sd, f, K, n, t):

@@ -1093,6 +1093,9 @@ STIFF_C4_TEXT = ("vertex a 1\nvertex b 1e-4\nvertex c 1\nvertex d 1\n"
     (("--inequality", "variance", "--K", "-400"), "-400.0"),
     (("--inequality", "gamma2-identity", "--K", "-400"), "-400.0"),
     (("--inequality", "cdn", "--n", "2", "--K", "auto"), "-9999.0"),
+    # -2Kt itself overflows to inf, which exp returns without an error
+    (("--inequality", "gradient", "--K", "-1e308"), "-1e+308"),
+    (("--inequality", "variance", "--K", "-1e308"), "-1e+308"),
 ])
 def test_verify_overflowing_decay_exit_2(capsys, tmp_path, flags, K):
     # e^{-2Kt} overflows at t = 1; an inf there would read as a violation

@@ -119,6 +119,14 @@ def test_variance_coefficient():
     assert variance_coefficient(1e-12, 1.0) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_variance_coefficient_out_of_float_range_raises():
+    # e^{-2Kt} = e^200 is finite, but the quotient by K = -1e-300 is not
+    with pytest.raises(ValueError, match=r"overflows at K = -1e-300, t = 1e\+302"):
+        variance_coefficient(-1e-300, 1e302)
+    with pytest.raises(ValueError, match=r"overflows at K = 0.0, t = 1e\+308"):
+        variance_coefficient(0.0, 1e308)
+
+
 def test_variance_equality_on_k2():
     # for f = indicator, both sides are (1 - exp(-4t))/4
     for t in (0.1, 0.5, 1.0, 2.0):
