@@ -85,6 +85,26 @@ del _DIGITS, _e
 # correctly rounded M wherever s is farther than _TIE_MARGIN = 3.9e-3 from
 # a half-integer
 _TIE_MARGIN = 1 / 256
+# e in [_EXACT_E_MIN, _EXACT_E_MAX]: _SCALE's entry, at most 10**22 = 2**22 * 5**22
+# with 5**22 < 2**53, is exact, so the product's rounding error is s's only one
+_EXACT_E_MIN, _EXACT_E_MAX = -10, 12
+# Veltkamp's splitter 2**27 + 1: a double v is hi + lo, each of 26 bits or fewer
+_SPLITTER = 134217729.0
+
+
+def _split(v):
+    """(hi, lo) with hi + lo = v exactly and hi * hi, hi * lo, lo * lo exact."""
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _product_error(a, b, p):
+    """a * b - p exactly, for p the rounded a * b (Dekker's two-product; no
+    product of the halves underflows or overflows in the ranges used)."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
 def _certain_mantissas(x):
@@ -94,13 +114,21 @@ def _certain_mantissas(x):
 
     m is rint(s) for s = |x| * _SCALE[e - _E_MIN], e = floor(log10|x|),
     and certain says that this rounding is the correctly rounded one: x is
-    0 or -0, or s is in [1e12, 1e13) before rounding, rint(s) < 1e13 and s
-    is farther than _TIE_MARGIN from a half-integer.  That rules out
-    subnormals, inf, nan, |x| outside [1e-99, 1e100), near-ties and an e
-    one too small.  An e one too large passes only for s within 2.3e-3
-    above 1e12, where the exact s / 10 rounds up to 10**12 as well.  Where
-    certain is False, m is 1e12 and e is some exponent in range, for the
-    caller to overwrite.
+    0 or -0, or s >= 1e12, rint(s) <= 1e13 and s is farther than
+    _TIE_MARGIN from a half-integer.  That rules out subnormals, inf, nan,
+    |x| outside [1e-99, 1e100) and near-ties.  An e one too large passes
+    only for s within 2.3e-3 above 1e12, where the exact s / 10 rounds up
+    to 10**12 as well, and one too small only where s rounds to 1e13.
+
+    A near-tie with e in [_EXACT_E_MIN, _EXACT_E_MAX] and s < 1e13 (so
+    that floor(s) + 1 <= 1e13) is rounded exactly:
+    s + lo is |x| * 10**(12 - e) exactly, lo the product's error, and with
+    h = floor(s) + 1/2 the difference s - h is exact (Sterbenz's lemma), a
+    multiple of s's ulp, and so larger than |lo| unless it is 0.  Its sign
+    decides, else lo's, else (an exact tie) the even neighbour wins, as in
+    Python's own formatting.  An m of 1e13 is 1e12 at e + 1 (uncertain at
+    e = _E_MAX).  Where certain is False, m is 1e12 and e is some exponent
+    in range, for the caller to overwrite.
     """
     a = np.abs(x)
     with np.errstate(all="ignore"):  # 0, inf and nan have no finite log10
@@ -109,7 +137,20 @@ def _certain_mantissas(x):
         e = np.where(in_range, e, 0).astype(np.intp)
         s = a * _SCALE[e - _E_MIN]
         m = np.rint(s)
-        certain = in_range & (s >= 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+        scaled = in_range & (s >= 1e12) & (m <= 1e13)
+        certain = scaled & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+        tie = np.flatnonzero(scaled & ~certain)
+        tie = tie[(e[tie] >= _EXACT_E_MIN) & (e[tie] <= _EXACT_E_MAX) & (s[tie] < 1e13)]
+        p = s[tie]
+        lo = _product_error(a[tie], _SCALE[e[tie] - _E_MIN], p)
+        n = np.floor(p)
+        d = p - (n + 0.5)
+        m[tie] = n + ((d > 0) | (d == 0) & ((lo > 0) | (lo == 0) & (n % 2 == 1)))
+        certain[tie] = True
+        carry = np.flatnonzero(m == 1e13)
+        m[carry] = 1e12
+        certain[carry] &= e[carry] < _E_MAX
+        e[carry] += certain[carry]
         certain |= a == 0
     return np.where(certain, m, 1e12), e, certain
 
@@ -124,20 +165,6 @@ def _padded(texts, width=None):
     return np.frombuffer(rows, np.uint8).reshape(len(data), width)
 
 
-def _grid(shape, parts):
-    """The uint8 array of shape (*shape, width), a view of a new bytearray
-    (its base), whose rows are the parts side by side: each a uint8 array
-    that broadcasts to (*shape, its width), or bytes, alike in every row."""
-    parts = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in parts]
-    shape = (*shape, sum(p.shape[-1] for p in parts))
-    grid = np.ndarray(shape, np.uint8, bytearray(math.prod(shape)))
-    i = 0
-    for p in parts:
-        grid[..., i:i + p.shape[-1]] = p
-        i += p.shape[-1]
-    return grid
-
-
 def _float_slots(values):
     """(CSV slots, JSON slots) of a 1-d array or a sequence of floats: one
     _SLOT-byte row per float, its report text padded with _PAD.
@@ -150,14 +177,17 @@ def _float_slots(values):
     """
     x = np.asarray(values, dtype=np.float64)
     m, e, certain = _certain_mantissas(x)
-    q, r3 = np.divmod(m.astype(np.int64), 1000)
-    q, r2 = np.divmod(q, 10000)
-    q, r1 = np.divmod(q, 10000)
+    # the digit groups by floor division and a multiply-subtract: numpy's
+    # // by a constant is several times faster than its divmod
+    q3 = m.astype(np.int64)
+    q2 = q3 // 1000
+    q1 = q2 // 10000
+    q0 = q1 // 10000
     words = np.empty((x.size, 5), dtype=np.uint32)
-    words[:, 0] = _LEAD[np.where(np.signbit(x), q + 100, q)]
-    words[:, 1] = _QUAD[r1]
-    words[:, 2] = _QUAD[r2]
-    words[:, 3] = _TRIPLE_E[r3]
+    words[:, 0] = _LEAD[q0 + 100 * np.signbit(x)]
+    words[:, 1] = _QUAD[q1 - q0 * 10000]
+    words[:, 2] = _QUAD[q2 - q1 * 10000]
+    words[:, 3] = _TRIPLE_E[q3 - q2 * 1000]
     words[:, 4] = _EXP[e - _E_MIN]
     slots = words.view(np.uint8)
     slow = np.flatnonzero(~certain)
@@ -235,7 +265,10 @@ def _blocks(shape, width):
     """Index tuples of slices that cut an array of the given shape, in
     report order, into blocks whose grids of width-byte rows stay within
     _BLOCK_BYTES: runs of whole subarrays along the first axis where one
-    fits, else each subarray's blocks in turn (a record at least)."""
+    fits, else each subarray's blocks in turn (a record at least).  Every
+    block's shape is the first's, or the first's with fewer along the one
+    axis cut before its whole axes, so its rows in row order are a prefix
+    of the first block's."""
     n = max(1, _BLOCK_BYTES // width)  # records a block may hold
     size = math.prod(shape[1:])        # records of a subarray
     if n >= size:
@@ -247,19 +280,67 @@ def _blocks(shape, width):
                     for i in range(shape[0]) for index in _blocks(shape[1:], width))
 
 
+class _KeptGrid:
+    """A file's byte grid, kept for all the blocks of a report: a bytearray
+    the size of the first block's grid, each later block's grid a view of a
+    prefix of it (_blocks).  A part is written into the grid only where it
+    differs from what the rows hold: bytes, alike in every row, once; a
+    column (table, axis), whose table has a row for each record index
+    along axis, when the block's slice along axis changes; and a uint8
+    array, the block's own (it broadcasts to (*block, its width)), in every
+    block.  Parts keep their place and width from block to block.  A
+    column is skipped only while its slice stays the same, in the later
+    blocks of a run along a later axis, and none of those is larger than
+    the run's first, which wrote it: so the rows still hold it."""
+
+    def __init__(self, block, parts):
+        self.widths = [len(p) if isinstance(p, bytes) else
+                       (p[0] if isinstance(p, tuple) else p).shape[-1] for p in parts]
+        self.buffer = bytearray(math.prod(block) * sum(self.widths))
+        self.held = [None] * len(parts)  # each part's key as last written
+
+    def fill(self, block, index, parts):
+        """The grid of the block at index, a view of the buffer, its parts
+        written where they change."""
+        grid = np.ndarray((*block, sum(self.widths)), np.uint8, self.buffer)
+        at = 0
+        for j, (part, w) in enumerate(zip(parts, self.widths)):
+            key = None
+            if isinstance(part, bytes):
+                key, part = (), np.frombuffer(part, np.uint8)
+            elif isinstance(part, tuple):
+                table, axis = part
+                key = index[axis]
+                part = table[key].reshape(-1, *(1,) * (len(block) - 1 - axis), w)
+            if key is None or key != self.held[j]:
+                grid[..., at:at + w] = part
+                self.held[j] = key
+            at += w
+        return grid
+
+
+def _write_grid(fh, grid, cut):
+    """Write the text of grid, a view of a prefix of a bytearray (its base),
+    to the binary file fh, every _PAD deleted, less its first cut bytes."""
+    buffer = grid.base
+    text = (buffer if grid.nbytes == len(buffer) else buffer[:grid.nbytes]).translate(None, _PAD)
+    fh.write(text[cut:] if cut else text)
+
+
 def _write_blocks(shape, width, grids, lists):
     """Write the records of an array of the given shape a block at a time
-    (_blocks), a byte grid per file and block: grids(index) yields (binary
-    file, parts) for each file, parts (see _grid) of block index's records
-    in rows no wider than width.  A record of a file in lists is a JSON
-    list's member, which starts ", ": the writer deletes it from the first."""
+    (_blocks) through one _KeptGrid per file: grids(index) yields (binary
+    file, parts) for each file, in the same order for every block, parts
+    (see _KeptGrid) of block index's records in rows no wider than width.
+    A record of a file in lists is a JSON list's member, which starts ", ":
+    the writer cuts it from the first block's text."""
+    kept = []  # by place: a stdout with no binary buffer cannot be a dict key
     for i, index in enumerate(_blocks(shape, width)):
         block = tuple(len(range(n)[s]) for n, s in zip(shape, index))
-        for fh, parts in grids(index):
-            grid = _grid(block, parts)
-            if i == 0 and fh in lists:
-                grid.flat[:2] = _PAD[0]
-            fh.write(grid.base.translate(None, _PAD))
+        for j, (fh, parts) in enumerate(grids(index)):
+            if i == 0:
+                kept.append(_KeptGrid(block, parts))
+            _write_grid(fh, kept[j].fill(block, index, parts), 2 if i == 0 and fh in lists else 0)
 
 
 def _stream_records(report, json_fh, csv_fh):
@@ -287,16 +368,15 @@ def _stream_records(report, json_fh, csv_fh):
     width += 4 * _SLOT + len(rhs_key + slack_key + close)
 
     def grids(index):
-        fs, ts, vs = index
         values = np.stack([a[index] for a in (report.lhs, report.rhs, report.slack)], -1)
         shape = values.shape[:3]
         # one _float_slots call for both files: formatting is the writer's main cost
         csv_slots, json_slots = (s.reshape(*shape, 3, _SLOT) for s in _float_slots(values.ravel()))
-        yield json_fh, (f_json[fs, None, None], t_json[ts, None], v_json[vs],
+        yield json_fh, ((f_json, 0), (t_json, 1), (v_json, 2),
                         json_slots[..., 0, :], rhs_key, json_slots[..., 1, :],
                         slack_key, json_slots[..., 2, :], close)
         if csv_fh is not None:
-            yield csv_fh, (f_csv[fs, None, None], t_csv[ts, None], v_csv[vs],
+            yield csv_fh, ((f_csv, 0), (t_csv, 1), (v_csv, 2),
                            csv_slots[..., 0, :], b",", csv_slots[..., 1, :],
                            b",", csv_slots[..., 2, :], b"\n")
 
@@ -420,7 +500,7 @@ def cmd_curvature(args, files) -> int:
         count, width = len(rows), heads.shape[1] + _SLOT + len(ends)
 
         def parts(s):
-            return heads[s], kappa_slots[s], ends
+            return (heads, 0), (kappa_slots, 0), ends
 
     (fh,) = files()
     _write(fh, head)
@@ -464,7 +544,8 @@ def _witness_rows(g, columns, rows, heads, kappa_slots):
     keys = _padded([json.dumps(x) + ": " for x in g.labels])
     kw = keys.shape[1]
     width = kw + _SLOT + 2
-    leads = _grid((len(rows),), (heads, kappa_slots, b', "witness": {'))
+    opening = np.frombuffer(b', "witness": {', np.uint8)
+    leads = np.hstack([heads, kappa_slots, np.tile(opening, (len(rows), 1))])
     per = -(-leads.shape[1] // width)   # grid rows per lead
     leads = np.pad(leads, ((0, 0), (0, per * width - leads.shape[1])),
                    constant_values=_PAD[0]).reshape(len(rows) * per, width)

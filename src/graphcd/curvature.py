@@ -33,10 +33,11 @@ from .operators import form_table
 
 _PSD_TOL = 1e-10           # allowed negative entry of the diagonal S2 block
 # _solve builds the form table a block of centers at a time, each block
-# within _BLOCK_BYTES at form_table's peak, which holds at most about
-# _WALK_BYTES per 2-walk x -> y -> w of its centers, the table included
+# within _BLOCK_BYTES at form_table's peak: the table (a row of k1 + k2
+# floats per sphere1 entry; k2 diagonal floats and k1 + k2 ids per center)
+# and at most about _WALK_BYTES more per 2-walk x -> y -> w of its centers
 _BLOCK_BYTES = 2**21
-_WALK_BYTES = 144
+_WALK_BYTES = 96
 
 
 class CurvatureInternalError(RuntimeError):
@@ -210,18 +211,24 @@ def _solve_run(g, n, run, rank, values, kappa):
 def _center_blocks(g):
     """(blocks, rank): the vertices in (degree, 2-walk count, id) order, cut
     into consecutive blocks whose form tables stay within _BLOCK_BYTES (a
-    vertex at least), and each vertex's place in that order."""
+    vertex at least), and each vertex's place in that order.
+
+    A center's cost is its table's bytes, with k2 bounded by the 2-walks
+    less the k1 that return to it and by the vertices outside its sphere1,
+    and _WALK_BYTES per 2-walk."""
     indptr, indices = g._csr_indptr, g._csr_indices
-    degree = np.diff(indptr)
-    reach = np.concatenate([[0], np.cumsum(degree[indices])])
+    k1 = np.diff(indptr)
+    reach = np.concatenate([[0], np.cumsum(k1[indices])])
     walks = reach[indptr[1:]] - reach[indptr[:-1]]   # the 2-walks x -> y -> w from x
-    order = np.lexsort((walks, degree))
+    order = np.lexsort((walks, k1))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    cost = np.concatenate([[0], np.cumsum(walks[order])])
+    k = k1 + np.minimum(walks - k1, g.vertex_count - 1 - k1)   # k1 + k2 at most
+    cost = 8 * (k1 * k + (k - k1) + k) + _WALK_BYTES * walks
+    cost = np.concatenate([[0], np.cumsum(cost[order])])
     cuts, lo = [0], 0
     while lo < len(order):
-        hi = int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES // _WALK_BYTES, side="right")) - 1
+        hi = int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES, side="right")) - 1
         lo = max(hi, lo + 1)
         cuts.append(lo)
     return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], rank

@@ -60,7 +60,10 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
     def _apply(self, ts, V):
-        E = np.multiply.outer(self.rates, ts)
+        # every rate but the top one (0) is negative on a connected graph, so
+        # a product past float range is -inf, and e^{-inf} = 0 is exact
+        with np.errstate(over="ignore"):
+            E = np.multiply.outer(self.rates, ts)
         Y = np.multiply((self.basis.T @ V)[:, :, None], np.exp(E, out=E)[:, None, :])
         return (self.basis @ Y.reshape(len(Y), -1)).reshape(Y.shape)
 

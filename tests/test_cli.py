@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import graphcd.semigroup
 import graphcd.verify
 from graphcd import __version__, cli
-from graphcd.cli import _PAD, _certain_mantissas, _float_slots, _grid, main
+from graphcd.cli import _PAD, _certain_mantissas, _float_slots, main
 from graphcd.curvature import curvature_at
 from graphcd.graph import load_graph, load_vertex_function, save_graph, save_vertex_function
 from graphcd.semigroup import decompose, heat_apply
@@ -530,7 +530,8 @@ def _float_texts(values):
     csv_slots, json_slots = _float_slots(values)
 
     def split(slots):  # a space after each slot; no text holds one
-        return _grid(slots.shape[:1], (slots, b" ")).base.translate(None, _PAD).decode().split()
+        spaced = np.hstack([slots, np.full((len(slots), 1), ord(" "), np.uint8)])
+        return spaced.tobytes().translate(None, _PAD).decode().split()
 
     texts = split(csv_slots)
     return texts, texts if json_slots is csv_slots else split(json_slots)
@@ -623,6 +624,41 @@ def test_bulk_float_texts_write_zeros_without_python(monkeypatch):
     assert sizes == [0]
 
 
+# decimal near-ties n.5 * 10**(e - 12), e in the exponents whose scale is an
+# exact double, and the doubles just below and above them: "5" and then a
+# run of 0s, or "4" and a run of 9s, before a last digit
+_near_tie_fractions = st.just("5") | st.builds(
+    lambda k, j, up: ("5" + "0" * k if up else "4" + "9" * k) + str(j),
+    st.integers(0, 14), st.integers(0, 9), st.booleans())
+_near_ties = st.builds(
+    lambda n, frac, e, sign: sign * float(f"{n}.{frac}e{e - 12}"),
+    st.integers(10**12, 10**13 - 1), _near_tie_fractions,
+    st.integers(cli._EXACT_E_MIN, cli._EXACT_E_MAX), st.sampled_from([-1.0, 1.0]))
+# exact ties: n + 1/2 is a double for every 13-digit n (e = 12)
+_exact_ties = st.builds(lambda n, sign: sign * (n + 0.5), st.integers(10**12, 10**13 - 1),
+                        st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_near_ties | _exact_ties, min_size=1, max_size=40))
+def test_near_ties_are_rounded_exactly_without_python(xs):
+    xs += [1000000000000.5, 1000000000001.5, -1000000000000.5, 9999999999999.5,
+           9.9999999999995e-10, -9.9999999999995]
+    padded, sizes = graphcd.cli._padded, []
+
+    def spy(texts, width=None):
+        sizes.append(len(texts))
+        return padded(texts, width)
+
+    with mock.patch.object(graphcd.cli, "_padded", spy):
+        texts = _float_texts(np.array(xs))[0]
+    assert texts == [f"{x:.12e}" for x in xs]
+    # ties go to the even neighbour, and 13 nines round up to the next power of ten
+    assert texts[-6:] == ["1.000000000000e+12", "1.000000000002e+12", "-1.000000000000e+12",
+                          "1.000000000000e+13", "1.000000000000e-09", "-1.000000000000e+01"]
+    assert sizes == [0]
+
+
 # ---------------------------------------------------------------------------
 # the block writer of verify records
 # ---------------------------------------------------------------------------
@@ -675,15 +711,14 @@ def test_verify_blocks_stay_within_the_budget(capsys, tmp_path, monkeypatch):
         widths.append(width)
         return real_blocks(shape, width)
 
-    def grid(shape, parts):
-        g = real_grid(shape, parts)
-        grids.append(g.shape)
-        return g
+    def write_grid(fh, grid, cut):
+        grids.append(grid.shape)
+        return real_write_grid(fh, grid, cut)
 
-    real_blocks, real_grid = cli._blocks, cli._grid
+    real_blocks, real_write_grid = cli._blocks, cli._write_grid
     monkeypatch.setattr(cli, "run_verification", run)
     monkeypatch.setattr(cli, "_blocks", blocks)
-    monkeypatch.setattr(cli, "_grid", grid)
+    monkeypatch.setattr(cli, "_write_grid", write_grid)
     out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
     argv = ["verify", "--graph", _awkward_graph(tmp_path), "--inequality", "gradient",
             "--K", "auto", "--times", "0.3,0.05", "--output", str(out_json), "--csv", str(out_csv)]
@@ -720,6 +755,51 @@ def test_verify_blocks_stay_within_the_budget(capsys, tmp_path, monkeypatch):
             assert counts == [c * nv for c in cuts(nt, records // nv)] * nf
         else:  # whole functions, the last block holding what is left
             assert counts == [c * nt * nv for c in cuts(nf, records // (nt * nv))]
+
+
+@pytest.mark.parametrize("records", [4, 5 * 2 * 6 + 3])
+def test_kept_grids_write_the_per_record_bytes_to_a_text_stdout(tmp_path, monkeypatch, records):
+    # the JSON report to an io.StringIO stdout (no binary buffer), the CSV to
+    # a file: blocks of 4 records cut each time's 6 vertices into 4 and 2,
+    # and blocks of 5 functions leave a last block of 3
+    reports, widths, shapes = [], [], []
+
+    def run(*args, **kwargs):
+        reports.append(run_verification(*args, **kwargs))
+        return reports[-1]
+
+    def blocks(shape, width):
+        widths.append(width)
+        return real_blocks(shape, width)
+
+    def write_grid(fh, grid, cut):
+        shapes.append(grid.shape[:3])
+        return real_write_grid(fh, grid, cut)
+
+    real_blocks, real_write_grid = cli._blocks, cli._write_grid
+    monkeypatch.setattr(cli, "run_verification", run)
+    monkeypatch.setattr(cli, "_blocks", blocks)
+    monkeypatch.setattr(cli, "_write_grid", write_grid)
+    out_csv = tmp_path / "r.csv"
+    argv = ["verify", "--graph", _awkward_graph(tmp_path), "--inequality", "gradient",
+            "--K", "auto", "--times", "0.3,0.05", "--csv", str(out_csv)]
+    for budget in (None, records):
+        if budget is not None:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", budget * widths[0])
+        reports.clear()
+        shapes.clear()
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        want_json, want_csv = _per_record_reports(reports[0], "awk")
+        assert stdout.getvalue() == want_json
+        assert out_csv.read_text() == want_csv
+    # a JSON and a CSV write a block
+    assert shapes[::2] == shapes[1::2]
+    if records == 4:
+        assert shapes[::2] == [(1, 1, 4), (1, 1, 2)] * (63 * 2)
+    else:
+        assert shapes[::2] == [(5, 2, 6)] * 12 + [(3, 2, 6)]
 
 
 def test_verify_builds_only_the_violation_records_it_prints(capsys, tmp_path, monkeypatch):
@@ -977,16 +1057,16 @@ def test_verify_failing_while_writing_leaves_the_bytes_written(capsys, tmp_path,
             "--csv", str(csv_out)]
     assert main(args) == 0
     whole = json_out.read_bytes(), csv_out.read_bytes()
-    grid, calls = cli._grid, []
+    write_grid, calls = cli._write_grid, []
 
     def second_block_fails(*a):
         calls.append(a)
-        if len(calls) > 2:  # a grid per file and block
+        if len(calls) > 2:  # a grid's write per file and block
             raise OSError(errno.ENOSPC, "No space left on device")
-        return grid(*a)
+        return write_grid(*a)
 
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 2048)
-    monkeypatch.setattr(cli, "_grid", second_block_fails)
+    monkeypatch.setattr(cli, "_write_grid", second_block_fails)
     left = []
     for old in (b"", b"an earlier, longer report\n" * 1000):
         calls.clear()
@@ -1195,6 +1275,24 @@ def test_heat_keeps_the_mean_at_huge_weights(capsys, tmp_path):
     assert code == 0
     got = load_vertex_function(out, load_graph(graph.read_text()))
     assert np.abs(got - 1.0).max() <= 1e-14
+
+
+def test_heat_and_verify_at_the_largest_times(capsys, tmp_path):
+    # lambda t is past float range at t = 1e308 for every eigenvalue but the
+    # top one: e^{-inf} = 0, with no overflow raised (RuntimeWarnings are
+    # errors here), so P_t f is the mean and Gamma(P_t f) = 0
+    graph, f = tmp_path / "p3.graph", tmp_path / "f.csv"
+    graph.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1\nedge b c 1\n")
+    f.write_text("vertex,value\na,1\nb,0\nc,2\n")
+    code, out, err = run_main(capsys, "heat", "--graph", str(graph), "--f", str(f),
+                              "--t", "1e308")
+    assert (code, err) == (0, "")
+    assert np.abs(load_vertex_function(out, load_graph(graph.read_text())) - 1.0).max() <= 1e-15
+    code, out, err = run_main(capsys, "verify", "--graph", str(graph), "--inequality", "gradient",
+                              "--K", "0", "--times", "1e308", "--functions", "random:0:1")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    assert len(records) == 3 and all(r["lhs"] == 0.0 < r["rhs"] for r in records)
 
 
 def test_heat_negative_time_exit_2(capsys, k2_path, f_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,34 +168,84 @@ def _degree_and_walks(g):
     return degree, [sum(degree[y] for y in ball2(g, x).sphere1) for x in range(g.vertex_count)]
 
 
-def _budget(monkeypatch, walks):
-    """Blocks of centers of at most walks 2-walks each (one center at least)."""
-    monkeypatch.setattr(curvature, "_BLOCK_BYTES", walks * curvature._WALK_BYTES)
+def _center_costs(g):
+    """Each center's block cost: its form table's bytes, a row of k1 + k2
+    floats per sphere1 entry and k2 floats and k1 + k2 ids more, with k2
+    bounded by the 2-walks that do not return to it and by the vertices
+    outside its sphere1; and _WALK_BYTES per 2-walk."""
+    degree, walks = _degree_and_walks(g)
+    costs = []
+    for k1, w in zip(degree, walks):
+        k = k1 + min(w - k1, g.vertex_count - 1 - k1)
+        costs.append(8 * (k1 * k + k - k1 + k) + curvature._WALK_BYTES * w)
+    return costs
+
+
+def _budget(monkeypatch, cost):
+    """Blocks of centers of at most the given cost each (one center at least)."""
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", cost)
 
 
 def test_center_blocks_cut_the_degree_and_walk_order_by_the_budget(monkeypatch):
     g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
     degree, walks = _degree_and_walks(g)
+    costs = _center_costs(g)
     order = sorted(range(30), key=lambda x: (degree[x], walks[x], x))
-    for budget in (0, max(walks), sum(walks) // 3, sum(walks)):
+    for budget in (0, max(costs), sum(costs) // 3, sum(costs)):
         _budget(monkeypatch, budget)
         blocks, rank = _center_blocks(g)
         assert [x for b in blocks for x in b.tolist()] == order, budget
         assert rank[order].tolist() == list(range(30))
-        cost = [sum(walks[x] for x in b) for b in blocks]
+        cost = [sum(costs[x] for x in b) for b in blocks]
         assert all(len(b) == 1 or c <= budget for b, c in zip(blocks, cost)), budget
         # each block is cut where the next center would not fit
-        assert all(c + walks[b[0]] > budget for c, b in zip(cost, blocks[1:])), budget
+        assert all(c + costs[b[0]] > budget for c, b in zip(cost, blocks[1:])), budget
     assert len(_center_blocks(g)[0]) == 1
     _budget(monkeypatch, 0)
     assert len(_center_blocks(g)[0]) == 30
 
 
+def _sparse_graph(seed, nv, max_degree, mean_degree):
+    """A random cycle through every vertex plus random edges up to the mean
+    degree, no vertex above max_degree; weights and measures in [0.5, 2]."""
+    rng = rng_for(77, seed)
+    order = rng.permutation(nv).tolist()
+    degree, edges = [0] * nv, {}
+    pairs = [(order[i], order[(i + 1) % nv]) for i in range(nv)]
+    while len(edges) < nv * mean_degree // 2:
+        u, v = pairs.pop(0) if pairs else rng.integers(0, nv, 2).tolist()
+        key = (min(u, v), max(u, v))
+        if u != v and key not in edges and max(degree[u], degree[v]) < max_degree:
+            edges[key] = float(rng.uniform(0.5, 2.0))
+            degree[u] += 1
+            degree[v] += 1
+    return WeightedGraph([f"v{i}" for i in range(nv)], rng.uniform(0.5, 2.0, nv), edges)
+
+
+def test_form_tables_stay_within_the_block_budget():
+    # tracemalloc's peak while each block's table is built, the table
+    # included, on sparse graphs of several degrees and on K60
+    graphs = [_sparse_graph(seed, nv, d, mean) for seed in range(2)
+              for nv, d, mean in ((2048, 6, 5), (1000, 9, 7), (600, 20, 14))]
+    for g in graphs + [complete_graph(60)]:
+        blocks, _ = _center_blocks(g)
+        assert len(blocks) > 1
+        for centers in blocks:
+            tracemalloc.start()
+            try:
+                table = form_table(g, centers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del table
+            assert peak <= curvature._BLOCK_BYTES, (g.vertex_count, len(centers), peak)
+
+
 def test_solve_stacks_one_eigh_per_block_and_sphere1_size(monkeypatch):
     # blocked, each (block, k1) run of the blocks' form tables is one eigh call
     g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
-    degree, walks = _degree_and_walks(g)
-    _budget(monkeypatch, sum(walks) // 4)
+    degree, _ = _degree_and_walks(g)
+    _budget(monkeypatch, sum(_center_costs(g)) // 4)
     blocks, _ = _center_blocks(g)
     want = []
     for b in blocks:
@@ -220,7 +271,7 @@ def test_blocks_change_no_bit(monkeypatch):
         graphs.append(WeightedGraph(base.labels, base.m, {**base.edges, **loops}))
     graphs.append(WeightedGraph(list("abcdefgh"), WIDE_M, WIDE_EDGES))
     for i, g in enumerate(graphs):
-        total = sum(_degree_and_walks(g)[1])
+        total = sum(_center_costs(g))
         budgets = [0, *rng.integers(1, total, 2).tolist()]
         for n in (INF, 2.0):
             _budget(monkeypatch, total)
@@ -259,7 +310,7 @@ def test_sphere2_failure_names_the_first_in_degree_and_walk_order(monkeypatch, e
         return table
 
     monkeypatch.setattr(curvature, "form_table", failing)
-    for budget in (0, sum(walks)):
+    for budget in (0, sum(_center_costs(g))):
         _budget(monkeypatch, budget)
         with pytest.raises(error, match=message):
             _solve(g, INF)

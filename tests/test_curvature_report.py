@@ -163,6 +163,35 @@ def test_curvature_report_equals_the_dict_per_row_writer(text, dimension, mode, 
     assert got == _dict_per_row_report(g, "h", float(dimension), mode)
 
 
+def test_kept_grid_writes_the_witness_rows_to_a_text_stdout(tmp_path, monkeypatch):
+    # the gold graph's witness report (46 grid rows) to an io.StringIO
+    # stdout in blocks of k rows, the last one partial where k does not
+    # divide 46
+    path = tmp_path / "gold.graph"
+    path.write_text(GOLD_GRAPH, encoding="utf-8")
+    want = _dict_per_row_report(load_graph(GOLD_GRAPH), "gold", math.inf, "witness")
+    widths, rows = [], []
+
+    def blocks(shape, width):
+        widths.append(width)
+        return real_blocks(shape, width)
+
+    def write_grid(fh, grid, cut):
+        rows.append(len(grid))
+        return real_write_grid(fh, grid, cut)
+
+    real_blocks, real_write_grid = cli._blocks, cli._write_grid
+    monkeypatch.setattr(cli, "_blocks", blocks)
+    monkeypatch.setattr(cli, "_write_grid", write_grid)
+    assert _report(str(path), "inf", "witness") == want
+    assert rows == [46]
+    for k in (1, 3, 5, 7, 45):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", k * widths[0])
+        rows.clear()
+        assert _report(str(path), "inf", "witness") == want, k
+        assert rows == [min(k, 46 - i) for i in range(0, 46, k)], k
+
+
 def test_witness_report_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):
     path = tmp_path / "gold.graph"
     path.write_text(GOLD_GRAPH, encoding="utf-8")
