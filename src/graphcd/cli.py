@@ -459,11 +459,6 @@ def _write(fh, text):
     fh.write(text.encode())
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _graph_name(path):
     base = os.path.basename(path)
     stem, _, _ = base.partition(".")
@@ -475,7 +470,8 @@ def _graph_name(path):
 # ---------------------------------------------------------------------------
 
 def cmd_curvature(args, files) -> int:
-    g = load_graph(_read(args.graph))
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
     n = _check_dimension(args.dimension)
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
@@ -587,13 +583,15 @@ def _build_corpus(g, spec, dimension):
         return random_functions(g, seed, count)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        f = load_vertex_function(_read(path), g)
+        with open(path, encoding="utf-8") as fh:
+            f = load_vertex_function(fh, g)
         return [(f"file:{os.path.basename(path)}", f)]
     raise ValueError(f"unknown --functions specification {spec!r}")
 
 
 def cmd_verify(args, files) -> int:
-    g = load_graph(_read(args.graph))
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
     name = next(name for name, check in CHECKS.items() if check.flag == args.inequality)
 
     if args.K.strip() == "auto":
@@ -647,8 +645,10 @@ def cmd_verify(args, files) -> int:
 
 
 def cmd_heat(args, files) -> int:
-    g = load_graph(_read(args.graph))
-    f = load_vertex_function(_read(args.f), g)
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
+    with open(args.f, encoding="utf-8") as fh:
+        f = load_vertex_function(fh, g)
     try:
         t = float(args.t)
     except ValueError:

@@ -12,10 +12,10 @@ Gamma2 form and its diagonal 2-sphere block), each block within a fixed
 byte budget, so that dense balls run in bounded memory.  It eliminates
 the 2-sphere coordinates by a Schur complement through that diagonal and
 solves the remaining symmetric pencil, one stacked eigensolve per
-sphere1 size in a block.  The results are columns: kappa per vertex, and
-each ball's coordinates and witness values in flat arrays; curvature_at
-and curvature_all build a CurvatureResult from them when one is read.  A kappa that is not finite
-(the input out of float range) raises ValueError, so none is handed out.
+sphere1 size in a block.  The results are columns, each held once: kappa
+per vertex, and each ball's coordinates and witness values in flat arrays
+written in place; curvature_at and curvature_all build a CurvatureResult
+from them when one is read.  A kappa that is not finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -209,13 +209,14 @@ def _solve_run(g, n, run, rank, values, kappa):
 
 
 def _center_blocks(g):
-    """(blocks, rank): the vertices in (degree, 2-walk count, id) order, cut
-    into consecutive blocks whose form tables stay within _BLOCK_BYTES (a
-    vertex at least), and each vertex's place in that order.
+    """(blocks, rank, coords): the vertices in (degree, 2-walk count, id)
+    order, cut into consecutive blocks whose form tables stay within
+    _BLOCK_BYTES (a vertex at least), each vertex's place in that order,
+    and a bound on the total size of the punctured 2-balls.
 
-    A center's cost is its table's bytes, with k2 bounded by the 2-walks
-    less the k1 that return to it and by the vertices outside its sphere1,
-    and _WALK_BYTES per 2-walk."""
+    A center's k2 is bounded by the 2-walks less the k1 that return to it
+    and by the vertices outside its sphere1.  At that bound its cost is its
+    table's bytes and _WALK_BYTES per 2-walk, and coords sums its k1 + k2."""
     indptr, indices = g._csr_indptr, g._csr_indices
     k1 = np.diff(indptr)
     reach = np.concatenate([[0], np.cumsum(k1[indices])])
@@ -231,7 +232,7 @@ def _center_blocks(g):
         hi = int(np.searchsorted(cost, cost[lo] + _BLOCK_BYTES, side="right")) - 1
         lo = max(hi, lo + 1)
         cuts.append(lo)
-    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], rank
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], rank, int(k.sum())
 
 
 # a form out of float range overflows to inf or nan in the forms or the pencil,
@@ -259,7 +260,8 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     sign in A12^T v.  Each center's terms, matrices and eigenpair are its
     own, so no result depends on the block that holds it.  Support and
     values are the tables' ball coordinates and the witness values, block
-    after block, each in its table's group order.
+    after block in place, each in its table's group order, in columns
+    sized by _center_blocks' bound, whose unused tail is never touched.
 
     A sphere2 block with an entry below -_PSD_TOL max(1, its largest)
     raises CurvatureInternalError, and else one with an entry whose
@@ -273,26 +275,25 @@ def _solve(g: WeightedGraph, n: float) -> _Columns:
     kappa = np.empty(nv)
     start = np.empty(nv, dtype=np.int64)
     size = np.empty(nv, dtype=np.int64)
-    supports, values = [], []
+    blocks, rank, coords = _center_blocks(g)
+    support, values = np.empty(coords, dtype=np.int64), np.empty(coords)
     at = 0
-    blocks, rank = _center_blocks(g)
     for centers in blocks:
         table = form_table(g, centers)
-        vals = np.empty(len(table.ids))
+        s = slice(at, at + len(table.ids))
+        support[s] = table.ids
         k = table.k1 + table.k2
         start[table.centers], size[table.centers] = at + np.cumsum(k) - k, k
         # the groups ascend in (k1, k2): the groups of one k1 are one run of the table
         for _, run in itertools.groupby(table.groups(), key=lambda grp: grp.k1):
-            _solve_run(g, n, list(run), rank, vals, kappa)
-        supports.append(table.ids)
-        values.append(vals)
-        at += len(vals)
+            _solve_run(g, n, list(run), rank, values[s], kappa)
+        at = s.stop
         del table, run  # the block's forms go before the next block's are built
     bad = np.flatnonzero(~np.isfinite(kappa))
     if bad.size:
         x = bad[0]
         raise ValueError(f"kappa at vertex {g.labels[x]!r} not finite: {kappa[x]}")
-    support, values = np.concatenate(supports), np.concatenate(values)
+    support, values = support[:at], values[:at]
     for a in (support, values, kappa, start, size):
         a.flags.writeable = False
     return _Columns(n, kappa, start, size, support, values)

@@ -4,10 +4,10 @@ A graph is (V, E, mu, m): symmetric positive edge weights mu, a positive
 measure m on vertices, self-loops allowed.  Vertices get integer ids in
 order of first declaration; labels are non-empty and whitespace-free.
 Graphs must be connected (self-loops do not connect anything) and are
-immutable after construction.  Edges are stored once, as arrays u <= v
-ascending in (u, v) and mu, self-loops included, for save_graph and edges.
-A loop term mu_xx (f(x) - f(x)) is 0, so the adjacency arrays that the
-operators, the propagators and the curvature engine read hold no loop.
+immutable after construction.  Edges are stored once, as arrays u < v
+ascending in (u, v) and mu, which the operators, the propagators and the
+curvature engine read.  A loop term mu_xx (f(x) - f(x)) is 0, so self-loops
+are kept apart, for save_graph and edges, which merge them back in.
 
 Text format, one directive per line:
 
@@ -15,9 +15,9 @@ Text format, one directive per line:
     vertex <label> <m>
     edge <label1> <label2> <mu>
 
-load_graph reads the text a chunk of whole lines at a time, and an error
-names the line of its fault.  A vertex function is stored as a CSV with
-header ``vertex,value`` and one row per vertex.
+load_graph reads a text stream a chunk of whole lines at a time, and an
+error names the line of its fault.  A vertex function is stored as a CSV
+with header ``vertex,value`` and one row per vertex.
 """
 
 from __future__ import annotations
@@ -126,45 +126,35 @@ class WeightedGraph:
             _require(mu == declared, edge_lines, lambda i: f"edge {labels[ends[i, 0]]} "
                      f"{labels[ends[i, 1]]} already declared with weight {float(declared[i])!r}")
         key = key[first]
-        self._u, self._v, self._mu = key // nv, key % nv, mu[order[first]]
-        self._edge_map = None
+        u, v, mu = key // nv, key % nv, mu[order[first]]
+        # self-loops are kept apart: every array built from u, v and mu is loop-free
+        loop = u == v
+        self._loops, self._loop_mu = u[loop], mu[loop]
+        if self._loops.size:
+            u, v, mu = u[~loop], v[~loop], mu[~loop]
+        self._u, self._v, self._mu = u, v, mu
+        self._edge_map = self._incidence_cache = None
 
-        self._build_adjacency()
-        with np.errstate(over="ignore"):
-            _require(np.isfinite(self._degree * self._inv_m), vertex_lines,
-                     lambda i: f"vertex {labels[i]!r}: Deg = sum of mu / m is not finite")
-        self._check_connected()
-        for a in (m, self._u, self._v, self._mu, self._csr_weights, self._edge_mu):
-            a.flags.writeable = False
-
-    # -- construction helpers -------------------------------------------
-
-    def _build_adjacency(self):
-        nv = len(self.labels)
-        u, v, mu = self._u, self._v, self._mu
-        # the one place self-loops are dropped: the edge list keeps them for
-        # save_graph and edges, and every array built here is loop-free
-        proper = u != v
-        if not proper.all():
-            u, v, mu = u[proper], v[proper], mu[proper]
-        self._edge_ends = np.stack([u, v], axis=1)
-        self._edge_mu = mu
-        self._incidence_cache = None
         # each edge in the rows of both ends; rows list their neighbors in
         # ascending order, by one sort of the distinct keys row * nv + col
         order = np.argsort(np.concatenate([u * nv + v, v * nv + u]))
         rows = np.concatenate([u, v])[order]
-        cols = np.concatenate([v, u])[order]
-        wts = np.concatenate([mu, mu])[order]
-        indptr = np.zeros(nv + 1, dtype=np.int64)
+        self._csr_indices = np.concatenate([v, u])[order]
+        self._csr_weights = wts = np.concatenate([mu, mu])[order]
+        self._csr_indptr = indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-        self._csr_indptr = indptr
-        self._csr_indices = cols
-        self._csr_weights = wts
         # bincount sums each row in that ascending order (and returns
         # integers when there is nothing to sum)
         self._degree = np.bincount(rows, weights=wts, minlength=nv).astype(np.float64, copy=False)
-        self._inv_m = 1.0 / self.m
+        self._inv_m = 1.0 / m
+        with np.errstate(over="ignore"):
+            _require(np.isfinite(self._degree * self._inv_m), vertex_lines,
+                     lambda i: f"vertex {labels[i]!r}: Deg = sum of mu / m is not finite")
+        self._check_connected()
+        for a in (m, u, v, mu, self._loops, self._loop_mu, wts):
+            a.flags.writeable = False
+
+    # -- construction helpers -------------------------------------------
 
     def _incidences(self):
         """(B, B^T, |B^T|) as sparse CSR arrays, built when first asked for.
@@ -179,9 +169,10 @@ class WeightedGraph:
             # scipy, and scipy.sparse is most of the package's import time
             import scipy.sparse
 
-            ne, nv = len(self._edge_mu), len(self.labels)
+            ne, nv = len(self._mu), len(self.labels)
             B = scipy.sparse.csr_array(
-                (np.tile([-1.0, 1.0], ne), self._edge_ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+                (np.tile([-1.0, 1.0], ne), np.column_stack([self._u, self._v]).ravel(),
+                 np.arange(0, 2 * ne + 1, 2)),
                 shape=(ne, nv),
             )
             Bt = B.T.tocsr()
@@ -195,7 +186,7 @@ class WeightedGraph:
         # vertex to its tree's root.  A path takes a few rounds (11 for
         # 100k vertices in shuffled id order), where a breadth-first search
         # would take one step per vertex.
-        u, v = self._edge_ends.T
+        u, v = self._u, self._v
         root = np.arange(len(self.labels))
         ru, rv = root[u], root[v]
         while (ru != rv).any():
@@ -213,13 +204,19 @@ class WeightedGraph:
     def vertex_count(self):
         return len(self.labels)
 
+    def _with_loops(self):
+        """(u, v, mu) of every edge, the self-loops merged back in, u <= v ascending."""
+        at = np.searchsorted(self._u, self._loops)  # (x, x) goes before every (x, v > x)
+        return (np.insert(self._u, at, self._loops), np.insert(self._v, at, self._loops),
+                np.insert(self._mu, at, self._loop_mu))
+
     @property
     def edges(self):
         """Read-only {(u, v): mu}, u <= v ascending, self-loops included;
         built from the edge arrays when first read."""
         if self._edge_map is None:
-            ends = zip(self._u.tolist(), self._v.tolist())
-            self._edge_map = MappingProxyType(dict(zip(ends, self._mu.tolist())))
+            u, v, mu = self._with_loops()
+            self._edge_map = MappingProxyType(dict(zip(zip(u.tolist(), v.tolist()), mu.tolist())))
         return self._edge_map
 
     def id_of(self, label):
@@ -283,17 +280,18 @@ def _append_numbers(out, tokens, what, lines):
     return None
 
 
-def load_graph(text: str) -> WeightedGraph:
-    """Tokenize the text format; WeightedGraph checks the data, naming each fault's line.
+def load_graph(fh) -> WeightedGraph:
+    """Tokenize the text format from a text stream or a str; WeightedGraph
+    checks the data, naming each fault's line.
 
-    The text is read _CHUNK characters at a time, each chunk cut just after
-    a "\\n", so that the chunks' splitlines() are the text's own lines.
-    Labels become numbers as they are read, through one dict of distinct
-    labels, and numbers and line numbers go into typed arrays, so no token
-    string but a vertex's label outlives its chunk.  Of several faults the
-    first structural one (unknown directive, token count) in line order is
-    named, else the first undeclared label in edge order, else the first
-    bad measure, else the first bad weight, else WeightedGraph's first.
+    The stream is read _CHUNK characters at a time, each continued to just
+    after the next "\\n", so that the chunks' splitlines() are the text's
+    own lines.  Labels become numbers as they are read, through one dict of
+    distinct labels, and numbers and line numbers go into typed arrays, so
+    no token string but a vertex's label outlives its chunk.  Of several
+    faults the first structural one (unknown directive, token count) in line
+    order is named, else the first undeclared label in edge order, else the
+    first bad measure, else the first bad weight, else WeightedGraph's first.
     """
     number = defaultdict(itertools.count().__next__)  # label -> its number, in order of first use
     labels = []  # of the vertex lines, in line order
@@ -301,12 +299,13 @@ def load_graph(text: str) -> WeightedGraph:
     measures, weights = array("d"), array("d")
     vertex_lines, edge_lines = array("q"), array("q")
     bad_measure = bad_weight = None  # raised once no earlier kind of fault is found
-    ln, start = 0, 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+    fh = io.StringIO(fh) if isinstance(fh, str) else fh
+    ln = 0
+    while chunk := fh.read(_CHUNK):
+        chunk += fh.readline()
         chunk_labels, chunk_measures, chunk_vertex_lines = [], [], []
         chunk_ends, chunk_weights, chunk_edge_lines = [], [], []
-        for ln, tokens in enumerate(map(str.split, text[start:stop].splitlines()), ln + 1):
+        for ln, tokens in enumerate(map(str.split, chunk.splitlines()), ln + 1):
             if not tokens:
                 continue
             head = tokens[0]
@@ -324,7 +323,6 @@ def load_graph(text: str) -> WeightedGraph:
                 chunk_vertex_lines.append(ln)
             elif not head.startswith("#"):
                 raise GraphFormatError(f"unknown directive {head!r}", line=ln)
-        start = stop
         labels += chunk_labels
         # array.frombytes reads a numpy array through a byte view, without a copy
         for out, tokens in ((vertex_labels, chunk_labels), (end_labels, chunk_ends)):
@@ -360,15 +358,16 @@ def load_graph(text: str) -> WeightedGraph:
 def save_graph(g: WeightedGraph) -> str:
     """The text that load_graph reads back as g, each edge once, u <= v ascending."""
     labels = np.array(g.labels, dtype=object)
+    u, v, mu = g._with_loops()
     vertices = map("vertex {} {!r}".format, g.labels, g.m.tolist())
-    edges = map("edge {} {} {!r}".format, labels[g._u], labels[g._v], g._mu.tolist())
+    edges = map("edge {} {} {!r}".format, labels[u], labels[v], mu.tolist())
     return "\n".join([*vertices, *edges]) + "\n"
 
 
-def load_vertex_function(text: str, g: WeightedGraph) -> np.ndarray:
-    """Parse a ``vertex,value`` CSV into an array in vertex-id order; a fault
-    in a row names the row's line."""
-    reader = csv.reader(io.StringIO(text))
+def load_vertex_function(fh, g: WeightedGraph) -> np.ndarray:
+    """Parse a ``vertex,value`` CSV, a text stream or a str, into an array in
+    vertex-id order; a fault in a row names the row's line."""
+    reader = csv.reader(io.StringIO(fh) if isinstance(fh, str) else fh)
     rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
     if not rows or [c.strip() for c in rows[0][1]] != ["vertex", "value"]:
         raise GraphFormatError("vertex function CSV must start with header 'vertex,value'")

@@ -81,7 +81,7 @@ def gamma_many(g: WeightedGraph, F, H=None) -> np.ndarray:
 
 def _delta(g, BF):
     """Delta F from the edge differences BF = B F, which it overwrites."""
-    BF *= -g._edge_mu[:, None]
+    BF *= -g._mu[:, None]
     out = g._incidences()[1] @ BF
     out *= g._inv_m[:, None]
     return out
@@ -89,7 +89,7 @@ def _delta(g, BF):
 
 def _gamma(g, BF, BH):
     """Gamma(F, H) from the edge differences BF = B F and BH = B H."""
-    prod = g._edge_mu[:, None] * BF
+    prod = g._mu[:, None] * BF
     prod *= BH
     out = g._incidences()[2] @ prod
     out *= (0.5 * g._inv_m)[:, None]
@@ -139,7 +139,7 @@ def _column_blocks(g, kernel, F):
     being allocated, and page-faulted, afresh at full width.  kernel must
     compute each column on its own, so the blocks change no bit.
     """
-    width = max(1, _CACHE_BYTES // (8 * max(1, len(g._edge_mu))))
+    width = max(1, _CACHE_BYTES // (8 * max(1, len(g._mu))))
     if F.shape[1] <= width:
         return kernel(F)
     out = np.empty_like(F)

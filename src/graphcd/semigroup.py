@@ -80,9 +80,9 @@ def decompose(g: WeightedGraph) -> SpectralDecomposition:
     sqrt_m = np.sqrt(g.m)
     inv_sqrt_m = 1.0 / sqrt_m
 
-    u, v = g._edge_ends.T
+    u, v = g._u, g._v
     S = np.zeros((nv, nv))
-    S[u, v] = S[v, u] = g._edge_mu * (inv_sqrt_m[u] * inv_sqrt_m[v])
+    S[u, v] = S[v, u] = g._mu * (inv_sqrt_m[u] * inv_sqrt_m[v])
     S[np.diag_indices(nv)] = -g._degree * g._inv_m
 
     try:
@@ -148,8 +148,8 @@ class ChebyshevPropagator:
         self.radius = rho = _radius(g)
         self.lam_min = -rho
         # 2X, whose products give 2 X T_k in one step
-        u, v = g._edge_ends.T
-        off = (4.0 / rho) * (g._edge_mu * (self.inv_sqrt_m[u] * self.inv_sqrt_m[v]))
+        u, v = g._u, g._v
+        off = (4.0 / rho) * (g._mu * (self.inv_sqrt_m[u] * self.inv_sqrt_m[v]))
         diag = 2.0 - (4.0 / rho) * (g._degree * g._inv_m)
         ids = np.arange(nv)
         self._twice_x = scipy.sparse.csr_array((np.concatenate([off, off, diag]), (
@@ -248,7 +248,7 @@ def _propagator_for(g: WeightedGraph, t_max, applies, integral_nodes=lambda lam_
     whose terms go to its nodes in nv x nodes products, and a Clenshaw sum
     of m products of an nv x 2 block with m nv x nodes x 2 products.
     """
-    nv, ne = g.vertex_count, len(g._edge_mu)
+    nv, ne = g.vertex_count, len(g._mu)
     rho = _radius(g)
     m = _chebyshev_degree(0.5 * rho * t_max)
     counts = integral_nodes(-rho)

@@ -250,15 +250,15 @@ CHECKS = {  # name: flag, identity, takes_n, heat, integral, sides
 INEQUALITY_NAMES = tuple(CHECKS)
 
 
-def _decay(K, t, of=math.exp):
-    """of(-2Kt), by default e^(-2Kt), or a ValueError naming K and t where
-    it is not finite: -2Kt or the result overflows."""
+def _decay(K, t, of=math.exp, name="e^(-2Kt)"):
+    """of(-2Kt), by default e^(-2Kt), or a ValueError naming the quantity,
+    K and t where it is not finite: -2Kt or the result overflows."""
     try:
         out = of(-2.0 * K * t)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise ValueError(f"e^(-2Kt) overflows at K = {K!r}, t = {t!r}")
+        raise ValueError(f"{name} overflows at K = {K!r}, t = {t!r}")
     return out
 
 
@@ -323,8 +323,8 @@ def variance_coefficient(K, t):
     range raises _decay's ValueError.
     """
     if K == 0.0:
-        return _decay(K, t, lambda a: 2.0 * t)
-    return _decay(K, t, lambda a: -math.expm1(a) / K)
+        return _decay(K, t, lambda a: 2.0 * t, "2t")
+    return _decay(K, t, lambda a: -math.expm1(a) / K, "(1 - e^(-2Kt))/K")
 
 
 def cdn_bound(g, sd, f, K, n, t):

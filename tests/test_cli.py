@@ -1178,14 +1178,25 @@ STIFF_C4_TEXT = ("vertex a 1\nvertex b 1e-4\nvertex c 1\nvertex d 1\n"
     (("--inequality", "variance", "--K", "-1e308"), "-1e+308"),
 ])
 def test_verify_overflowing_decay_exit_2(capsys, tmp_path, flags, K):
-    # e^{-2Kt} overflows at t = 1; an inf there would read as a violation
+    # e^{-2Kt} overflows at t = 1; an inf there would read as a violation.
+    # The message names the quantity: variance's coefficient, else e^(-2Kt)
     path = tmp_path / "c4.graph"
     path.write_text(STIFF_C4_TEXT)
     code, out, err = run_main(capsys, "verify", "--graph", str(path), *flags, "--times", "1",
                               "--functions", "random:0:1")
     assert code == 2
     assert out == ""
-    assert f"K = {K}, t = 1.0" in err
+    quantity = "(1 - e^(-2Kt))/K" if flags[1] == "variance" else "e^(-2Kt)"
+    assert err == f"error: {quantity} overflows at K = {K}, t = 1.0\n"
+
+
+def test_verify_overflowing_variance_coefficient_at_k_0_names_2t(capsys, tmp_path):
+    # at K = 0 the coefficient is 2t, which overflows where e^(-2Kt) = 1 does not
+    path = tmp_path / "p3.graph"
+    path.write_text("vertex a 1\nvertex b 1\nvertex c 1\nedge a b 1\nedge b c 1\n")
+    code, out, err = run_main(capsys, "verify", "--graph", str(path), "--inequality", "variance",
+                              "--K", "0", "--times", "1e308")
+    assert (code, out, err) == (2, "", "error: 2t overflows at K = 0.0, t = 1e+308\n")
 
 
 @pytest.mark.parametrize("m_b", ["1", "1e-2", "1e-4", "1e-6"])

@@ -193,7 +193,7 @@ def test_center_blocks_cut_the_degree_and_walk_order_by_the_budget(monkeypatch):
     order = sorted(range(30), key=lambda x: (degree[x], walks[x], x))
     for budget in (0, max(costs), sum(costs) // 3, sum(costs)):
         _budget(monkeypatch, budget)
-        blocks, rank = _center_blocks(g)
+        blocks, rank, _ = _center_blocks(g)
         assert [x for b in blocks for x in b.tolist()] == order, budget
         assert rank[order].tolist() == list(range(30))
         cost = [sum(costs[x] for x in b) for b in blocks]
@@ -228,7 +228,7 @@ def test_form_tables_stay_within_the_block_budget():
     graphs = [_sparse_graph(seed, nv, d, mean) for seed in range(2)
               for nv, d, mean in ((2048, 6, 5), (1000, 9, 7), (600, 20, 14))]
     for g in graphs + [complete_graph(60)]:
-        blocks, _ = _center_blocks(g)
+        blocks, _, _ = _center_blocks(g)
         assert len(blocks) > 1
         for centers in blocks:
             tracemalloc.start()
@@ -241,12 +241,30 @@ def test_form_tables_stay_within_the_block_budget():
             assert peak <= curvature._BLOCK_BYTES, (g.vertex_count, len(centers), peak)
 
 
+def test_curvature_all_keeps_one_copy_of_its_witness_columns(monkeypatch):
+    # each block's ball coordinates and witness values are written in place
+    # into columns sized by _center_blocks' bound: here the traced peak is
+    # about 1.2 times the columns' bytes, and a second copy of them (such
+    # as a join of per-block arrays) puts it at about 2.1 times
+    _budget(monkeypatch, 2**18)
+    g = _sparse_graph(0, 6000, 6, 5)
+    assert len(_center_blocks(g)[0]) > 50
+    tracemalloc.start()
+    try:
+        columns = curvature_all(g, INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = columns.support.nbytes + columns.values.nbytes
+    assert peak <= 1.5 * kept + 2 * curvature._BLOCK_BYTES, (peak, kept)
+
+
 def test_solve_stacks_one_eigh_per_block_and_sphere1_size(monkeypatch):
     # blocked, each (block, k1) run of the blocks' form tables is one eigh call
     g = random_connected_graph(3996, min_vertices=30, max_vertices=30, extra_edge_prob=0.1)
     degree, _ = _degree_and_walks(g)
     _budget(monkeypatch, sum(_center_costs(g)) // 4)
-    blocks, _ = _center_blocks(g)
+    blocks, _, _ = _center_blocks(g)
     want = []
     for b in blocks:
         k1s = [degree[x] for x in b]

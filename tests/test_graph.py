@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from unittest import mock
@@ -255,17 +256,31 @@ def _outcome(load, text):
     except GraphFormatError as exc:
         assert exc.line is None or type(exc.line) is int
         return str(exc), exc.line
-    arrays = (g.m, g._u, g._v, g._mu, g._csr_indptr, g._csr_indices, g._csr_weights, g._degree)
+    arrays = (g.m, g._u, g._v, g._mu, g._loops, g._loop_mu, g._csr_indptr, g._csr_indices,
+              g._csr_weights, g._degree)
     return g.labels, [(a.dtype.str, a.tobytes()) for a in arrays]
 
 
 @settings(max_examples=300, deadline=None)
-@given(faulty_graph_texts(), st.one_of(st.integers(1, 16), st.just(graph._CHUNK)))
-def test_chunked_reader_matches_the_line_loop(text, chunk):
-    # a few characters a chunk put the chunk edges on every line
+@given(faulty_graph_texts(), st.one_of(st.integers(1, 16), st.just(graph._CHUNK)),
+       st.sampled_from([str, io.StringIO]))
+def test_chunked_reader_matches_the_line_loop(text, chunk, source):
+    # a few characters a chunk put the chunk edges on every line; a str and
+    # a text stream of it read alike
     with mock.patch.object(graph, "_CHUNK", chunk):
-        got = _outcome(load_graph, text)
+        got = _outcome(load_graph, source(text))
     assert got == _outcome(load_graph_reference, text)
+
+
+def test_self_loops_are_kept_apart_and_merged_back_in_edge_order():
+    g = load_graph("vertex a 1\nvertex b 1\nvertex c 1\n"
+                   "edge c c 4\nedge b c 2\nedge a b 1\nedge b b 3\nedge a a 5\n")
+    assert (g._u.tolist(), g._v.tolist(), g._mu.tolist()) == ([0, 1], [1, 2], [1.0, 2.0])
+    assert (g._loops.tolist(), g._loop_mu.tolist()) == ([0, 1, 2], [5.0, 3.0, 4.0])
+    assert list(g.edges.items()) == [((0, 0), 5.0), ((0, 1), 1.0), ((1, 1), 3.0),
+                                     ((1, 2), 2.0), ((2, 2), 4.0)]
+    assert save_graph(g) == ("vertex a 1.0\nvertex b 1.0\nvertex c 1.0\nedge a a 5.0\n"
+                             "edge a b 1.0\nedge b b 3.0\nedge b c 2.0\nedge c c 4.0\n")
 
 
 def test_edges_are_read_only():
