@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 usage or input error, 3 verified violation,
 stable key order, so identical invocations produce byte-identical output.
 Files are read and reports written as UTF-8, whatever the locale: as bytes,
 straight to the binary file of --output, --csv or stdout.  Every subcommand
-opens its outputs before its work.
+opens its outputs, and checks every flag but verify's --functions, before
+it reads the graph.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ from .curvature import _check_dimension, curvature_all, min_curvature
 from .graph import (
     GraphFormatError,
     csv_text,
+    label_order,
     load_graph,
     load_vertex_function,
     save_vertex_function,
 )
 from .semigroup import _propagator_for, heat_apply
 from .verify import (
-    CHECKS, _check_of, _sweep_propagator, _violation_indices, function_corpus, random_functions,
-    run_verification, witness_functions)
+    CHECKS, _check_of, _distinct_times, _sweep_propagator, _violation_indices, function_corpus,
+    random_functions, run_verification, witness_functions)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +322,10 @@ class _KeptGrid:
 
 
 def _write_grid(fh, grid, cut):
-    """Write the text of grid, a view of a prefix of a bytearray (its base),
-    to the binary file fh, every _PAD deleted, less its first cut bytes."""
-    buffer = grid.base
+    """Write the text of grid, a uint8 array or a view of a bytearray's
+    prefix (its base), to the binary file fh, every _PAD deleted, less its
+    first cut bytes."""
+    buffer = grid.base if isinstance(grid.base, bytearray) else grid.tobytes()
     text = (buffer if grid.nbytes == len(buffer) else buffer[:grid.nbytes]).translate(None, _PAD)
     fh.write(text[cut:] if cut else text)
 
@@ -470,102 +473,86 @@ def _graph_name(path):
 # ---------------------------------------------------------------------------
 
 def cmd_curvature(args, files) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = load_graph(fh)
     n = _check_dimension(args.dimension)
     if args.format == "csv" and args.witness:
         raise ValueError("--witness is only available with --format json")
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
+    # each label as the report writes it, made before the solve's columns are held
+    keys = _padded(_csv_fields(g.labels) if args.format == "csv" else map(json.dumps, g.labels))
 
     columns = curvature_all(g, n)
-    rows = sorted(range(g.vertex_count), key=g.labels.__getitem__)  # report order
-    labels = [g.labels[x] for x in rows]
-    kappa = columns.kappa[rows]
-    kappa_slots = _float_slots(kappa)[0]  # finite (_solve): the CSV's and the JSON's
+    order = label_order(g)
     if args.format == "csv":
         head, tail = csv_text(("vertex", "kappa"), ()), ""
-        heads = _padded([f + "," for f in _csv_fields(labels)])
-        ends = b"\n"
+        frame = b"", b",", b"\n"
     else:
         head, tail = _frame({"graph_name": _graph_name(args.graph), "dimension": n}, "rows",
                             {"min_kappa": min_curvature(g, n), "tool_version": __version__})
-        heads = _padded([f', {{"vertex_label": {json.dumps(x)}, "kappa": ' for x in labels])
-        ends = b"}"
-    if args.witness:
-        count, width, parts = _witness_rows(g, columns, rows, heads, kappa_slots)
-    else:
-        count, width = len(rows), heads.shape[1] + _SLOT + len(ends)
-
-        def parts(s):
-            return (heads, 0), (kappa_slots, 0), ends
+        frame = (b', {"vertex_label": ', b', "kappa": ',
+                 b', "witness": {' if args.witness else b"}")
+    if args.witness and not np.isfinite(columns.values).all():
+        # no report holds a witness value that is inf or nan: the first one,
+        # in report order and then in vertex-id order, is named
+        bad = ~np.isfinite(columns.values)
+        x = next(x for x in order if bad[columns.ball(x)].any())
+        vertex, values = _witness_entries(columns, np.array([x]))
+        _require_finite([g.labels[y] for y in vertex.tolist()], values,
+                        f"witness of {g.labels[x]!r}")
 
     (fh,) = files()
     _write(fh, head)
-    _write_blocks((count,), width, lambda index: [(fh, parts(*index))],
-                  (fh,) if args.format == "json" else ())
+    at, cut = 0, 2 if args.format == "json" else 0  # the first JSON row's ", "
+    while at < len(order):
+        grid, count = _report_rows(order[at:], keys, columns, frame, args.witness)
+        _write_grid(fh, grid, cut)
+        at, cut = at + count, 0
     _write(fh, tail)
     return 0
 
 
-def _witness_rows(g, columns, rows, heads, kappa_slots):
-    """(count, width, parts) for _write_blocks, parts(s) giving the parts of
-    the grid rows s: the JSON rows of the vertices rows, with witnesses.
+def _side_by_side(count, *parts):
+    """(count, width) uint8 rows of parts side by side, each bytes or count rows."""
+    return np.hstack([np.broadcast_to(np.frombuffer(p, np.uint8), (count, len(p)))
+                      if isinstance(p, bytes) else p for p in parts])
 
-    Row i's text is its lead (its head, its kappa and '"witness": {'), then
-    an entry per vertex of its 2-ball, its center (value 0) included, in
-    vertex-id order: the vertex's key, its value and ", ", or "}}" after the
-    last.  The grid has a row per entry, as wide as the widest entry, and
-    before row i's first entry its lead, cut into rows of that width.  A
-    witness value that is not finite is a ValueError.
-    """
-    size = columns.size[rows] + 1
-    first = np.cumsum(size) - size      # each row's first entry
-    last = first + size - 1
-    # the punctured ball, then the center, of each row; then vertex-id order
-    at = np.repeat(columns.start[rows] - first, size) + np.arange(int(size.sum()))
-    at[last] = 0
-    ids, values = columns.support[at], columns.values[at]
-    ids[last], values[last] = rows, 0.0
-    row = np.repeat(np.arange(len(rows)), size)
-    order = np.lexsort((ids, row))
-    ids, values = ids[order], values[order]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = row[np.argmax(bad)]
-        s = slice(first[i], last[i] + 1)
-        _require_finite([g.labels[x] for x in ids[s]], values[s],
-                        f"witness of {g.labels[rows[i]]!r}")
 
-    # the grid's parts: a key, a float slot and an end, each lead row's
-    # width cut into the same three
-    keys = _padded([json.dumps(x) + ": " for x in g.labels])
-    kw = keys.shape[1]
-    width = kw + _SLOT + 2
-    opening = np.frombuffer(b', "witness": {', np.uint8)
-    leads = np.hstack([heads, kappa_slots, np.tile(opening, (len(rows), 1))])
-    per = -(-leads.shape[1] // width)   # grid rows per lead
-    leads = np.pad(leads, ((0, 0), (0, per * width - leads.shape[1])),
-                   constant_values=_PAD[0]).reshape(len(rows) * per, width)
-    keys = np.vstack([keys, leads[:, :kw]])
-    lead_slots = leads[:, kw:kw + _SLOT]
-    ends = np.vstack([_padded([", ", "}}"]), leads[:, kw + _SLOT:]])
-    # row i's per lead rows, then its entries
-    entry_at = np.arange(len(ids)) + per * (row + 1)
-    lead = np.ones(len(ids) + len(leads), dtype=bool)
-    lead[entry_at] = False
-    key = np.empty(len(lead), dtype=np.intp)   # rows of keys
-    key[lead], key[entry_at] = g.vertex_count + np.arange(len(leads)), ids
-    end = np.zeros(len(lead), dtype=np.intp)   # rows of ends
-    end[lead], end[entry_at[last]] = 2 + np.arange(len(leads)), 1
-    grid_values = np.zeros(len(lead))
-    grid_values[entry_at] = values
+def _witness_entries(columns, ids):
+    """(vertex ids, values) of the witnesses of the vertices ids in turn, each
+    over its 2-ball with its center (value 0), in vertex-id order."""
+    size = columns.size[ids]
+    at = np.repeat(columns.start[ids] - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
+    vertex = np.concatenate([columns.support[at], ids])
+    row = np.concatenate([np.repeat(np.arange(len(ids)), size), np.arange(len(ids))])
+    order = np.lexsort((vertex, row))
+    return vertex[order], np.concatenate([columns.values[at], np.zeros(len(ids))])[order]
 
-    def parts(s):
-        slots = _float_slots(grid_values[s])[1]
-        chunk = key[s][lead[s]] - g.vertex_count
-        slots[lead[s]] = lead_slots[chunk]
-        return keys[key[s]], slots, ends[end[s]]
 
-    return len(lead), width, parts
+def _report_rows(ids, keys, columns, frame, witness):
+    """(grid, count): the byte grid of the curvature report's rows of the
+    first count vertices of ids, as many as fit in _BLOCK_BYTES (one at
+    least).  Row x is its lead, frame's first bytes, keys[x], frame's middle
+    bytes, x's kappa and frame's last bytes, then with witness an entry per
+    vertex y of x's 2-ball (_witness_entries): keys[y], ": ", y's value and
+    ", " ("}}" after the last), a grid row each, after the lead in rows as wide."""
+    first, middle, last = frame
+    lead_width = len(first) + keys.shape[1] + len(middle) + _SLOT + len(last)
+    width = keys.shape[1] + len(b": , ") + _SLOT if witness else lead_width
+    per = -(-lead_width // width)  # grid rows per lead
+    ids = ids[:max(1, _BLOCK_BYTES // (per * width))]  # at most those that fit with no entries
+    size = columns.size[ids] + 1 if witness else np.zeros_like(ids)  # entries per row
+    count = max(1, int(np.searchsorted(np.cumsum(per + size), _BLOCK_BYTES // width, "right")))
+    ids, size = ids[:count], size[:count]
+    # kappa is finite (_solve): its CSV and JSON slots are one
+    leads = _side_by_side(count, first, keys[ids], middle, _float_slots(columns.kappa[ids])[0],
+                          last, _PAD * (per * width - lead_width))
+    if not witness:
+        return leads, count
+    vertex, values = _witness_entries(columns, ids)
+    entries = _side_by_side(len(vertex), keys[vertex], b": ", _float_slots(values)[1], b", ")
+    entries[np.cumsum(size) - 1, -2:] = np.frombuffer(b"}}", np.uint8)
+    at = np.repeat(np.cumsum(size) - size, per)  # each lead before its row's first entry
+    return np.insert(entries, at, leads.reshape(-1, width), axis=0), count
 
 
 def _build_corpus(g, spec, dimension):
@@ -590,10 +577,7 @@ def _build_corpus(g, spec, dimension):
 
 
 def cmd_verify(args, files) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = load_graph(fh)
     name = next(name for name, check in CHECKS.items() if check.flag == args.inequality)
-
     if args.K.strip() == "auto":
         K = "auto"
     else:
@@ -613,7 +597,10 @@ def cmd_verify(args, files) -> int:
         raise ValueError(f"cannot parse --times {args.times!r}") from None
     if not times or any(not (t > 0) or not math.isfinite(t) for t in times):
         raise ValueError("--times needs a comma list of positive reals")
+    times = _distinct_times(times)
 
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
     functions = _build_corpus(g, args.functions, math.inf if n is None else n)
     sd = _sweep_propagator(g, name, K, n, times, len(functions))
     report = run_verification(g, sd, name, K, times, functions, n=n)
@@ -645,16 +632,16 @@ def cmd_verify(args, files) -> int:
 
 
 def cmd_heat(args, files) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = load_graph(fh)
-    with open(args.f, encoding="utf-8") as fh:
-        f = load_vertex_function(fh, g)
     try:
         t = float(args.t)
     except ValueError:
         raise ValueError(f"cannot parse --t {args.t!r}") from None
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be finite and >= 0, got {t}")
+    with open(args.graph, encoding="utf-8") as fh:
+        g = load_graph(fh)
+    with open(args.f, encoding="utf-8") as fh:
+        f = load_vertex_function(fh, g)
     sd = _propagator_for(g, t, 1)
     result = heat_apply(sd, g, t, f)
     _require_finite(g.labels, result, "P_t f")

@@ -240,6 +240,12 @@ def vertex_id(g: WeightedGraph, x) -> int:
     return i
 
 
+def label_order(g: WeightedGraph) -> np.ndarray:
+    """The vertex ids sorted by label, the order of every report's rows (an
+    argsort of the labels as an object array builds no list of ids)."""
+    return np.argsort(np.array(g.labels, dtype=object), kind="stable")
+
+
 def ball2(g: WeightedGraph, x: int) -> Ball:
     x = vertex_id(g, x)
     s1 = g.neighbors(x)[0].tolist()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import _check_dimension, curvature_all, min_curvature
-from .graph import WeightedGraph
+from .graph import WeightedGraph, label_order
 from .operators import _column_blocks, _gamma2_parts, _vertex_array, gamma_many, laplacian_many
 from .semigroup import (
     _bessel_tail_degree, _heat_time_sum, _propagator_for, heat_apply_columns, heat_curve)
@@ -174,6 +174,15 @@ def _check_time(t):
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"need a positive finite time, got {t}")
     return t
+
+
+def _distinct_times(times):
+    """The times, each checked by _check_time, ascending; none given twice."""
+    times = sorted(_check_time(t) for t in times)
+    for a, b in zip(times, times[1:]):
+        if a == b:
+            raise ValueError(f"time {a!r} is given twice")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +426,11 @@ def run_verification(
     equal ids keep their input order.
     """
     check = _check_of(inequality_name, n)
-    times = sorted(_check_time(t) for t in times)
-    for a, b in zip(times, times[1:]):
-        if a == b:
-            raise ValueError(f"time {a!r} is given twice")
+    times = _distinct_times(times)
     K = resolve_K(g, K, inequality_name, n=math.inf if n is None else n)
 
     functions = sorted(functions, key=lambda item: item[0])
-    v_order = sorted(range(g.vertex_count), key=g.labels.__getitem__)
+    v_order = label_order(g)
     lhs = np.empty((len(functions), len(times), g.vertex_count))
     rhs = np.empty_like(lhs)
     qmax = 0.0
@@ -448,7 +454,7 @@ def run_verification(
         n=None if n is None else float(n),
         function_ids=tuple(fid for fid, _ in functions),
         times=tuple(times),
-        vertices=tuple(g.labels[x] for x in v_order),
+        vertices=tuple(g.labels[x] for x in v_order.tolist()),
         lhs=lhs,
         rhs=rhs,
         slack=slack,

@@ -1112,6 +1112,33 @@ def test_verify_duplicate_times_exit_2(capsys, k2_path):
     assert "time 0.1 is given twice" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("curvature", "--dimension", "0"), "dimension must be a positive real or inf, got 0.0"),
+    (("curvature", "--dimension", "inf", "--format", "csv", "--witness"),
+     "--witness is only available with --format json"),
+    (("verify", "--inequality", "gradient", "--K", "nan", "--times", "0.1"),
+     "--K must be finite or 'auto', got 'nan'"),
+    (("verify", "--inequality", "gradient", "--K", "x", "--times", "0.1"), "cannot parse --K 'x'"),
+    (("verify", "--inequality", "gradient", "--n", "2", "--times", "0.1"),
+     "gradient_estimate takes no dimension n"),
+    (("verify", "--inequality", "cdn", "--times", "0.1"), "cdn_bound needs a dimension n"),
+    (("verify", "--inequality", "cdn", "--n", "nan", "--times", "0.1"),
+     "dimension must be a positive real or inf, got nan"),
+    (("verify", "--inequality", "gradient", "--times", "0.1,x"), "cannot parse --times '0.1,x'"),
+    (("verify", "--inequality", "gradient", "--times", "0.1,-1"),
+     "--times needs a comma list of positive reals"),
+    (("verify", "--inequality", "gradient", "--times", "0.1,0.5,0.10"), "time 0.1 is given twice"),
+    (("heat", "--f", "f.csv", "--t", "x"), "cannot parse --t 'x'"),
+    (("heat", "--f", "f.csv", "--t", "inf"), "--t must be finite and >= 0, got inf"),
+])
+def test_usage_errors_exit_2_before_the_graph_is_read(capsys, monkeypatch, k2_path, argv, message):
+    # also where the graph path is bad: the flag is named, not the file
+    monkeypatch.setattr(cli, "load_graph", lambda fh: pytest.fail("the graph was read"))
+    for graph in (k2_path, "/nonexistent.graph"):
+        code, out, err = run_main(capsys, *argv, "--graph", graph)
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err, err
+
+
 def test_verify_bad_flags(capsys, k2_path):
     code, _, _ = run_main(capsys, "verify", "--graph", k2_path,
                           "--inequality", "gradient", "--K", "xyz", "--times", "0.5")

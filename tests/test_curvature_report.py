@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from graphcd.cli import dumps_report, main
 from graphcd.curvature import curvature_all, curvature_at, min_curvature
 from graphcd.graph import csv_text, load_graph, save_graph
 from graphcd.verify import function_corpus
+from conftest import cycle_with_chords
 
 # labels that JSON or CSV escape, a self-loop at z, and a second sphere
 # (y is two steps from most vertices)
@@ -163,33 +165,119 @@ def test_curvature_report_equals_the_dict_per_row_writer(text, dimension, mode, 
     assert got == _dict_per_row_report(g, "h", float(dimension), mode)
 
 
-def test_kept_grid_writes_the_witness_rows_to_a_text_stdout(tmp_path, monkeypatch):
-    # the gold graph's witness report (46 grid rows) to an io.StringIO
-    # stdout in blocks of k rows, the last one partial where k does not
-    # divide 46
+def _greedy_chunks(rows, k):
+    """Grid rows of each chunk when report rows of the given grid rows are
+    taken in order, as many as fit in k grid rows, one at least."""
+    chunks = [0]
+    for r in rows:
+        if chunks[-1] and chunks[-1] + r > k:
+            chunks.append(0)
+        chunks[-1] += r
+    return chunks
+
+
+def test_chunks_write_the_witness_rows_to_a_text_stdout(tmp_path, monkeypatch):
+    # the gold graph's witness report (46 grid rows over 6 report rows) to
+    # an io.StringIO stdout in chunks of whole report rows within k grid
+    # rows, the last one partial where the rows do not fill it
     path = tmp_path / "gold.graph"
     path.write_text(GOLD_GRAPH, encoding="utf-8")
     want = _dict_per_row_report(load_graph(GOLD_GRAPH), "gold", math.inf, "witness")
     widths, rows = [], []
 
-    def blocks(shape, width):
-        widths.append(width)
-        return real_blocks(shape, width)
+    def report_rows(*args):
+        grid, count = real_report_rows(*args)
+        widths.append(grid.shape[1])
+        return grid, count
 
     def write_grid(fh, grid, cut):
         rows.append(len(grid))
         return real_write_grid(fh, grid, cut)
 
-    real_blocks, real_write_grid = cli._blocks, cli._write_grid
-    monkeypatch.setattr(cli, "_blocks", blocks)
+    real_report_rows, real_write_grid = cli._report_rows, cli._write_grid
+    monkeypatch.setattr(cli, "_report_rows", report_rows)
     monkeypatch.setattr(cli, "_write_grid", write_grid)
     assert _report(str(path), "inf", "witness") == want
     assert rows == [46]
-    for k in (1, 3, 5, 7, 45):
+    # a chunk per report row: its lead's rows, then a row per witness entry
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    rows.clear()
+    assert _report(str(path), "inf", "witness") == want
+    sizes = [len(r["witness"]) for r in json.loads(want)["rows"]]
+    per = rows[0] - sizes[0]
+    per_row = [per + size for size in sizes]
+    assert per >= 1 and rows == per_row and sum(rows) == 46
+    for k in (1, 3, 9, 14, 30, 45):
         monkeypatch.setattr(cli, "_BLOCK_BYTES", k * widths[0])
         rows.clear()
         assert _report(str(path), "inf", "witness") == want, k
-        assert rows == [min(k, 46 - i) for i in range(0, 46, k)], k
+        assert rows == _greedy_chunks(per_row, k), k
+        assert len(set(widths)) == 1
+    assert _greedy_chunks(per_row, 30) == [29, 17]  # a partial last chunk
+
+
+# long labels, and labels that JSON and CSV escape, by several bytes a character
+LONG_LABELS = ["x" * 300, "\u20ac" * 90, '"' * 40 + "q", "\\" * 30 + ",", "\U0001d53e" * 20,
+               "a,b", "y", "\u00e9"]
+LONG_GRAPH = "".join(f"vertex {x} {1 + i / 4}\n" for i, x in enumerate(LONG_LABELS)) + "".join(
+    f"edge {LONG_LABELS[u]} {LONG_LABELS[v]} {1 + (u + v) / 5}\n"
+    for u, v in [(i, i + 1) for i in range(7)] + [(0, 3), (2, 6), (5, 7)])
+
+
+def test_no_chunk_grid_exceeds_the_budget_unless_it_holds_one_row(tmp_path, monkeypatch):
+    path = tmp_path / "long.graph"
+    path.write_text(LONG_GRAPH, encoding="utf-8")
+    g = load_graph(LONG_GRAPH)
+    chunks = []
+
+    def report_rows(*args):
+        grid, count = real_report_rows(*args)
+        chunks.append((grid.nbytes, count))
+        return grid, count
+
+    real_report_rows = cli._report_rows
+    monkeypatch.setattr(cli, "_report_rows", report_rows)
+    for mode in FLAGS:
+        for budget in (1, 500, 1500, 4000, 9000, 1 << 20):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", budget)
+            chunks.clear()
+            assert _report(str(path), "2", mode) == _dict_per_row_report(g, "long", 2.0, mode)
+            assert sum(count for _, count in chunks) == g.vertex_count
+            assert all(nbytes <= budget or count == 1 for nbytes, count in chunks), (mode, chunks)
+            if budget >= 9000:
+                assert any(count > 1 for _, count in chunks), (mode, budget, chunks)
+
+
+def test_witness_report_holds_the_key_table_and_a_few_chunks(tmp_path, monkeypatch):
+    # past the solve, curvature --witness holds for the whole report only the
+    # key table and the report order; the rest is a chunk's grid and the
+    # arrays it is made from (about 7 budgets).  A grid of the whole report,
+    # or index arrays with a row per grid row, take about 100 budgets here.
+    g = cycle_with_chords(6000, 0)
+    path = tmp_path / "c.graph"
+    path.write_text(save_graph(g), encoding="utf-8")
+    columns = curvature_all(g, 2.0)
+    base = []
+
+    def table(g, n):
+        if not base:
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+        return columns
+
+    monkeypatch.setattr(graphcd.curvature, "_table", table)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        code = main(["curvature", "--graph", str(path), "--dimension", "2", "--witness",
+                     "--output", str(tmp_path / "c.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    keys = g.vertex_count * len(json.dumps(g.labels[-1]))
+    order = g.vertex_count * 8
+    assert peak - base[0] <= keys + order + 10 * cli._BLOCK_BYTES, peak - base[0]
 
 
 def test_witness_report_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):
